@@ -3,8 +3,9 @@
 Given labeled training data, the procedure scores a test point against each
 class with a variance-scaled squared distance, converts the scores to
 conformal p-values against the class's own training scores, applies a
-step-up multiplicity adjustment across classes within each test point, and
-keeps every class whose adjusted p-value clears a level-dependent threshold.
+step-up multiplicity adjustment across the m test points within each class,
+and keeps every class whose adjusted p-value clears a level-dependent
+threshold.
 The result is a label set per test point: a singleton is a confident
 classification, a larger set an ambiguous one, and the empty set flags the
 point as an outlier belonging to no known class. Acceptance thresholds are

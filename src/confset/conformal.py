@@ -4,7 +4,8 @@ The pipeline per class k:
 
 1. rank p-value of each test score among the class training scores
    (full conformal, no sample splitting),
-2. Benjamini-Hochberg step-up across the m test points (skipped for m == 1),
+2. Benjamini-Hochberg step-up across the m test points (a single test point
+   keeps its p-value),
 3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1).
 
 A point accepted by no class gets the empty set and is declared an outlier.
@@ -157,7 +158,7 @@ def predict(
             test_scores = score_batch(oracle, test.features, class_id)
         col = conformal_pvalues(train_scores, test_scores)
         raw[:, class_id - 1] = col
-        adjusted[:, class_id - 1] = col if m == 1 else bh_adjust(col)
+        adjusted[:, class_id - 1] = bh_adjust(col)
         thresholds[class_id - 1] = acceptance_threshold(rows.shape[0], alpha)
     pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
     sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)

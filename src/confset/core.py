@@ -37,7 +37,7 @@ class DataError(ValueError):
     """Structural problem with input data (bad labels, non-finite features, shape)."""
 
 
-class DegenerateVarianceError(ValueError):
+class DegenerateVarianceError(DataError):
     """A class has a zero-variance feature column, so scores are undefined."""
 
     def __init__(self, class_id: int, column: int):

@@ -427,16 +427,41 @@ def write_results(
     return text
 
 
+def _tagged_rows(path, fh, columns: list[str], what: str):
+    """Yield (line number, row) of a CSV this module wrote with ``columns``.
+
+    Checks the header and that each non-blank row has a cell per column;
+    the caller parses the cells.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, None)
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if header[: len(columns)] != columns:
+        raise DataError(f"{path}: not a {what}")
+    for row in reader:
+        if not row:
+            continue
+        if len(row) < len(columns):
+            raise DataError(
+                f"{path}: line {reader.line_num} has {len(row)} cells, "
+                f"expected {len(columns)}"
+            )
+        yield reader.line_num, row
+
+
 def read_results(path) -> dict[str, tuple[float, float]]:
     """Parse a results CSV back into {metric: (mean, std)}."""
     out = {}
     with _open_read(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["metric", "mean", "std"]:
-            raise DataError(f"{path}: not a results table")
-        for row in reader:
-            out[row[0]] = (float(row[1]), float(row[2]))
+        columns = ["metric", "mean", "std"]
+        for line, row in _tagged_rows(path, fh, columns, "results table"):
+            try:
+                out[row[0]] = (float(row[1]), float(row[2]))
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {line}: non-numeric mean or std in {row[:3]}"
+                ) from None
     return out
 
 
@@ -481,13 +506,16 @@ def write_sets_csv(path, sets: PredictionSets) -> None:
 def read_sets_csv(path, n_classes: int) -> PredictionSets:
     collected = []
     with _open_read(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:3] != ["index", "size", "labels"]:
-            raise DataError(f"{path}: not a prediction-sets table")
-        for row in reader:
+        columns = ["index", "size", "labels"]
+        for line, row in _tagged_rows(path, fh, columns, "prediction-sets table"):
             cell = row[2].strip()
-            collected.append([int(t) for t in cell.split(";")] if cell else [])
+            try:
+                collected.append([int(t) for t in cell.split(";")] if cell else [])
+            except ValueError:
+                raise DataError(
+                    f"{path}: line {line}: labels cell {cell!r} is not a "
+                    "';'-joined list of integers"
+                ) from None
     return PredictionSets.from_sets(collected, n_classes)
 
 

@@ -152,6 +152,19 @@ class TestPredict:
         )
         assert code == EXIT_DATA
 
+    def test_zero_variance_column_is_data_error(self, tmp_path, capsys):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,label\n0.0,5.0,a\n1.0,5.0,a\n2.0,5.0,a\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x1,x2\n1.0,5.0\n")
+        code = run_cli(
+            "predict", "--train", train, "--test", test, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: class 1 has zero variance in feature column 1")
+        assert len(err.splitlines()) == 1
+
 
 class TestEvaluate:
     def test_matches_library(self, simulated, tmp_path, capsys):
@@ -204,6 +217,28 @@ class TestEvaluate:
             "--test", short, "--n-classes", 1,
         )
         assert code == EXIT_DATA
+
+    def test_empty_sets_file_is_data_error(self, simulated, tmp_path, capsys):
+        empty = tmp_path / "empty_sets.csv"
+        empty.write_text("")
+        code = run_cli(
+            "evaluate", "--sets", empty,
+            "--test", f"{simulated}_test.csv", "--n-classes", 1,
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {empty}: empty file\n"
+
+    def test_non_integer_label_is_data_error(self, simulated, tmp_path, capsys):
+        bad = tmp_path / "bad_sets.csv"
+        bad.write_text("index,size,labels\n0,1,1\n1,1,one\n")
+        code = run_cli(
+            "evaluate", "--sets", bad,
+            "--test", f"{simulated}_test.csv", "--n-classes", 1,
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 3: labels cell 'one'")
+        assert len(err.splitlines()) == 1
 
 
 class TestExperiment:

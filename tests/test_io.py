@@ -451,6 +451,18 @@ class TestResultsTable:
         with pytest.raises(DataError, match="not a results table"):
             read_results(path)
 
+    def test_read_rejects_empty_file(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="empty file"):
+            read_results(path)
+
+    def test_read_rejects_non_numeric_value(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("metric,mean,std\npower,0.5,0.1\nfdr,high,0.0\n")
+        with pytest.raises(DataError, match="line 3: non-numeric"):
+            read_results(path)
+
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no reports"):
             write_results([], tmp_path / "r.csv")
@@ -505,6 +517,12 @@ class TestPredictionOutputs:
         path = tmp_path / "x.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(DataError, match="not a prediction-sets"):
+            read_sets_csv(path, 2)
+
+    def test_read_sets_rejects_short_row(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("index,size,labels\n0,1\n")
+        with pytest.raises(DataError, match="line 2 has 2 cells"):
             read_sets_csv(path, 2)
 
 

@@ -14,6 +14,7 @@ from confset import (
     oracle_score,
     score_batch,
 )
+from confset.scoring import _CHUNK_ROWS
 
 
 def one_class(features):
@@ -137,6 +138,53 @@ class TestScoreBatch:
     def test_rejects_unknown_model(self):
         with pytest.raises(DataError):
             score_batch(object(), np.zeros((2, 2)))
+
+
+def naive_scores(mean, var, rows):
+    return np.array([((x - mean) ** 2 / var).sum() for x in rows])
+
+
+class TestChunkedKernel:
+    """score_batch against a per-row loop across the kernel's block edges."""
+
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
+    def test_class_summary_matches_loop(self, rng, n):
+        rows = rng.normal(size=(n, 5))
+        s = ClassSummary(
+            class_id=1,
+            mean=rng.normal(size=5),
+            variance=rng.uniform(0.5, 2.0, size=5),
+            count=3,
+        )
+        np.testing.assert_allclose(
+            score_batch(s, rows), naive_scores(s.mean, s.variance, rows), rtol=1e-12
+        )
+
+    @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
+    def test_oracle_params_matches_loop(self, rng, n):
+        rows = rng.normal(size=(n, 5))
+        params = OracleParams(
+            means=rng.normal(size=(2, 5)), variances=rng.uniform(0.5, 2.0, size=(2, 5))
+        )
+        np.testing.assert_allclose(
+            score_batch(params, rows, class_id=2),
+            naive_scores(params.means[1], params.variances[1], rows),
+            rtol=1e-12,
+        )
+
+    def test_large_feature_offset_keeps_precision(self, rng):
+        # centring before squaring: no cancellation at a 1e6 offset
+        offset = 1e6
+        rows = offset + rng.normal(size=(2 * _CHUNK_ROWS + 3, 5))
+        s = ClassSummary(
+            class_id=1,
+            mean=offset + rng.normal(scale=0.1, size=5),
+            variance=np.ones(5),
+            count=3,
+        )
+        np.testing.assert_allclose(
+            score_batch(s, rows), naive_scores(s.mean, s.variance, rows), rtol=1e-12
+        )
 
 
 class TestInvariances:
