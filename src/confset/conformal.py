@@ -25,7 +25,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .scoring import fit_class_summary, score_batch
+from .scoring import _fit_rows, score_batch
 
 __all__ = [
     "conformal_pvalue",
@@ -121,7 +121,8 @@ def predict(
         True class moments. When given, scores use them instead of fitted
         summaries (the calibration still ranks against the training rows).
     variance_floor : float, optional
-        Forwarded to :func:`fit_class_summary` in the empirical variant.
+        Variance floor of each class fit in the empirical variant, as in
+        :func:`fit_class_summary`.
 
     Returns
     -------
@@ -150,7 +151,7 @@ def predict(
     for class_id in range(1, k + 1):
         rows = data.class_rows(class_id)
         if oracle is None:
-            summary = fit_class_summary(data, class_id, variance_floor)
+            summary = _fit_rows(rows, class_id, variance_floor)
             train_scores = score_batch(summary, rows)
             test_scores = score_batch(summary, test.features)
         else:

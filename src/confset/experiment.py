@@ -14,7 +14,6 @@ Reported time is the wall-clock spent inside prediction alone.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -140,6 +139,9 @@ def _modes(exp: ExperimentConfig) -> tuple[str, ...]:
 def _map_jobs(jobs, workers: int):
     if workers <= 1 or len(jobs) <= 1:
         return [_run_job(job) for job in jobs]
+    # Imported here: only a parallel run pays for loading the process pool.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_run_job, jobs))
 
@@ -209,9 +211,13 @@ def run_cell(
 
 
 def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
-    data, outliers, _ = load_csv(
-        exp.csv_path, exp.label_column, outlier_label=exp.outlier_label or "__none__"
-    )
+    if exp.outlier_label is None:
+        data, _ = load_csv(exp.csv_path, exp.label_column)
+        outliers = None
+    else:
+        data, outliers, _ = load_csv(
+            exp.csv_path, exp.label_column, outlier_label=exp.outlier_label
+        )
     jobs = [
         _SplitJob(
             data=data,

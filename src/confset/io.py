@@ -3,6 +3,19 @@
 Numeric round-trips are exact: floats are written as their shortest
 repr (which reparses to the identical float64), so save/load of any
 container reproduces it bit for bit.
+
+Reading a CSV table, ``csv.reader`` splits the cells and one
+``np.array(..., dtype=np.float64)`` call converts every selected cell.
+numpy converts a string cell through Python's ``float()``, so it accepts
+and rejects exactly the cells a per-cell loop would. Only when that cast
+raises does a per-cell loop run, to name the line and column of the first
+bad cell.
+
+Writing, each numeric row becomes one line: the shortest reprs of its
+floats, joined by commas, plus any integer cells, ended by ``"\r\n"``.
+That is what ``csv.writer`` wrote for the same cells, without a Python call
+per cell. Rows are streamed to the file one at a time, so no text copy of
+the whole matrix is held in memory.
 """
 
 from __future__ import annotations
@@ -11,10 +24,10 @@ import csv
 import json
 import math
 from dataclasses import dataclass, fields
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .core import (
     ClassSummary,
@@ -52,8 +65,9 @@ __all__ = [
 ]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _floats(values: list[float]) -> str:
+    """Comma-joined shortest reprs of Python floats (as from ``tolist()``)."""
+    return ",".join(map(repr, values))
 
 
 def _open_read(path, **kwargs):
@@ -96,18 +110,27 @@ def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
 
 
 def _parse_features(path, rows, header, feature_cols) -> np.ndarray:
-    out = np.empty((len(rows), len(feature_cols)))
+    pick = itemgetter(*feature_cols)
+    try:
+        cells = np.array(list(map(pick, rows)), dtype=np.float64)
+    except ValueError:
+        _raise_bad_cell(path, rows, header, feature_cols)
+        raise
+    return cells.reshape(len(rows), len(feature_cols))
+
+
+def _raise_bad_cell(path, rows, header, feature_cols) -> None:
+    """Raise DataError naming the first cell ``float()`` rejects."""
     for i, row in enumerate(rows):
-        for j, c in enumerate(feature_cols):
+        for c in feature_cols:
             cell = row[c].strip()
             try:
-                out[i, j] = float(cell)
+                float(cell)
             except ValueError:
                 raise DataError(
                     f"{path}: non-numeric cell {cell!r} at line {i + 2}, "
                     f"column {header[c]!r}"
                 ) from None
-    return out
 
 
 def load_csv(
@@ -219,28 +242,29 @@ def read_batch_csv(
     return TestBatch(features=features, truth=truth)
 
 
+def _write_features(path, features: np.ndarray, tag: str | None, tags) -> None:
+    """Columns x1..xp[,tag] with one integer from ``tags`` per row."""
+    head = [f"x{j + 1}" for j in range(features.shape[1])]
+    with _open_write(path, newline="") as fh:
+        if tag is None:
+            fh.write(",".join(head) + "\r\n")
+            for row in features:
+                fh.write(_floats(row.tolist()) + "\r\n")
+        else:
+            fh.write(",".join(head + [tag]) + "\r\n")
+            for row, t in zip(features, tags.tolist()):
+                fh.write(f"{_floats(row.tolist())},{t}\r\n")
+
+
 def write_dataset_csv(path, data: LabeledDataset) -> None:
     """Columns x1..xp,label; floats written exactly."""
-    with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j + 1}" for j in range(data.n_features)] + ["label"])
-        for row, lab in zip(data.features, data.labels):
-            writer.writerow([_fmt(v) for v in row] + [int(lab)])
+    _write_features(path, data.features, "label", data.labels)
 
 
 def write_batch_csv(path, batch: TestBatch) -> None:
     """Columns x1..xp[,truth]; floats written exactly."""
-    with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        head = [f"x{j + 1}" for j in range(batch.n_features)]
-        if batch.truth is not None:
-            head.append("truth")
-        writer.writerow(head)
-        for i, row in enumerate(batch.features):
-            cells = [_fmt(v) for v in row]
-            if batch.truth is not None:
-                cells.append(int(batch.truth[i]))
-            writer.writerow(cells)
+    tag = None if batch.truth is None else "truth"
+    _write_features(path, batch.features, tag, batch.truth)
 
 
 def split_train_test(
@@ -348,6 +372,8 @@ class ExperimentConfig:
 _CONFIG_LIST_KEYS = {"p", "n_k", "rho"}
 
 
+# save_config and load_config import yaml when called, so the CLI commands
+# that never touch a config do not pay for loading it.
 def save_config(config: ExperimentConfig, path) -> None:
     doc = {}
     for f in fields(config):
@@ -355,11 +381,15 @@ def save_config(config: ExperimentConfig, path) -> None:
         if value is None:
             continue
         doc[f.name] = list(value) if f.name in _CONFIG_LIST_KEYS else value
+    import yaml
+
     with _open_write(path) as fh:
         yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 def load_config(path) -> ExperimentConfig:
+    import yaml
+
     with _open_read(path) as fh:
         doc = yaml.safe_load(fh)
     if not isinstance(doc, dict):
@@ -386,7 +416,7 @@ def _aggregate(reports: list[MetricsReport]) -> list[tuple[str, float, float]]:
         raise DataError("reports have inconsistent class counts")
     means = table.mean(axis=0)
     stds = table.std(axis=0, ddof=1) if len(reports) > 1 else np.zeros(len(names))
-    return list(zip(names, means, stds))
+    return list(zip(names, means.tolist(), stds.tolist()))
 
 
 def render_results(
@@ -419,9 +449,9 @@ def write_results(
         writer = csv.writer(fh)
         writer.writerow(["metric", "mean", "std"])
         for name, mean, std in rows:
-            writer.writerow([name, _fmt(mean), _fmt(std)])
+            writer.writerow([name, repr(mean), repr(std)])
         if time_s is not None:
-            writer.writerow(["time_s", _fmt(time_s), _fmt(0.0)])
+            writer.writerow(["time_s", repr(float(time_s)), "0.0"])
     text = render_results(reports, time_s)
     path.with_suffix(".txt").write_text(text)
     return text
@@ -471,27 +501,23 @@ def read_results(path) -> dict[str, tuple[float, float]]:
 
 def write_pvalues_csv(path, pvals: PValueMatrix) -> None:
     k = pvals.n_classes
+    head = (
+        ["index"]
+        + [f"raw_{c + 1}" for c in range(k)]
+        + [f"adjusted_{c + 1}" for c in range(k)]
+    )
     with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["index"]
-            + [f"raw_{c + 1}" for c in range(k)]
-            + [f"adjusted_{c + 1}" for c in range(k)]
-        )
-        for i in range(pvals.m):
-            writer.writerow(
-                [i]
-                + [_fmt(v) for v in pvals.raw[i]]
-                + [_fmt(v) for v in pvals.adjusted[i]]
-            )
+        fh.write(",".join(head) + "\r\n")
+        for i, (raw, adj) in enumerate(zip(pvals.raw, pvals.adjusted)):
+            fh.write(f"{i},{_floats(raw.tolist())},{_floats(adj.tolist())}\r\n")
 
 
 def write_thresholds_csv(path, pvals: PValueMatrix) -> None:
+    alpha = repr(float(pvals.alpha))
     with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "threshold", "alpha"])
-        for c, t in enumerate(pvals.thresholds, start=1):
-            writer.writerow([c, _fmt(t), _fmt(pvals.alpha)])
+        fh.write("class,threshold,alpha\r\n")
+        for c, t in enumerate(pvals.thresholds.tolist(), start=1):
+            fh.write(f"{c},{t!r},{alpha}\r\n")
 
 
 def write_sets_csv(path, sets: PredictionSets) -> None:
@@ -510,12 +536,18 @@ def read_sets_csv(path, n_classes: int) -> PredictionSets:
         for line, row in _tagged_rows(path, fh, columns, "prediction-sets table"):
             cell = row[2].strip()
             try:
-                collected.append([int(t) for t in cell.split(";")] if cell else [])
+                labels = [int(t) for t in cell.split(";")] if cell else []
             except ValueError:
                 raise DataError(
                     f"{path}: line {line}: labels cell {cell!r} is not a "
                     "';'-joined list of integers"
                 ) from None
+            for k in labels:
+                if not 1 <= k <= n_classes:
+                    raise DataError(
+                        f"{path}: line {line}: set label {k} outside 1..{n_classes}"
+                    )
+            collected.append(labels)
     return PredictionSets.from_sets(collected, n_classes)
 
 

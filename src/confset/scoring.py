@@ -55,7 +55,13 @@ def fit_class_summary(
         Off by default: a zero-variance column then raises
         ``DegenerateVarianceError`` naming the class and column.
     """
-    rows = data.class_rows(class_id)
+    return _fit_rows(data.class_rows(class_id), class_id, variance_floor)
+
+
+def _fit_rows(
+    rows: np.ndarray, class_id: int, variance_floor: float | None
+) -> ClassSummary:
+    """:func:`fit_class_summary` on rows already sliced out for ``class_id``."""
     mean = rows.mean(axis=0)
     var = rows.var(axis=0, ddof=1)
     if variance_floor is not None:

@@ -1,7 +1,14 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import confset
 
 from confset import (
     evaluate_sets,
@@ -239,6 +246,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {bad}: line 3: labels cell 'one'")
         assert len(err.splitlines()) == 1
+
+    def test_label_out_of_range_is_data_error(self, simulated, tmp_path, capsys):
+        bad = tmp_path / "bad_sets.csv"
+        bad.write_text("index,size,labels\n0,1,1\n1,0,\n2,1,7\n")
+        code = run_cli(
+            "evaluate", "--sets", bad,
+            "--test", f"{simulated}_test.csv", "--n-classes", 1,
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {bad}: line 4: set label 7 outside 1..1\n"
+
+
+class TestStartup:
+    def test_import_skips_yaml_and_process_pool(self):
+        # Only `experiment` needs them; every other command would pay their
+        # import time at start-up.
+        src = str(Path(confset.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+        code = (
+            "import sys, confset.cli; "
+            "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+            check=True,
+        )
+        assert done.stdout == "[]\n"
 
 
 class TestExperiment:

@@ -214,6 +214,24 @@ class TestRunExperiment:
         assert report.power == 0.0  # no outliers anywhere
         assert report.flr == 0.0
 
+    def test_csv_without_outlier_label_keeps_every_label(self, tmp_path):
+        # no label is special when outlier_label is unset, whatever its text
+        gen = np.random.default_rng(14)
+        rows = ["x1,y"] + [
+            f"{gen.normal(k * 5.0)},{name}"
+            for k, name in enumerate(("a", "__none__"))
+            for _ in range(20)
+        ]
+        path = tmp_path / "plain.csv"
+        path.write_text("\n".join(rows) + "\n")
+        exp = ExperimentConfig(
+            scenario="csv", csv_path=str(path), label_column="y",
+            replicates=1, out_dir=str(tmp_path / "out"),
+        )
+        report = run_experiment(exp)[0].reports["empirical"][0]
+        assert len(report.cw_fdr) == 2
+        assert report.power == 0.0 and report.flr == 0.0
+
     def test_workers_match_serial(self, tmp_path):
         exp1 = self._config(tmp_path / "a", p=(5,))
         exp2 = self._config(tmp_path / "b", p=(5,))
