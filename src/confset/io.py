@@ -84,7 +84,8 @@ def _open_write(path, **kwargs):
         raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
+def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]], list[int]]:
+    """Header, non-blank rows, and the file line on which each row ends."""
     with _open_read(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -96,39 +97,42 @@ def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]]]:
             dup = next(h for h in header if header.count(h) > 1)
             raise DataError(f"{path}: duplicate column name {dup!r}")
         rows = []
-        for i, row in enumerate(reader, start=2):
+        lines = []
+        for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
                 raise DataError(
-                    f"{path}: line {i} has {len(row)} cells, header has {len(header)}"
+                    f"{path}: line {reader.line_num} has {len(row)} cells, "
+                    f"header has {len(header)}"
                 )
             rows.append(row)
+            lines.append(reader.line_num)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return header, rows
+    return header, rows, lines
 
 
-def _parse_features(path, rows, header, feature_cols) -> np.ndarray:
+def _parse_features(path, rows, lines, header, feature_cols) -> np.ndarray:
     pick = itemgetter(*feature_cols)
     try:
         cells = np.array(list(map(pick, rows)), dtype=np.float64)
     except ValueError:
-        _raise_bad_cell(path, rows, header, feature_cols)
+        _raise_bad_cell(path, rows, lines, header, feature_cols)
         raise
     return cells.reshape(len(rows), len(feature_cols))
 
 
-def _raise_bad_cell(path, rows, header, feature_cols) -> None:
-    """Raise DataError naming the first cell ``float()`` rejects."""
-    for i, row in enumerate(rows):
+def _raise_bad_cell(path, rows, lines, header, feature_cols) -> None:
+    """Raise DataError naming line and column of the first cell ``float()`` rejects."""
+    for row, line in zip(rows, lines):
         for c in feature_cols:
             cell = row[c].strip()
             try:
                 float(cell)
             except ValueError:
                 raise DataError(
-                    f"{path}: non-numeric cell {cell!r} at line {i + 2}, "
+                    f"{path}: non-numeric cell {cell!r} at line {line}, "
                     f"column {header[c]!r}"
                 ) from None
 
@@ -155,7 +159,7 @@ def load_csv(
         With ``outlier_label``: inlier dataset, batch of outlier rows
         (None when no row carries the label), and the map.
     """
-    header, rows = _read_table(path, delimiter)
+    header, rows, lines = _read_table(path, delimiter)
     if label_column not in header:
         raise DataError(f"{path}: label column {label_column!r} not in header {header}")
     label_idx = header.index(label_column)
@@ -165,21 +169,23 @@ def load_csv(
 
     label_map: dict[str, int] = {}
     labels = []
-    outlier_rows = []
-    inlier_rows = []
-    for row in rows:
+    outlier_rows, outlier_lines = [], []
+    inlier_rows, inlier_lines = [], []
+    for row, line in zip(rows, lines):
         raw = row[label_idx].strip()
         if outlier_label is not None and raw == outlier_label:
             outlier_rows.append(row)
+            outlier_lines.append(line)
             continue
         if raw not in label_map:
             label_map[raw] = len(label_map) + 1
         labels.append(label_map[raw])
         inlier_rows.append(row)
+        inlier_lines.append(line)
     if not inlier_rows:
         raise DataError(f"{path}: every row carries the outlier label")
 
-    features = _parse_features(path, inlier_rows, header, feature_cols)
+    features = _parse_features(path, inlier_rows, inlier_lines, header, feature_cols)
     data = LabeledDataset(
         features=features,
         labels=np.asarray(labels),
@@ -189,7 +195,9 @@ def load_csv(
         return data, label_map
     batch = None
     if outlier_rows:
-        out_features = _parse_features(path, outlier_rows, header, feature_cols)
+        out_features = _parse_features(
+            path, outlier_rows, outlier_lines, header, feature_cols
+        )
         truth = np.full(len(outlier_rows), data.n_classes + 1)
         batch = TestBatch(features=out_features, truth=truth)
     return data, batch, label_map
@@ -208,7 +216,7 @@ def read_batch_csv(
     from the map, or equal to ``outlier_label``, become K+1); otherwise they
     must already be integers, as written by :func:`write_batch_csv`.
     """
-    header, rows = _read_table(path, delimiter)
+    header, rows, lines = _read_table(path, delimiter)
     truth = None
     if truth_column is None:
         feature_cols = list(range(len(header)))
@@ -238,7 +246,7 @@ def read_batch_csv(
                 ) from None
     if not feature_cols:
         raise DataError(f"{path}: no feature columns besides the truth")
-    features = _parse_features(path, rows, header, feature_cols)
+    features = _parse_features(path, rows, lines, header, feature_cols)
     return TestBatch(features=features, truth=truth)
 
 

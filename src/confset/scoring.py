@@ -11,13 +11,26 @@ one code path, so empirical-vs-oracle comparisons differ only in the moments
 plugged in.
 
 Every score, batched or single, comes from one kernel that walks the rows in
-blocks of ``_CHUNK_ROWS``: subtract the mean into a reusable block buffer,
-square it in place, then take one BLAS matrix-vector product with 1 / var
-into the output slice. Temporaries stay at chunk x p instead of n x p, so a
-large batch neither allocates nor streams two full copies of itself, and the
-reduction runs in BLAS. Centring before squaring keeps full relative
-precision at any feature offset: unlike the expanded quadratic form
-x.x/v - 2 x.mu/v + mu.mu/v, nothing cancels.
+blocks: subtract the mean into a reusable block buffer, square it in place,
+then take one BLAS matrix-vector product with 1 / var into the output slice.
+A block holds the largest power of two of rows whose float64 values fit in
+``_BLOCK_BYTES``, clamped to [8, ``_CHUNK_ROWS``], so the buffer stays in
+cache across its three passes while the batch streams through it once.
+Temporaries stay at block x p instead of n x p, and the reduction runs in
+BLAS. Centring before squaring keeps full relative precision at any feature
+offset: unlike the expanded quadratic form x.x/v - 2 x.mu/v + mu.mu/v,
+nothing cancels. The kernel starts no threads of its own: BLAS already
+threads each product above a few thousand elements, and a second pool
+splitting the blocks oversubscribed two cores and slowed the many small
+calls of a Monte Carlo replicate.
+
+Every score is within rtol 1e-12 of a per-row loop, but the last bits depend
+on how BLAS splits each block, so a different block size can move a score by
+a few ulps. Block rows are a power of two, so every edge of a 2048-row block
+is also a block edge here. Against fixed 2048-row blocks, ``predict``
+outputs stayed bit-identical at (p, n_k, m) = (500, 2000, 20000),
+(200, 200, 1000) and (37, 50, 333), while single scores moved by up to 7
+ulps, e.g. at n = 5003 with p = 1000.
 """
 
 from __future__ import annotations
@@ -34,8 +47,13 @@ from .core import (
 
 __all__ = ["fit_class_summary", "empirical_score", "oracle_score", "score_batch"]
 
-# Rows per block of the scoring kernel: at p = 500 the block buffer is 8 MB.
+# Most rows per block of the scoring kernel, reached when p <= 32.
 _CHUNK_ROWS = 2048
+# Bytes of one block of rows. 256 KiB to 1 MiB were fastest, within noise,
+# in a sweep from 64 KiB to 16 MiB at p = 200 and p = 500 on a 2-core Xeon
+# with 4 MiB of L2 per core; at n >= 1000 rows, 2 MiB and up were 25-55 %
+# slower and 64 KiB 25-90 % slower.
+_BLOCK_BYTES = 512 * 1024
 
 
 def fit_class_summary(
@@ -74,6 +92,13 @@ def _fit_rows(
     return ClassSummary(class_id=class_id, mean=mean, variance=var, count=rows.shape[0])
 
 
+def _block_rows(p: int) -> int:
+    """Rows per kernel block: the largest power of two whose rows fit in
+    ``_BLOCK_BYTES``, clamped to [8, ``_CHUNK_ROWS``]."""
+    fit = max(_BLOCK_BYTES // (8 * p), 1)
+    return min(max(1 << (fit.bit_length() - 1), 8), _CHUNK_ROWS)
+
+
 def _scores(mean: np.ndarray, var: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Scores of the 2-D ``rows``, sum_j (x_j - mean_j)**2 / var_j per row."""
     n, p = rows.shape
@@ -81,9 +106,10 @@ def _scores(mean: np.ndarray, var: np.ndarray, rows: np.ndarray) -> np.ndarray:
         raise DataError(f"point has {p} features, model has {mean.shape[0]}")
     inv_var = 1.0 / var
     out = np.empty(n)
-    buf = np.empty((min(n, _CHUNK_ROWS), p))
-    for start in range(0, n, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, n)
+    step = _block_rows(p)
+    buf = np.empty((min(n, step), p))
+    for start in range(0, n, step):
+        stop = min(start + step, n)
         d = buf[: stop - start]
         np.subtract(rows[start:stop], mean, out=d)
         np.square(d, out=d)

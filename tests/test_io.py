@@ -238,6 +238,26 @@ class TestFeatureCellParsing:
         ):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize("outlier_label", [None, "out"])
+    def test_bad_cell_line_after_outlier_row_and_blank_line(self, tmp_path, outlier_label):
+        # an outlier row on line 4 and a blank line 5 come before the bad line 6
+        path = tmp_path / "f.csv"
+        path.write_text("x1,x2,label\n1.0,2.0,a\n3.0,4.0,a\n5.0,6.0,out\n\n7.0,bad,a\n")
+        with pytest.raises(DataError, match=r"'bad' at line 6, column 'x2'$"):
+            load_csv(path, "label", outlier_label=outlier_label)
+
+    def test_bad_cell_in_outlier_row_names_its_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("x1,x2,label\n1.0,2.0,a\n3.0,4.0,a\n5.0,6.0,a\n\n7.0,bad,out\n")
+        with pytest.raises(DataError, match=r"'bad' at line 6, column 'x2'$"):
+            load_csv(path, "label", outlier_label="out")
+
+    def test_batch_bad_cell_after_blank_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("x1,x2\n1.0,2.0\n\n3.0,bad\n")
+        with pytest.raises(DataError, match=r"'bad' at line 4, column 'x2'$"):
+            read_batch_csv(path)
+
     def test_bad_cell_beside_mid_truth_column(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,truth,x2\n1.0,1,2.0\n3.0,2,oops\n")

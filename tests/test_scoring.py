@@ -14,7 +14,7 @@ from confset import (
     oracle_score,
     score_batch,
 )
-from confset.scoring import _CHUNK_ROWS
+from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _block_rows
 
 
 def one_class(features):
@@ -184,6 +184,38 @@ class TestChunkedKernel:
         )
         np.testing.assert_allclose(
             score_batch(s, rows), naive_scores(s.mean, s.variance, rows), rtol=1e-12
+        )
+
+
+class TestBlockRows:
+    """Block sizing of the kernel and score_batch across its block edges."""
+
+    @pytest.mark.parametrize("p", [1, 5, 16, 17, 200, 500, 3000, 100_000])
+    def test_power_of_two_within_block_bytes(self, p):
+        b = _block_rows(p)
+        assert b & (b - 1) == 0
+        assert 8 <= b <= _CHUNK_ROWS
+        # the largest such power of two, unless a clamp binds
+        assert b * p * 8 <= _BLOCK_BYTES or b == 8
+        assert 2 * b * p * 8 > _BLOCK_BYTES or b == _CHUNK_ROWS
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("p", [5, 200, 500])
+    @pytest.mark.parametrize("blocks, extra", [(0, 1), (1, 0), (2, 3)])
+    def test_matches_loop(self, rng, p, blocks, extra, offset):
+        n = blocks * _block_rows(p) + extra
+        rows = offset + rng.normal(size=(n, p))
+        means = offset + rng.normal(scale=0.1 if offset else 1.0, size=(4, p))
+        variances = rng.uniform(0.5, 2.0, size=(4, p))
+        params = OracleParams(means=means, variances=variances)
+        for c in range(4):
+            expected = naive_scores(means[c], variances[c], rows)
+            np.testing.assert_allclose(
+                score_batch(params, rows, class_id=c + 1), expected, rtol=1e-12
+            )
+        s = ClassSummary(class_id=1, mean=means[0], variance=variances[0], count=3)
+        np.testing.assert_allclose(
+            score_batch(s, rows), naive_scores(means[0], variances[0], rows), rtol=1e-12
         )
 
 
