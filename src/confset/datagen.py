@@ -15,6 +15,14 @@ comes from ``run_seed``.
 Inlier classes share scale=1 and differ by shift; outliers have shift 0 and a
 larger scale, so they match the inlier means but are overdispersed.
 
+A training set or a test batch is one block, drawn by one ``sample_points``
+call from per-component row counts. The generator is consumed component by
+component (Gaussian rows, then atom picks), so the stream is the same as
+drawing each component alone. The AR(1) recursion then runs once over the
+whole block, in place; picks are kept in the smallest integer dtype that
+holds them; nothing is transposed, since a transposed copy costs more peak
+memory than its contiguous column loop saves.
+
 Equicorrelated noise deliberately does not appear here: a shared Gaussian
 factor at rho=0.8 dominates every distance-to-mean score and no mean/variance
 method separates anything; AR(1) keeps the total cross-correlation bounded
@@ -157,35 +165,90 @@ def make_atoms(atom_seed: int, p: int) -> np.ndarray:
     return np.random.default_rng(atom_seed).uniform(-3.0, 3.0, size=p)
 
 
-def _ar1(rng: np.random.Generator, n: int, p: int, rho: float) -> np.ndarray:
-    g = rng.standard_normal(size=(n, p))
-    if rho == 0.0 or p == 1:
-        return g
-    z = np.empty_like(g)
-    z[:, 0] = g[:, 0]
-    innov = math.sqrt(1.0 - rho * rho)
-    for j in range(1, p):
-        z[:, j] = rho * z[:, j - 1] + innov * g[:, j]
-    return z
+# Rows per pass of the AR(1) recursion. Each pass pays the p-step Python loop
+# again, so passes are long; the cap only bounds the working set.
+_CHUNK_ROWS = 2048
+# Target bytes of one row block of atom picks (drawn as int64) and of the
+# in-place affine step and atom gather.
+_BLOCK_BYTES = 256 * 1024
 
 
 def sample_points(
-    spec: ComponentSpec,
+    parts,
     rho: float,
     atoms: np.ndarray,
     rng: np.random.Generator,
-    n: int,
 ) -> np.ndarray:
-    """Draw n observations of one mixture component. Shape (n, p).
+    """Draw a block of observations, component after component. Shape (sum n_i, p).
 
-    Consumes the generator in a fixed order (Gaussian block, then atom
-    indices), so a seeded generator reproduces draws bit for bit.
+    ``parts`` is a sequence of ``(ComponentSpec, n_i)`` pairs; the rows of
+    each component follow those of the one before, in order.
+
+    The generator is consumed per component in a fixed order: the n_i x p
+    Gaussian block, written straight into its output rows, then the n_i x p
+    atom indices. A seeded generator therefore reproduces every draw bit for
+    bit, and splitting the same components over several calls gives the same
+    rows. The picks are drawn as int64 in row blocks (the same stream) and
+    kept in the smallest unsigned dtype that holds p - 1.
+
+    The AR(1) recursion then runs once over the whole block, in place and in
+    row chunks: columns 1.. are scaled by sqrt(1 - rho**2), then each column
+    gains rho times the one before, so every element is rounded exactly as
+    rho * z[j-1] + sqrt(1 - rho**2) * g[j]. The block stays row-major and is
+    never transposed: a transposed copy would make the column loop
+    contiguous, but it needs a second block of memory and leaves column-major
+    rows for the row-wise steps after it. Shift, scale and atoms are applied
+    in place in cache-sized row blocks, in the order
+    sqrt(scale) * (z + shift) + w.
+
+    Raises DataError for rho outside [0, 1), a negative row count, a
+    non-positive scale, or an empty or non-1-D atom pool.
     """
-    spec = ComponentSpec(*spec)
+    atoms = np.asarray(atoms, dtype=np.float64)
+    if atoms.ndim != 1 or atoms.shape[0] < 1:
+        raise DataError(f"atoms must be a non-empty 1-D pool, got shape {atoms.shape}")
+    if not 0.0 <= rho < 1.0:
+        raise DataError(f"rho must be in [0, 1), got {rho}")
+    spans, hi = [], 0
+    for spec, n in parts:
+        spec = ComponentSpec(*spec)
+        if n < 0:
+            raise DataError(f"component row count must be >= 0, got {n}")
+        if not spec.scale > 0:
+            raise DataError(f"component scale must be positive, got {spec.scale}")
+        spans.append((spec, hi, hi + n))
+        hi += n
     p = atoms.shape[0]
-    z = _ar1(rng, n, p, rho)
-    w = atoms[rng.integers(0, p, size=(n, p))]
-    return math.sqrt(spec.scale) * (z + spec.shift) + w
+    z = np.empty((hi, p))
+    idx = np.empty(z.shape, dtype=np.min_scalar_type(p - 1))
+    block_rows = max(1, _BLOCK_BYTES // (8 * p))
+
+    for _, lo, hi in spans:
+        rng.standard_normal(out=z[lo:hi])
+        for r in range(lo, hi, block_rows):
+            s = min(r + block_rows, hi)
+            idx[r:s] = rng.integers(0, p, size=(s - r, p))
+
+    if rho != 0.0 and p > 1:
+        innov = math.sqrt(1.0 - rho * rho)
+        tmp = np.empty(min(_CHUNK_ROWS, z.shape[0]))
+        for r in range(0, z.shape[0], _CHUNK_ROWS):
+            chunk = z[r:r + _CHUNK_ROWS]
+            t = tmp[: chunk.shape[0]]
+            chunk[:, 1:] *= innov
+            for j in range(1, p):
+                np.multiply(chunk[:, j - 1], rho, out=t)
+                chunk[:, j] += t
+
+    for spec, lo, hi in spans:
+        root = math.sqrt(spec.scale)
+        for r in range(lo, hi, block_rows):
+            s = min(r + block_rows, hi)
+            block = z[r:s]
+            block += spec.shift
+            block *= root
+            block += atoms[idx[r:s]]
+    return z
 
 
 def apportion_test_counts(m: int, inlier_ratio: float, n_classes: int) -> tuple[list[int], int]:
@@ -211,13 +274,12 @@ def generate_training(
     """n_k rows per inlier class, classes in order."""
     if atoms is None:
         atoms = make_atoms(config.atom_seed, config.p)
-    blocks = [
-        sample_points(spec, config.rho, atoms, rng, config.n_k)
-        for spec in config.class_specs
-    ]
+    features = sample_points(
+        [(spec, config.n_k) for spec in config.class_specs], config.rho, atoms, rng
+    )
     labels = np.repeat(np.arange(1, config.n_classes + 1), config.n_k)
     return LabeledDataset(
-        features=np.vstack(blocks), labels=labels, n_classes=config.n_classes
+        features=features, labels=labels, n_classes=config.n_classes
     )
 
 
@@ -230,18 +292,11 @@ def generate_test_batch(
     if atoms is None:
         atoms = make_atoms(config.atom_seed, config.p)
     counts, n_out = apportion_test_counts(config.m, config.inlier_ratio, config.n_classes)
-    blocks = [
-        sample_points(spec, config.rho, atoms, rng, c)
-        for spec, c in zip(config.class_specs, counts)
-        if c > 0
-    ]
-    truth = [
-        np.full(c, k + 1, dtype=np.int64) for k, c in enumerate(counts) if c > 0
-    ]
-    if n_out > 0:
-        blocks.append(sample_points(config.outlier_spec, config.rho, atoms, rng, n_out))
-        truth.append(np.full(n_out, config.n_classes + 1, dtype=np.int64))
-    return TestBatch(features=np.vstack(blocks), truth=np.concatenate(truth))
+    counts.append(n_out)
+    specs = config.class_specs + (config.outlier_spec,)
+    features = sample_points(list(zip(specs, counts)), config.rho, atoms, rng)
+    truth = np.repeat(np.arange(1, config.n_classes + 2, dtype=np.int64), counts)
+    return TestBatch(features=features, truth=truth)
 
 
 def generate(config: ScenarioConfig) -> tuple[LabeledDataset, TestBatch]:

@@ -109,6 +109,42 @@ def naive_metrics(sets: list[set], truth, n_classes: int) -> dict:
     return out
 
 
+def naive_sample_component(spec, n, rho, atoms, rng) -> np.ndarray:
+    """One mixture component drawn on its own: Gaussian block, AR(1) column
+    loop, then atom picks, X = sqrt(scale) * (Z + shift) + atoms[idx]."""
+    p = atoms.shape[0]
+    g = rng.standard_normal(size=(n, p))
+    z = g.copy()
+    if rho != 0.0:
+        innov = math.sqrt(1.0 - rho * rho)
+        for j in range(1, p):
+            z[:, j] = rho * z[:, j - 1] + innov * g[:, j]
+    idx = rng.integers(0, p, size=(n, p))
+    return math.sqrt(spec.scale) * (z + spec.shift) + atoms[idx]
+
+
+def naive_generate(config):
+    """(train features, labels, test features, truth) of ``generate(config)``,
+    drawn one component at a time, skipping test components with no rows."""
+    from confset import apportion_test_counts, make_atoms
+
+    atoms = make_atoms(config.atom_seed, config.p)
+    rng = np.random.default_rng(config.run_seed)
+    train = [
+        naive_sample_component(spec, config.n_k, config.rho, atoms, rng)
+        for spec in config.class_specs
+    ]
+    labels = [k for k in range(1, config.n_classes + 1) for _ in range(config.n_k)]
+    counts, n_out = apportion_test_counts(config.m, config.inlier_ratio, config.n_classes)
+    specs = config.class_specs + (config.outlier_spec,)
+    test, truth = [], []
+    for k, (spec, n) in enumerate(zip(specs, counts + [n_out]), start=1):
+        if n > 0:
+            test.append(naive_sample_component(spec, n, config.rho, atoms, rng))
+            truth += [k] * n
+    return np.vstack(train), np.array(labels), np.vstack(test), np.array(truth)
+
+
 def random_instance(rng, n_classes=None, p=None, n_k=None, m=None):
     """A small random but valid (train, test) pair with separated classes."""
     n_classes = n_classes or int(rng.integers(1, 5))

@@ -1,10 +1,13 @@
 """Synthetic data generator: atoms, apportionment, moments, determinism."""
 
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from confset import datagen
 from confset import (
     ComponentSpec,
     DataError,
@@ -20,6 +23,8 @@ from confset import (
     sample_points,
     with_run_seed,
 )
+
+from conftest import naive_generate
 
 
 class TestAtoms:
@@ -144,8 +149,8 @@ class TestScenarioConfig:
 class TestSamplePoints:
     def test_shape_and_determinism(self):
         atoms = make_atoms(99, 6)
-        a = sample_points(ComponentSpec(1.0, 2.0), 0.3, atoms, np.random.default_rng(5), 40)
-        b = sample_points(ComponentSpec(1.0, 2.0), 0.3, atoms, np.random.default_rng(5), 40)
+        a = sample_points([(ComponentSpec(1.0, 2.0), 40)], 0.3, atoms, np.random.default_rng(5))
+        b = sample_points([(ComponentSpec(1.0, 2.0), 40)], 0.3, atoms, np.random.default_rng(5))
         assert a.shape == (40, 6)
         np.testing.assert_array_equal(a, b)
 
@@ -153,7 +158,7 @@ class TestSamplePoints:
         # with a single atom at value w, X = z + shift*sqrt(scale) ... verify exactly
         atoms = np.array([0.5])
         rng = np.random.default_rng(11)
-        x = sample_points(ComponentSpec(2.0, 4.0), 0.0, atoms, rng, 10)
+        x = sample_points([(ComponentSpec(2.0, 4.0), 10)], 0.0, atoms, rng)
         rng2 = np.random.default_rng(11)
         z = rng2.standard_normal(size=(10, 1))
         rng2.integers(0, 1, size=(10, 1))  # the atom picks, all index 0
@@ -162,11 +167,123 @@ class TestSamplePoints:
     def test_ar1_column_correlation(self):
         atoms = np.zeros(2)  # kill the atom noise
         x = sample_points(
-            ComponentSpec(0.0, 1.0), 0.8, atoms, np.random.default_rng(3), 60000
+            [(ComponentSpec(0.0, 1.0), 60000)], 0.8, atoms, np.random.default_rng(3)
         )
         r = np.corrcoef(x[:, 0], x[:, 1])[0, 1]
         assert r == pytest.approx(0.8, abs=0.02)
         assert x[:, 1].std() == pytest.approx(1.0, abs=0.02)
+
+
+    @pytest.mark.parametrize(
+        "parts, rho, atoms, value",
+        [
+            ([(ComponentSpec(0.0), 3)], 1.0, np.zeros(2), "1.0"),
+            ([(ComponentSpec(0.0), 3)], 1.5, np.zeros(2), "1.5"),
+            ([(ComponentSpec(0.0), 3)], -0.1, np.zeros(2), "-0.1"),
+            ([(ComponentSpec(0.0), 3), (ComponentSpec(1.0), -2)], 0.5, np.zeros(2), "-2"),
+            ([(ComponentSpec(0.0, 0.0), 3)], 0.5, np.zeros(2), "0.0"),
+            ([(ComponentSpec(0.0, -4.0), 3)], 0.5, np.zeros(2), "-4.0"),
+            ([(ComponentSpec(0.0), 3)], 0.5, np.zeros(0), "(0,)"),
+            ([(ComponentSpec(0.0), 3)], 0.5, np.zeros((2, 2)), "(2, 2)"),
+        ],
+    )
+    def test_rejects_invalid(self, parts, rho, atoms, value):
+        with pytest.raises(DataError, match=re.escape(value)):
+            sample_points(parts, rho, atoms, np.random.default_rng(0))
+
+    def test_parts_split_anywhere_give_the_same_rows(self):
+        # one call over all components equals one call per component
+        atoms = make_atoms(99, 9)
+        parts = [(ComponentSpec(1.0, 2.0), 7), (ComponentSpec(-1.0), 0), (ComponentSpec(0.0, 3.0), 5)]
+        whole = sample_points(parts, 0.6, atoms, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        split = np.vstack([sample_points([part], 0.6, atoms, rng) for part in parts])
+        np.testing.assert_array_equal(whole, split)
+
+
+class TestNaiveReference:
+    """Every generated bit equals a per-component column-loop sampler."""
+
+    @staticmethod
+    def assert_matches_naive(config):
+        train, test = generate(config)
+        x, labels, y, truth = naive_generate(config)
+        np.testing.assert_array_equal(train.features, x)
+        np.testing.assert_array_equal(train.labels, labels)
+        np.testing.assert_array_equal(test.features, y)
+        np.testing.assert_array_equal(test.truth, truth)
+        rng = np.random.default_rng(config.run_seed)
+        atoms = make_atoms(config.atom_seed, config.p)
+        np.testing.assert_array_equal(generate_training(config, rng, atoms).features, x)
+        np.testing.assert_array_equal(generate_test_batch(config, rng, atoms).features, y)
+
+    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    @pytest.mark.parametrize("p", [1, 7, 300])
+    @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
+    def test_grid(self, make, p, rho):
+        self.assert_matches_naive(make(p=p, n_k=6, m=13, rho=rho, run_seed=p))
+
+    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    def test_block_larger_than_one_chunk(self, make):
+        n_k = datagen._CHUNK_ROWS + 300 if make is one_class_config else 600
+        config = make(p=7, n_k=n_k, m=datagen._CHUNK_ROWS + 5, rho=0.8, run_seed=4)
+        assert config.n_k * config.n_classes > datagen._CHUNK_ROWS
+        self.assert_matches_naive(config)
+
+    def test_shifted_and_scaled_components(self):
+        # the built-in designs never shift and scale the same component, so
+        # they cannot tell sqrt(scale) * (z + shift) from other roundings
+        config = ScenarioConfig(
+            scenario="multi_class", p=7, n_k=6, m=13, rho=0.3, run_seed=3,
+            class_specs=((1.3, 2.0), (-0.7, 1.5)), outlier_spec=(0.4, 3.0),
+        )
+        self.assert_matches_naive(config)
+
+    def test_batch_with_empty_classes(self):
+        config = multi_class_config(p=5, n_k=4, m=2, rho=0.3, run_seed=6)
+        assert 0 in apportion_test_counts(config.m, config.inlier_ratio, 4)[0]
+        self.assert_matches_naive(config)
+
+
+class TestOneDrawPerBlock:
+    def test_one_sample_points_call_per_block(self, monkeypatch):
+        # perfbench counts generated rows at sample_points; a block drawn
+        # outside it, or in pieces that skip it, would hide from the trace
+        calls = []
+        real = datagen.sample_points
+
+        def spy(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(datagen, "sample_points", spy)
+        config = multi_class_config(p=5, n_k=10, m=37, run_seed=2)
+        rng = np.random.default_rng(2)
+        data = generate_training(config, rng)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0], data.features)
+        batch = generate_test_batch(config, rng)
+        assert len(calls) == 2
+        np.testing.assert_array_equal(calls[1], batch.features)
+
+    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    @pytest.mark.parametrize("p, m", [(200, 1000), (500, 4000)])
+    def test_peak_memory_bounded(self, make, p, m):
+        # the block, its compact picks and 256 KiB temporaries; no
+        # per-component copies stacked afterwards. Training blocks are m rows
+        # too, so the fixed temporaries weigh the same in every case.
+        config = make(p=p, n_k=m // (4 if make is multi_class_config else 1), m=m, rho=0.8)
+        atoms = make_atoms(config.atom_seed, p)
+        for draw in (generate_training, generate_test_batch):
+            rng = np.random.default_rng(0)
+            tracemalloc.start()
+            try:
+                out = draw(config, rng, atoms)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1.6 * out.features.nbytes, (draw.__name__, peak / out.features.nbytes)
 
 
 class TestGenerateTraining:
