@@ -52,12 +52,9 @@ from .validation import CHECKS, run_checks
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
+EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECK = 4
-
-
-def _default_workers() -> int:
-    return int(os.environ.get("CONFSET_WORKERS", "1"))
 
 
 def _add_simulate(sub):
@@ -232,7 +229,12 @@ def _add_experiment(sub):
         "experiment", help="run a replicated grid experiment from a YAML config"
     )
     p.add_argument("--config", required=True, help="YAML experiment config")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="worker processes (default: $CONFSET_WORKERS, else 1)",
+    )
     p.add_argument("--out-dir", default=None, help="override the config out_dir")
     p.add_argument(
         "--mode",
@@ -244,12 +246,23 @@ def _add_experiment(sub):
 
 
 def cmd_experiment(args) -> int:
+    workers = args.workers
+    if workers is None:
+        env = os.environ.get("CONFSET_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            print(
+                f"error: CONFSET_WORKERS must be an integer, got {env!r}",
+                file=sys.stderr,
+            )
+            return EXIT_USAGE
     config = load_config(args.config)
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
     if args.mode:
         config = replace(config, mode=args.mode)
-    run_experiment(config, workers=args.workers, echo=print)
+    run_experiment(config, workers=workers, echo=print)
     return EXIT_OK
 
 

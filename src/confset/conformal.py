@@ -25,7 +25,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .scoring import _fit_rows, score_batch
+from .scoring import fit_class_summary, score_batch
 
 __all__ = [
     "conformal_pvalue",
@@ -151,7 +151,7 @@ def predict(
     for class_id in range(1, k + 1):
         rows = data.class_rows(class_id)
         if oracle is None:
-            summary = _fit_rows(rows, class_id, variance_floor)
+            summary = fit_class_summary(data, class_id, variance_floor)
             train_scores = score_batch(summary, rows)
             test_scores = score_batch(summary, test.features)
         else:

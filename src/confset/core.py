@@ -130,10 +130,21 @@ class LabeledDataset:
         return np.bincount(self.labels, minlength=self.n_classes + 1)[1:]
 
     def class_rows(self, class_id: int) -> np.ndarray:
-        """Feature rows belonging to one class."""
+        """Feature rows belonging to one class, in dataset order.
+
+        When the class's rows form one contiguous run, as in every generated
+        training set and every CSV that ``simulate`` writes, this is a
+        read-only view of ``features`` and copies nothing. Otherwise it is a
+        copy made by boolean-mask selection.
+        """
         if not 1 <= class_id <= self.n_classes:
             raise DataError(f"class_id {class_id} outside 1..{self.n_classes}")
-        return self.features[self.labels == class_id]
+        mask = self.labels == class_id
+        start = int(mask.argmax())
+        stop = start + int(np.count_nonzero(mask))
+        if mask[start:stop].all():
+            return self.features[start:stop]
+        return self.features[mask]
 
 
 @dataclass(frozen=True, eq=False)

@@ -399,7 +399,13 @@ def load_config(path) -> ExperimentConfig:
     import yaml
 
     with _open_read(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except (yaml.YAMLError, UnicodeDecodeError) as e:
+            mark = getattr(e, "problem_mark", None)
+            where = f" line {mark.line + 1}:" if mark is not None else ""
+            problem = getattr(e, "problem", None) or str(e).splitlines()[0]
+            raise DataError(f"{path}:{where} not valid YAML: {problem}") from None
     if not isinstance(doc, dict):
         raise DataError(f"{path}: config must be a flat key: value mapping")
     known = {f.name for f in fields(ExperimentConfig)}
@@ -691,7 +697,12 @@ def from_jsonable(doc: dict):
     decode = _FROM.get(doc["kind"])
     if decode is None:
         raise DataError(f"unknown container kind {doc['kind']!r}")
-    return decode(doc)
+    try:
+        return decode(doc)
+    except (KeyError, TypeError) as e:
+        raise DataError(
+            f"malformed {doc['kind']} document: {type(e).__name__} {e}"
+        ) from None
 
 
 def save_json(obj, path) -> None:
@@ -701,4 +712,11 @@ def save_json(obj, path) -> None:
 
 def load_json(path):
     with _open_read(path) as fh:
-        return from_jsonable(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
+            raise DataError(f"{path}: not valid JSON: {e}") from None
+    try:
+        return from_jsonable(doc)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None

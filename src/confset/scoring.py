@@ -31,6 +31,18 @@ is also a block edge here. Against fixed 2048-row blocks, ``predict``
 outputs stayed bit-identical at (p, n_k, m) = (500, 2000, 20000),
 (200, 200, 1000) and (37, 50, 333), while single scores moved by up to 7
 ulps, e.g. at n = 5003 with p = 1000.
+
+The class fit is the two-pass centred variance (Chan, Golub & LeVeque,
+"Algorithms for computing the sample variance", Amer. Statist. 1983). The
+first pass is ``rows.mean(axis=0)``. The second walks the rows in the same
+blocks as the kernel, through one buffer with a carry row on top: row 0
+holds the running column sums, the rows below it (x - mean)**2 of the
+block, and one ``np.add.reduce`` down the buffer's columns gives the new
+sums. Each column is thus still summed row after row, as numpy's axis-0
+sum does, so for p >= 2 the variance is bit-identical to
+``rows.var(axis=0, ddof=1)`` while no temporary grows beyond one block.
+At p = 1 numpy sums the single contiguous column pairwise instead, and the
+fit may differ from it by an ulp or two.
 """
 
 from __future__ import annotations
@@ -73,15 +85,23 @@ def fit_class_summary(
         Off by default: a zero-variance column then raises
         ``DegenerateVarianceError`` naming the class and column.
     """
-    return _fit_rows(data.class_rows(class_id), class_id, variance_floor)
-
-
-def _fit_rows(
-    rows: np.ndarray, class_id: int, variance_floor: float | None
-) -> ClassSummary:
-    """:func:`fit_class_summary` on rows already sliced out for ``class_id``."""
+    rows = data.class_rows(class_id)
+    n, p = rows.shape
     mean = rows.mean(axis=0)
-    var = rows.var(axis=0, ddof=1)
+    # Row 0 of the buffer carries the running sums, so each column is added
+    # row after row, in the order of rows.var(axis=0) (module docstring).
+    step = _block_rows(p)
+    buf = np.empty((min(n, step) + 1, p))
+    sums = np.zeros(p)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        block = buf[: stop - start + 1]
+        block[0] = sums
+        d = block[1:]
+        np.subtract(rows[start:stop], mean, out=d)
+        np.square(d, out=d)
+        np.add.reduce(block, axis=0, out=sums)
+    var = sums / (n - 1)
     if variance_floor is not None:
         if variance_floor <= 0:
             raise DataError(f"variance_floor must be positive, got {variance_floor}")
@@ -89,7 +109,7 @@ def _fit_rows(
     elif np.any(var == 0.0):
         col = int(np.flatnonzero(var == 0.0)[0])
         raise DegenerateVarianceError(class_id, col)
-    return ClassSummary(class_id=class_id, mean=mean, variance=var, count=rows.shape[0])
+    return ClassSummary(class_id=class_id, mean=mean, variance=var, count=n)
 
 
 def _block_rows(p: int) -> int:

@@ -17,7 +17,7 @@ from confset import (
     read_results,
     read_sets_csv,
 )
-from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, main
+from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from confset.validation import CHECKS, CheckResult
 
 
@@ -151,6 +151,29 @@ class TestPredict:
         )
         assert code == EXIT_DATA
         assert "4 classes" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x1,x2\n1,2\n", "not valid JSON: Expecting value: line 1 column 1"),
+            ('{"kind": "Banana"}', "unknown container kind 'Banana'"),
+            ('{"kind": "OracleParams"}', "malformed OracleParams document"),
+        ],
+    )
+    def test_bad_oracle_params_file_is_data_error(
+        self, simulated, tmp_path, capsys, text, message
+    ):
+        params = tmp_path / "params.json"
+        params.write_text(text)
+        code = run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--mode", "oracle",
+            "--oracle-params", params, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {params}: {message}")
+        assert len(err.splitlines()) == 1
 
     def test_missing_file_is_data_error(self, tmp_path, capsys):
         code = run_cli(
@@ -317,6 +340,30 @@ class TestExperiment:
         config.write_text("scenario: one_class\nbanana: 1\n")
         assert run_cli("experiment", "--config", config) == EXIT_DATA
         assert "banana" in capsys.readouterr().err
+
+
+    def test_malformed_yaml_is_data_error(self, tmp_path, capsys):
+        config = tmp_path / "config.yaml"
+        config.write_text("scenario: one_class\np: [5]\n  n_k: : 10\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: line 3: not valid YAML: ")
+        assert len(err.splitlines()) == 1
+
+    def test_bad_workers_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CONFSET_WORKERS", "abc")
+        # only experiment reads the variable; every other command ignores it
+        code = run_cli(
+            "simulate", "--scenario", "one", "--p", 3, "--nk", 5, "--m", 4,
+            "--out", tmp_path / "s",
+        )
+        assert code == EXIT_OK
+        capsys.readouterr()
+        config = tmp_path / "config.yaml"
+        config.write_text("scenario: one_class\n")
+        assert run_cli("experiment", "--config", config) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == "error: CONFSET_WORKERS must be an integer, got 'abc'\n"
 
 
 class TestValidate:

@@ -1,8 +1,11 @@
 """Conformal p-values, step-up adjustment, thresholds, and set prediction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from confset import conformal
 from confset import (
     DataError,
     LabeledDataset,
@@ -234,6 +237,79 @@ class TestPredict:
         pvals, _ = predict(data, batch, 0.1)
         r = pvals.raw * 20
         np.testing.assert_allclose(r, np.round(r), atol=1e-9)
+
+
+    def test_interleaved_labels_match_grouped(self, rng):
+        # p=200, n_k=300 crosses a block edge of the fit and the scoring kernel
+        data, batch = random_instance(rng, n_classes=3, p=200, n_k=300, m=50)
+        perm = rng.permutation(data.n)
+        shuffled = LabeledDataset(
+            features=data.features[perm], labels=data.labels[perm], n_classes=3
+        )
+        order = np.argsort(shuffled.labels, kind="stable")
+        grouped = LabeledDataset(
+            features=shuffled.features[order], labels=shuffled.labels[order],
+            n_classes=3,
+        )
+        p1, s1 = predict(shuffled, batch, 0.1)
+        p2, s2 = predict(grouped, batch, 0.1)
+        for a, b in (
+            (p1.raw, p2.raw),
+            (p1.adjusted, p2.adjusted),
+            (p1.thresholds, p2.thresholds),
+            (s1.member, s2.member),
+        ):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestPredictCalls:
+    """predict fits and scores through the public scoring functions."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"fit": [], "score": []}
+        fit, score = conformal.fit_class_summary, conformal.score_batch
+
+        def fit_spy(data, class_id, variance_floor=None):
+            calls["fit"].append(class_id)
+            return fit(data, class_id, variance_floor)
+
+        def score_spy(model, rows, class_id=None):
+            calls["score"].append(rows)
+            return score(model, rows, class_id)
+
+        monkeypatch.setattr(conformal, "fit_class_summary", fit_spy)
+        monkeypatch.setattr(conformal, "score_batch", score_spy)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["empirical", "oracle"])
+    def test_fits_each_class_once_and_scores_twice(self, calls, mode):
+        config = multi_class_config(p=6, n_k=15, m=20, rho=0.3, run_seed=4)
+        data, batch = generate(config)
+        oracle = oracle_params(config) if mode == "oracle" else None
+        predict(data, batch, 0.1, oracle=oracle)
+        k = data.n_classes
+        assert calls["fit"] == ([] if oracle else list(range(1, k + 1)))
+        assert len(calls["score"]) == 2 * k
+        for c in range(k):
+            train_rows, test_rows = calls["score"][2 * c : 2 * c + 2]
+            np.testing.assert_array_equal(train_rows, data.class_rows(c + 1))
+            np.testing.assert_array_equal(test_rows, batch.features)
+
+
+@pytest.mark.parametrize("p, n_k, m", [(200, 2000, 1000), (500, 2000, 4000)])
+def test_predict_peak_memory_below_half_a_class(p, n_k, m):
+    # the fit reads class rows in place and streams them through one block
+    # buffer, so no temporary grows with the training set
+    data, batch = generate(multi_class_config(p=p, n_k=n_k, m=m, rho=0.8, run_seed=1))
+    tracemalloc.start()
+    try:
+        predict(data, batch, 0.05)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    class_bytes = n_k * p * 8
+    assert peak <= 0.5 * class_bytes, peak / class_bytes
 
 
 class TestSetSizeDiscrepancy:

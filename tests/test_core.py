@@ -102,6 +102,29 @@ class TestLabeledDataset:
         with pytest.raises(DataError):
             small_data().class_rows(3)
 
+    @pytest.mark.parametrize(
+        "labels", [[1, 1, 1, 2, 2, 2, 3, 3, 3], [2, 2, 2, 1, 1, 1, 3, 3, 3]]
+    )
+    def test_class_rows_of_grouped_labels_are_readonly_views(self, labels):
+        labels = np.array(labels)
+        features = np.arange(18.0).reshape(9, 2)
+        data = LabeledDataset(features=features, labels=labels)
+        for k in (1, 2, 3):
+            rows = data.class_rows(k)
+            assert np.shares_memory(rows, data.features)
+            assert not rows.flags.writeable
+            np.testing.assert_array_equal(rows, features[labels == k])
+
+    @pytest.mark.parametrize(
+        "labels", [[1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 2, 1], [2, 1, 1, 1, 2, 2]]
+    )
+    def test_class_rows_of_interleaved_labels_equal_mask_selection(self, labels):
+        labels = np.array(labels)
+        features = np.arange(12.0).reshape(6, 2)
+        data = LabeledDataset(features=features, labels=labels)
+        for k in (1, 2):
+            np.testing.assert_array_equal(data.class_rows(k), features[labels == k])
+
     def test_coerces_lists_to_float64(self):
         data = LabeledDataset(
             features=[[0, 1], [2, 3], [4, 5]], labels=[1, 1, 1], n_classes=1

@@ -68,6 +68,30 @@ class TestFitClassSummary:
         assert fit_class_summary(data, 2).mean[0] == pytest.approx(10.0)
 
 
+class TestFitAgainstNumpy:
+    """The blocked fit keeps numpy's summation order, so its moments are
+    bit-equal to rows.mean(axis=0) and rows.var(axis=0, ddof=1)."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("p", [2, 5, 200, 500, 3000])
+    @pytest.mark.parametrize("blocks, extra", [(0, 3), (1, -1), (1, 0), (1, 1), (2, 3)])
+    def test_bit_equal(self, rng, p, blocks, extra, offset):
+        n = max(blocks * _block_rows(p) + extra, 3)
+        rows = offset + rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
+        s = fit_class_summary(one_class(rows), 1)
+        np.testing.assert_array_equal(s.mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(s.variance, rows.var(axis=0, ddof=1))
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("n", [3, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
+    def test_single_column_within_rounding(self, rng, n, offset):
+        # numpy sums one contiguous column pairwise, the fit row after row
+        rows = offset + rng.normal(size=(n, 1))
+        s = fit_class_summary(one_class(rows), 1)
+        np.testing.assert_array_equal(s.mean, rows.mean(axis=0))
+        np.testing.assert_allclose(s.variance, rows.var(axis=0, ddof=1), rtol=1e-15)
+
+
 class TestScores:
     def test_empirical_score_hand_value(self):
         # mean (1,1), var (2,2), x=(3,1): (3-1)^2/2 + 0 = 2
