@@ -24,28 +24,21 @@ Quick start::
 """
 
 from .core import (
-    ClassSummary,
+    ClassModel,
     DataError,
     DegenerateVarianceError,
     DeviationBound,
     LabeledDataset,
-    OracleParams,
     PredictionSets,
     PValueMatrix,
     TestBatch,
     ValidationReport,
     validate_dataset,
 )
-from .scoring import (
-    empirical_score,
-    fit_class_summary,
-    oracle_score,
-    score_batch,
-)
+from .scoring import fit_class_summary, fit_model, score_batch
 from .conformal import (
     acceptance_threshold,
     bh_adjust,
-    conformal_pvalue,
     conformal_pvalues,
     predict,
     set_size_discrepancy,
@@ -81,7 +74,6 @@ from .datagen import (
 )
 from .io import (
     ExperimentConfig,
-    from_jsonable,
     load_config,
     load_csv,
     load_json,
@@ -92,7 +84,6 @@ from .io import (
     save_config,
     save_json,
     split_train_test,
-    to_jsonable,
     write_batch_csv,
     write_dataset_csv,
     write_results,
@@ -122,26 +113,23 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # containers and errors
-    "ClassSummary",
+    "ClassModel",
     "DataError",
     "DegenerateVarianceError",
     "DeviationBound",
     "LabeledDataset",
-    "OracleParams",
     "PredictionSets",
     "PValueMatrix",
     "TestBatch",
     "ValidationReport",
     "validate_dataset",
     # scoring
-    "empirical_score",
     "fit_class_summary",
-    "oracle_score",
+    "fit_model",
     "score_batch",
     # conformal prediction
     "acceptance_threshold",
     "bh_adjust",
-    "conformal_pvalue",
     "conformal_pvalues",
     "predict",
     "set_size_discrepancy",
@@ -174,7 +162,6 @@ __all__ = [
     "with_run_seed",
     # file formats
     "ExperimentConfig",
-    "from_jsonable",
     "load_config",
     "load_csv",
     "load_json",
@@ -185,7 +172,6 @@ __all__ = [
     "save_config",
     "save_json",
     "split_train_test",
-    "to_jsonable",
     "write_batch_csv",
     "write_dataset_csv",
     "write_results",

@@ -22,7 +22,7 @@ from dataclasses import replace
 import numpy as np
 
 from .conformal import predict
-from .core import DataError, OracleParams
+from .core import DataError
 from .datagen import (
     DEFAULT_ATOM_SEED,
     generate,
@@ -55,6 +55,28 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECK = 4
+
+
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _level(text: str) -> float:
+    """argparse type: a float strictly between 0 and 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not 0.0 < value < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
+    return value
 
 
 def _add_simulate(sub):
@@ -167,14 +189,6 @@ def cmd_predict(args) -> int:
         if not args.oracle_params:
             raise DataError("--mode oracle requires --oracle-params")
         oracle = load_json(args.oracle_params)
-        if not isinstance(oracle, OracleParams):
-            raise DataError(f"{args.oracle_params}: not a known-parameters file")
-        if oracle.means.shape != (data.n_classes, data.n_features):
-            raise DataError(
-                f"oracle parameters are for {oracle.means.shape[0]} classes x "
-                f"{oracle.means.shape[1]} features; data has "
-                f"{data.n_classes} x {data.n_features}"
-            )
     pvals, sets = predict(
         data, batch, args.alpha, oracle=oracle, variance_floor=args.variance_floor
     )
@@ -202,7 +216,10 @@ def _add_evaluate(sub):
     p.add_argument("--test", required=True, help="test CSV holding the truth column")
     p.add_argument("--truth-column", default="truth")
     p.add_argument(
-        "--n-classes", type=int, required=True, help="number of training classes"
+        "--n-classes",
+        type=_positive_int,
+        required=True,
+        help="number of training classes",
     )
     p.add_argument("--out", default=None, help="optional results CSV path")
     p.set_defaults(func=cmd_evaluate)
@@ -278,14 +295,14 @@ def _add_validate(sub):
         help=f"check(s) to run, comma-separable; available: {', '.join(sorted(CHECKS))}",
     )
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--alpha", type=float, default=None)
+    p.add_argument("--alpha", type=_level, default=None)
     p.add_argument("--nk", type=int, default=None, help="training rows per class")
     p.add_argument("--p", type=int, default=None, help="feature dimension")
     p.add_argument("--rho", type=float, default=None)
-    p.add_argument("--draws", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--test-sets", type=int, default=None)
+    p.add_argument("--draws", type=_positive_int, default=None)
+    p.add_argument("--trials", type=_positive_int, default=None)
+    p.add_argument("--replicates", type=_positive_int, default=None)
+    p.add_argument("--test-sets", type=_positive_int, default=None)
     p.set_defaults(func=cmd_validate)
 
 

@@ -2,13 +2,19 @@
 
 The pipeline per class k:
 
-1. rank p-value of each test score among the class training scores
-   (full conformal, no sample splitting),
+1. rank p-value of each test score among the class training scores,
 2. Benjamini-Hochberg step-up across the m test points (a single test point
    keeps its p-value),
 3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1).
 
 A point accepted by no class gets the empty set and is declared an outlier.
+
+The class moments come either from the caller (known parameters) or from a
+fit on the same training rows that the test scores are then ranked among.
+With known moments the training and test scores are exchangeable and the
+rank p-values are valid at any sample size. The fitted default calibrates
+in-sample, which makes the training scores too small: its p-values are
+anti-conservative at small n_k (ROADMAP, open item 1).
 """
 
 from __future__ import annotations
@@ -18,17 +24,16 @@ import math
 import numpy as np
 
 from .core import (
+    ClassModel,
     DataError,
     LabeledDataset,
-    OracleParams,
     PredictionSets,
     PValueMatrix,
     TestBatch,
 )
-from .scoring import fit_class_summary, score_batch
+from .scoring import fit_model, score_batch
 
 __all__ = [
-    "conformal_pvalue",
     "conformal_pvalues",
     "bh_adjust",
     "acceptance_threshold",
@@ -54,11 +59,6 @@ def conformal_pvalues(train_scores: np.ndarray, test_scores: np.ndarray) -> np.n
     order = np.sort(train_scores)
     at_least = n - np.searchsorted(order, test_scores, side="left")
     return (1.0 + at_least) / (n + 1.0)
-
-
-def conformal_pvalue(train_scores: np.ndarray, test_score: float) -> float:
-    """Scalar convenience wrapper around :func:`conformal_pvalues`."""
-    return float(conformal_pvalues(train_scores, np.asarray([test_score]))[0])
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
@@ -104,7 +104,7 @@ def predict(
     data: LabeledDataset,
     test: TestBatch,
     alpha: float,
-    oracle: OracleParams | None = None,
+    oracle: ClassModel | None = None,
     variance_floor: float | None = None,
 ) -> tuple[PValueMatrix, PredictionSets]:
     """Set-valued prediction for a test batch.
@@ -117,11 +117,12 @@ def predict(
         Points to classify; feature count must match ``data``.
     alpha : float
         Nominal per-class error level in (0, 1).
-    oracle : OracleParams, optional
-        True class moments. When given, scores use them instead of fitted
-        summaries (the calibration still ranks against the training rows).
+    oracle : ClassModel, optional
+        True class moments. When given, scores use them instead of the
+        moments fitted by :func:`fit_model` (the calibration still ranks
+        against the training rows).
     variance_floor : float, optional
-        Variance floor of each class fit in the empirical variant, as in
+        Variance floor of each class fit when ``oracle`` is not given, as in
         :func:`fit_class_summary`.
 
     Returns
@@ -130,34 +131,28 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``.
     """
+    model = oracle if oracle is not None else fit_model(data, variance_floor)
+    if model.means.shape != (data.n_classes, data.n_features):
+        raise DataError(
+            f"class moments are for {model.n_classes} classes x "
+            f"{model.n_features} features; data has {data.n_classes} x "
+            f"{data.n_features}"
+        )
     if test.n_features != data.n_features:
         raise DataError(
             f"test batch has {test.n_features} features, training data has "
             f"{data.n_features}"
         )
-    if oracle is not None:
-        if oracle.n_classes != data.n_classes:
-            raise DataError(
-                f"oracle covers {oracle.n_classes} classes, data has {data.n_classes}"
-            )
-        if oracle.n_features != data.n_features:
-            raise DataError(
-                f"oracle has {oracle.n_features} features, data has {data.n_features}"
-            )
     m, k = test.m, data.n_classes
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)
     for class_id in range(1, k + 1):
         rows = data.class_rows(class_id)
-        if oracle is None:
-            summary = fit_class_summary(data, class_id, variance_floor)
-            train_scores = score_batch(summary, rows)
-            test_scores = score_batch(summary, test.features)
-        else:
-            train_scores = score_batch(oracle, rows, class_id)
-            test_scores = score_batch(oracle, test.features, class_id)
-        col = conformal_pvalues(train_scores, test_scores)
+        col = conformal_pvalues(
+            score_batch(model, rows, class_id),
+            score_batch(model, test.features, class_id),
+        )
         raw[:, class_id - 1] = col
         adjusted[:, class_id - 1] = bh_adjust(col)
         thresholds[class_id - 1] = acceptance_threshold(rows.shape[0], alpha)

@@ -23,8 +23,7 @@ __all__ = [
     "DegenerateVarianceError",
     "LabeledDataset",
     "TestBatch",
-    "ClassSummary",
-    "OracleParams",
+    "ClassModel",
     "PValueMatrix",
     "PredictionSets",
     "DeviationBound",
@@ -183,36 +182,13 @@ class TestBatch:
 
 
 @dataclass(frozen=True, eq=False)
-class ClassSummary:
-    """Per-class fitted moments: sample mean and unbiased diagonal variance."""
+class ClassModel:
+    """Per-class means and diagonal variances, row k-1 for class k in 1..K.
 
-    class_id: int
-    mean: np.ndarray
-    variance: np.ndarray
-    count: int
-
-    def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        variance = np.asarray(self.variance, dtype=np.float64)
-        if mean.ndim != 1 or variance.shape != mean.shape:
-            raise DataError(
-                f"mean and variance must be matching 1-D vectors, got {mean.shape} "
-                f"and {variance.shape}"
-            )
-        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(variance))):
-            raise DataError("non-finite class summary")
-        if np.any(variance <= 0):
-            raise DataError("class variance entries must be positive")
-        if self.count < 3:
-            raise DataError(f"count must be >= 3, got {self.count}")
-        object.__setattr__(self, "mean", _readonly(mean))
-        object.__setattr__(self, "variance", _readonly(variance))
-        object.__setattr__(self, "count", int(self.count))
-
-
-@dataclass(frozen=True, eq=False)
-class OracleParams:
-    """True per-class means and diagonal variances, rows indexed by class 1..K."""
+    The one container for class moments: fitted from training rows by
+    ``fit_model``, or known in advance, as the true parameters of a
+    simulation from ``oracle_params``. Scoring reads both alike.
+    """
 
     means: np.ndarray
     variances: np.ndarray
@@ -226,9 +202,9 @@ class OracleParams:
                 f"{means.shape} and {variances.shape}"
             )
         if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
-            raise DataError("non-finite oracle parameters")
+            raise DataError("non-finite class moments")
         if np.any(variances <= 0):
-            raise DataError("oracle variances must be positive")
+            raise DataError("class variances must be positive")
         object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "variances", _readonly(variances))
 

@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DataError, LabeledDataset, OracleParams, TestBatch
+from .core import ClassModel, DataError, LabeledDataset, TestBatch
 
 __all__ = [
     "ComponentSpec",
@@ -308,7 +308,7 @@ def generate(config: ScenarioConfig) -> tuple[LabeledDataset, TestBatch]:
     return train, test
 
 
-def oracle_params(config: ScenarioConfig) -> OracleParams:
+def oracle_params(config: ScenarioConfig) -> ClassModel:
     """True per-class means and diagonal variances implied by the generator.
 
     Coordinate j of class k has mean sqrt(scale)*shift + mean(atoms) and
@@ -324,7 +324,7 @@ def oracle_params(config: ScenarioConfig) -> OracleParams:
     for i, spec in enumerate(config.class_specs):
         means[i] = math.sqrt(spec.scale) * spec.shift + w_mean
         variances[i] = spec.scale + w_var
-    return OracleParams(means=means, variances=variances)
+    return ClassModel(means=means, variances=variances)
 
 
 def with_run_seed(config: ScenarioConfig, run_seed: int) -> ScenarioConfig:

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .conformal import predict
-from .core import DataError, LabeledDataset, OracleParams, TestBatch
+from .core import ClassModel, DataError, LabeledDataset, TestBatch
 from .datagen import (
     ScenarioConfig,
     make_atoms,
@@ -55,7 +55,7 @@ def evaluate_prediction(
     train: LabeledDataset,
     batch: TestBatch,
     alpha: float,
-    oracle: OracleParams | None = None,
+    oracle: ClassModel | None = None,
     variance_floor: float | None = None,
 ) -> tuple[MetricsReport, float]:
     """Predict on one batch and score it. Returns (report, predict seconds)."""

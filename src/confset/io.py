@@ -1,8 +1,8 @@
-"""File formats: CSV datasets, experiment configs, result tables, JSON snapshots.
+"""File formats: CSV datasets, experiment configs, result tables, class-moment JSON.
 
 Numeric round-trips are exact: floats are written as their shortest
-repr (which reparses to the identical float64), so save/load of any
-container reproduces it bit for bit.
+repr (which reparses to the identical float64), so saving and loading a
+table or a ``ClassModel`` reproduces it bit for bit.
 
 Reading a CSV table, ``csv.reader`` splits the cells and one
 ``np.array(..., dtype=np.float64)`` call converts every selected cell.
@@ -30,16 +30,14 @@ from pathlib import Path
 import numpy as np
 
 from .core import (
-    ClassSummary,
+    ClassModel,
     DataError,
-    DeviationBound,
     LabeledDataset,
-    OracleParams,
     PredictionSets,
     PValueMatrix,
     TestBatch,
 )
-from .datagen import DEFAULT_ATOM_SEED, ComponentSpec, ScenarioConfig
+from .datagen import DEFAULT_ATOM_SEED
 from .metrics import MetricsReport
 
 __all__ = [
@@ -60,8 +58,6 @@ __all__ = [
     "read_sets_csv",
     "save_json",
     "load_json",
-    "to_jsonable",
-    "from_jsonable",
 ]
 
 
@@ -406,10 +402,11 @@ def load_config(path) -> ExperimentConfig:
             where = f" line {mark.line + 1}:" if mark is not None else ""
             problem = getattr(e, "problem", None) or str(e).splitlines()[0]
             raise DataError(f"{path}:{where} not valid YAML: {problem}") from None
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: config must be a flat key: value mapping")
     known = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(doc) - known
+    try:
+        unknown = doc.keys() - known
+    except AttributeError:
+        raise DataError(f"{path}: config must be a flat key: value mapping") from None
     if unknown:
         raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
     if "scenario" not in doc:
@@ -566,157 +563,44 @@ def read_sets_csv(path, n_classes: int) -> PredictionSets:
 
 
 # ---------------------------------------------------------------------------
-# JSON snapshots of containers
+# class moments as JSON
 
 
-def _spec_pair(s: ComponentSpec) -> list[float]:
-    return [float(s.shift), float(s.scale)]
-
-
-_TO = {
-    LabeledDataset: lambda o: {
-        "features": o.features.tolist(),
-        "labels": o.labels.tolist(),
-        "n_classes": o.n_classes,
-    },
-    TestBatch: lambda o: {
-        "features": o.features.tolist(),
-        "truth": None if o.truth is None else o.truth.tolist(),
-    },
-    ClassSummary: lambda o: {
-        "class_id": o.class_id,
-        "mean": o.mean.tolist(),
-        "variance": o.variance.tolist(),
-        "count": o.count,
-    },
-    OracleParams: lambda o: {
-        "means": o.means.tolist(),
-        "variances": o.variances.tolist(),
-    },
-    PValueMatrix: lambda o: {
-        "raw": o.raw.tolist(),
-        "adjusted": o.adjusted.tolist(),
-        "thresholds": o.thresholds.tolist(),
-        "alpha": o.alpha,
-    },
-    PredictionSets: lambda o: {"member": o.member.tolist()},
-    DeviationBound: lambda o: {"a": o.a},
-    ScenarioConfig: lambda o: {
-        "scenario": o.scenario,
-        "p": o.p,
-        "n_k": o.n_k,
-        "m": o.m,
-        "rho": o.rho,
-        "alpha": o.alpha,
-        "inlier_ratio": o.inlier_ratio,
-        "class_specs": [_spec_pair(s) for s in o.class_specs],
-        "outlier_spec": _spec_pair(o.outlier_spec),
-        "atom_seed": o.atom_seed,
-        "run_seed": o.run_seed,
-    },
-    MetricsReport: lambda o: {
-        "cw_fdr": list(o.cw_fdr),
-        "scw_fdr": o.scw_fdr,
-        "fdr": o.fdr,
-        "power": o.power,
-        "coverage": o.coverage,
-        "flr": o.flr,
-        "accuracy": o.accuracy,
-        "ambiguity": o.ambiguity,
-    },
-}
-
-_FROM = {
-    "LabeledDataset": lambda d: LabeledDataset(
-        features=np.asarray(d["features"], dtype=np.float64),
-        labels=np.asarray(d["labels"], dtype=np.int64),
-        n_classes=d["n_classes"],
-    ),
-    "TestBatch": lambda d: TestBatch(
-        features=np.asarray(d["features"], dtype=np.float64),
-        truth=None if d["truth"] is None else np.asarray(d["truth"], dtype=np.int64),
-    ),
-    "ClassSummary": lambda d: ClassSummary(
-        class_id=d["class_id"],
-        mean=np.asarray(d["mean"], dtype=np.float64),
-        variance=np.asarray(d["variance"], dtype=np.float64),
-        count=d["count"],
-    ),
-    "OracleParams": lambda d: OracleParams(
-        means=np.asarray(d["means"], dtype=np.float64),
-        variances=np.asarray(d["variances"], dtype=np.float64),
-    ),
-    "PValueMatrix": lambda d: PValueMatrix(
-        raw=np.asarray(d["raw"], dtype=np.float64),
-        adjusted=np.asarray(d["adjusted"], dtype=np.float64),
-        thresholds=np.asarray(d["thresholds"], dtype=np.float64),
-        alpha=d["alpha"],
-    ),
-    "PredictionSets": lambda d: PredictionSets(
-        member=np.asarray(d["member"], dtype=bool)
-    ),
-    "DeviationBound": lambda d: DeviationBound(a=d["a"]),
-    "ScenarioConfig": lambda d: ScenarioConfig(
-        scenario=d["scenario"],
-        p=d["p"],
-        n_k=d["n_k"],
-        m=d["m"],
-        rho=d["rho"],
-        alpha=d["alpha"],
-        inlier_ratio=d["inlier_ratio"],
-        class_specs=tuple(ComponentSpec(*s) for s in d["class_specs"]),
-        outlier_spec=ComponentSpec(*d["outlier_spec"]),
-        atom_seed=d["atom_seed"],
-        run_seed=d["run_seed"],
-    ),
-    "MetricsReport": lambda d: MetricsReport(
-        cw_fdr=tuple(d["cw_fdr"]),
-        scw_fdr=d["scw_fdr"],
-        fdr=d["fdr"],
-        power=d["power"],
-        coverage=d["coverage"],
-        flr=d["flr"],
-        accuracy=d["accuracy"],
-        ambiguity=d["ambiguity"],
-    ),
-}
-
-
-def to_jsonable(obj) -> dict:
-    """Tagged plain-data view of any container, safe for ``json.dump``."""
-    encode = _TO.get(type(obj))
-    if encode is None:
-        raise DataError(f"cannot serialize {type(obj).__name__}")
-    return {"kind": type(obj).__name__, **encode(obj)}
-
-
-def from_jsonable(doc: dict):
-    """Inverse of :func:`to_jsonable`; reproduces the container bit-exactly."""
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise DataError("not a tagged container document")
-    decode = _FROM.get(doc["kind"])
-    if decode is None:
-        raise DataError(f"unknown container kind {doc['kind']!r}")
-    try:
-        return decode(doc)
-    except (KeyError, TypeError) as e:
-        raise DataError(
-            f"malformed {doc['kind']} document: {type(e).__name__} {e}"
-        ) from None
-
-
-def save_json(obj, path) -> None:
+def save_json(model: ClassModel, path) -> None:
+    """Write ``model`` as ``{"kind": "ClassModel", "means": ..., "variances": ...}``."""
+    doc = {
+        "kind": "ClassModel",
+        "means": model.means.tolist(),
+        "variances": model.variances.tolist(),
+    }
     with _open_write(path) as fh:
-        json.dump(to_jsonable(obj), fh)
+        json.dump(doc, fh)
 
 
-def load_json(path):
+def load_json(path) -> ClassModel:
+    """Read a ``ClassModel`` written by :func:`save_json`, bit for bit.
+
+    Every problem with the file is one ``DataError`` line naming it.
+    """
     with _open_read(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError
             raise DataError(f"{path}: not valid JSON: {e}") from None
     try:
-        return from_jsonable(doc)
+        kind = doc["kind"]
+    except (KeyError, TypeError):
+        raise DataError(f"{path}: not a tagged container document") from None
+    if kind != "ClassModel":
+        raise DataError(f"{path}: unknown container kind {kind!r}")
+    try:
+        return ClassModel(
+            means=np.asarray(doc["means"], dtype=np.float64),
+            variances=np.asarray(doc["variances"], dtype=np.float64),
+        )
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
+    except (KeyError, TypeError, ValueError) as e:
+        raise DataError(
+            f"{path}: malformed ClassModel document: {type(e).__name__} {e}"
+        ) from None

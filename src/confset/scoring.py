@@ -4,15 +4,15 @@ The score of a point x for class k is
 
     sum_j (x_j - mu_kj)**2 / var_kj
 
-using only the diagonal of the class covariance. In the empirical variant
-(mu, var) are the class sample mean and unbiased sample variance; in the
-oracle variant they are the true distribution parameters. Both variants share
-one code path, so empirical-vs-oracle comparisons differ only in the moments
-plugged in.
+using only the diagonal of the class covariance. The moments come in one
+container, ``ClassModel``: either fitted by ``fit_model`` (class sample mean
+and unbiased sample variance) or known in advance (the true distribution
+parameters). ``score_batch`` reads both alike, so empirical-vs-oracle
+comparisons differ only in the moments plugged in.
 
-Every score, batched or single, comes from one kernel that walks the rows in
-blocks: subtract the mean into a reusable block buffer, square it in place,
-then take one BLAS matrix-vector product with 1 / var into the output slice.
+Every score comes from one kernel that walks the rows in blocks: subtract
+the mean into a reusable block buffer, square it in place, then take one
+BLAS matrix-vector product with 1 / var into the output slice.
 A block holds the largest power of two of rows whose float64 values fit in
 ``_BLOCK_BYTES``, clamped to [8, ``_CHUNK_ROWS``], so the buffer stays in
 cache across its three passes while the batch streams through it once.
@@ -49,15 +49,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    ClassSummary,
-    DataError,
-    DegenerateVarianceError,
-    LabeledDataset,
-    OracleParams,
-)
+from .core import ClassModel, DataError, DegenerateVarianceError, LabeledDataset
 
-__all__ = ["fit_class_summary", "empirical_score", "oracle_score", "score_batch"]
+__all__ = ["fit_model", "fit_class_summary", "score_batch"]
 
 # Most rows per block of the scoring kernel, reached when p <= 32.
 _CHUNK_ROWS = 2048
@@ -68,12 +62,25 @@ _CHUNK_ROWS = 2048
 _BLOCK_BYTES = 512 * 1024
 
 
+def fit_model(data: LabeledDataset, variance_floor: float | None = None) -> ClassModel:
+    """Fit every class of ``data``: row k-1 holds class k's mean and variance.
+
+    Each class is fitted by :func:`fit_class_summary`, with the same
+    ``variance_floor``.
+    """
+    means = np.empty((data.n_classes, data.n_features))
+    variances = np.empty_like(means)
+    for k in range(data.n_classes):
+        means[k], variances[k] = fit_class_summary(data, k + 1, variance_floor)
+    return ClassModel(means=means, variances=variances)
+
+
 def fit_class_summary(
     data: LabeledDataset,
     class_id: int,
     variance_floor: float | None = None,
-) -> ClassSummary:
-    """Fit mean and diagonal variance for one class.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Fit mean and diagonal variance for one class, as a ``(mean, variance)`` pair.
 
     Parameters
     ----------
@@ -109,7 +116,7 @@ def fit_class_summary(
     elif np.any(var == 0.0):
         col = int(np.flatnonzero(var == 0.0)[0])
         raise DegenerateVarianceError(class_id, col)
-    return ClassSummary(class_id=class_id, mean=mean, variance=var, count=n)
+    return mean, var
 
 
 def _block_rows(p: int) -> int:
@@ -119,11 +126,16 @@ def _block_rows(p: int) -> int:
     return min(max(1 << (fit.bit_length() - 1), 8), _CHUNK_ROWS)
 
 
-def _scores(mean: np.ndarray, var: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Scores of the 2-D ``rows``, sum_j (x_j - mean_j)**2 / var_j per row."""
+def score_batch(model: ClassModel, rows: np.ndarray, class_id: int) -> np.ndarray:
+    """Scores of the 2-D ``rows`` against class ``class_id`` of ``model``:
+    sum_j (x_j - mean_j)**2 / var_j per row."""
+    rows = np.asarray(rows, dtype=np.float64)
+    if rows.ndim != 2:
+        raise DataError(f"rows must be 2-D, got shape {rows.shape}")
+    mean, var = model.class_params(class_id)
     n, p = rows.shape
-    if p != mean.shape[0]:
-        raise DataError(f"point has {p} features, model has {mean.shape[0]}")
+    if p != model.n_features:
+        raise DataError(f"rows have {p} features, model has {model.n_features}")
     inv_var = 1.0 / var
     out = np.empty(n)
     step = _block_rows(p)
@@ -135,44 +147,3 @@ def _scores(mean: np.ndarray, var: np.ndarray, rows: np.ndarray) -> np.ndarray:
         np.square(d, out=d)
         np.matmul(d, inv_var, out=out[start:stop])
     return out
-
-
-def empirical_score(summary: ClassSummary, x: np.ndarray) -> float:
-    """Score a single point against a fitted class summary."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"x must be 1-D, got shape {x.shape}")
-    return float(_scores(summary.mean, summary.variance, x[np.newaxis])[0])
-
-
-def oracle_score(params: OracleParams, class_id: int, x: np.ndarray) -> float:
-    """Score a single point against the true parameters of one class."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"x must be 1-D, got shape {x.shape}")
-    mean, var = params.class_params(class_id)
-    return float(_scores(mean, var, x[np.newaxis])[0])
-
-
-def score_batch(
-    model: ClassSummary | OracleParams,
-    rows: np.ndarray,
-    class_id: int | None = None,
-) -> np.ndarray:
-    """Vectorized scores for a 2-D batch of points.
-
-    ``model`` is either a fitted ClassSummary (class_id ignored) or
-    OracleParams, in which case ``class_id`` picks the class.
-    """
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2:
-        raise DataError(f"rows must be 2-D, got shape {rows.shape}")
-    if isinstance(model, ClassSummary):
-        mean, var = model.mean, model.variance
-    elif isinstance(model, OracleParams):
-        if class_id is None:
-            raise DataError("class_id is required when scoring with OracleParams")
-        mean, var = model.class_params(class_id)
-    else:
-        raise DataError(f"cannot score with {type(model).__name__}")
-    return _scores(mean, var, rows)

@@ -42,7 +42,7 @@ from .datagen import (
 )
 from .experiment import replicate_seed, run_replicate
 from .metrics import rejection_global_fdp, scw_fdr_loss
-from .scoring import fit_class_summary, score_batch
+from .scoring import fit_model, score_batch
 
 __all__ = [
     "CheckResult",
@@ -200,14 +200,13 @@ def check_deviation_trend(
             train = generate_training(config, rng, atoms)
             batch = generate_test_batch(config, rng, atoms)
             rows = train.class_rows(1)
-            summary = fit_class_summary(train, 1)
-            p_est = conformal_pvalues(
-                score_batch(summary, rows), score_batch(summary, batch.features)
-            )[0]
-            p_known = conformal_pvalues(
-                score_batch(oracle, rows, class_id=1),
-                score_batch(oracle, batch.features, class_id=1),
-            )[0]
+            p_est, p_known = (
+                conformal_pvalues(
+                    score_batch(model, rows, class_id=1),
+                    score_batch(model, batch.features, class_id=1),
+                )[0]
+                for model in (fit_model(train), oracle)
+            )
             gaps[i] = abs(p_est - p_known)
         q95.append(float(np.quantile(gaps, 0.95)))
     decreasing = all(q95[i + 1] < q95[i] for i in range(len(q95) - 1))

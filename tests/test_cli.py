@@ -157,7 +157,7 @@ class TestPredict:
         [
             ("x1,x2\n1,2\n", "not valid JSON: Expecting value: line 1 column 1"),
             ('{"kind": "Banana"}', "unknown container kind 'Banana'"),
-            ('{"kind": "OracleParams"}', "malformed OracleParams document"),
+            ('{"kind": "ClassModel"}', "malformed ClassModel document"),
         ],
     )
     def test_bad_oracle_params_file_is_data_error(
@@ -280,6 +280,25 @@ class TestEvaluate:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 4: set label 7 outside 1..1\n"
+
+
+    @pytest.mark.parametrize("n_classes", [0, -1])
+    def test_nonpositive_class_count_is_usage_error(
+        self, simulated, tmp_path, capsys, n_classes
+    ):
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--out", tmp_path / "pred",
+        )
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "evaluate", "--sets", tmp_path / "pred_sets.csv",
+                "--test", f"{simulated}_test.csv", "--n-classes", n_classes,
+            )
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "error: argument --n-classes: must be a positive integer" in err
 
 
 class TestStartup:
@@ -412,6 +431,30 @@ class TestValidate:
         captured = capsys.readouterr()
         assert "[FAIL] stub" in captured.out
         assert "1 check(s) failed: stub" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("--check", "coverage", "--draws", 0), "--draws"),
+            (("--check", "super_uniformity", "--draws", 0), "--draws"),
+            (("--check", "deviation", "--draws", -3), "--draws"),
+            (("--check", "construction", "--trials", 0), "--trials"),
+            (("--check", "scw", "--trials", 0), "--trials"),
+            (("--check", "cw_fdr", "--replicates", 0), "--replicates"),
+            (("--check", "cw_fdr", "--test-sets", 0), "--test-sets"),
+            (("--check", "coverage", "--alpha", 1.5), "--alpha"),
+            (("--check", "coverage", "--alpha", 0), "--alpha"),
+            (("--check", "coverage", "--alpha", "nan"), "--alpha"),
+        ],
+    )
+    def test_bad_count_or_level_is_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("validate", *argv)
+        assert exc.value.code == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: argument {flag}: " in captured.err
+        assert "Traceback" not in captured.err
 
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from confset import conformal
+from confset import conformal, scoring
 from confset import (
     DataError,
     LabeledDataset,
@@ -13,8 +13,8 @@ from confset import (
     TestBatch,
     acceptance_threshold,
     bh_adjust,
-    conformal_pvalue,
     conformal_pvalues,
+    fit_model,
     oracle_params,
     multi_class_config,
     generate,
@@ -31,18 +31,23 @@ from conftest import (
 )
 
 
+def one_pvalue(train_scores, test_score) -> float:
+    """p-value of a single test score, as a one-entry batch."""
+    return float(conformal_pvalues(train_scores, np.array([test_score]))[0])
+
+
 class TestConformalPValues:
     def test_hand_values(self):
         train = np.array([1.0, 3.0, 5.0])
         # (1 + #{train >= s}) / 4
-        assert conformal_pvalue(train, 2.0) == pytest.approx(3 / 4)
-        assert conformal_pvalue(train, 0.0) == pytest.approx(1.0)
-        assert conformal_pvalue(train, 6.0) == pytest.approx(1 / 4)
+        assert one_pvalue(train, 2.0) == pytest.approx(3 / 4)
+        assert one_pvalue(train, 0.0) == pytest.approx(1.0)
+        assert one_pvalue(train, 6.0) == pytest.approx(1 / 4)
 
     def test_tie_counts_as_at_least(self):
         train = np.array([1.0, 3.0, 5.0])
-        assert conformal_pvalue(train, 5.0) == pytest.approx(2 / 4)
-        assert conformal_pvalue(train, 1.0) == pytest.approx(1.0)
+        assert one_pvalue(train, 5.0) == pytest.approx(2 / 4)
+        assert one_pvalue(train, 1.0) == pytest.approx(1.0)
 
     def test_grid_property(self, rng):
         """Every p-value is r/(n+1) for an integer r in [1, n+1]."""
@@ -268,17 +273,18 @@ class TestPredictCalls:
     @pytest.fixture
     def calls(self, monkeypatch):
         calls = {"fit": [], "score": []}
-        fit, score = conformal.fit_class_summary, conformal.score_batch
+        fit, score = scoring.fit_class_summary, conformal.score_batch
 
         def fit_spy(data, class_id, variance_floor=None):
             calls["fit"].append(class_id)
             return fit(data, class_id, variance_floor)
 
-        def score_spy(model, rows, class_id=None):
+        def score_spy(model, rows, class_id):
             calls["score"].append(rows)
             return score(model, rows, class_id)
 
-        monkeypatch.setattr(conformal, "fit_class_summary", fit_spy)
+        # fit_model looks fit_class_summary up in the scoring module
+        monkeypatch.setattr(scoring, "fit_class_summary", fit_spy)
         monkeypatch.setattr(conformal, "score_batch", score_spy)
         return calls
 
@@ -295,6 +301,35 @@ class TestPredictCalls:
             train_rows, test_rows = calls["score"][2 * c : 2 * c + 2]
             np.testing.assert_array_equal(train_rows, data.class_rows(c + 1))
             np.testing.assert_array_equal(test_rows, batch.features)
+
+
+class TestSinglePath:
+    """The default mode is the known-moments mode with the fitted model
+    plugged in: one scoring path, bit for bit."""
+
+    @pytest.mark.parametrize("floored", [False, True])
+    @pytest.mark.parametrize("p", [1, 200])
+    def test_fitted_equals_fit_model_as_oracle(self, p, floored):
+        # generated inliers spread the p-values, so a floor that moves
+        # the scores moves them too
+        config = multi_class_config(p=p, n_k=40, m=60, rho=0.5, run_seed=2)
+        data, batch = generate(config)
+        variance_floor = None
+        if floored:
+            # the median variance: the floor lifts the classes below it
+            variance_floor = float(np.median(fit_model(data).variances))
+        alpha = 0.1
+        p1, s1 = predict(data, batch, alpha, variance_floor=variance_floor)
+        p2, s2 = predict(
+            data, batch, alpha, oracle=fit_model(data, variance_floor)
+        )
+        for a, b in (
+            (p1.raw, p2.raw),
+            (p1.adjusted, p2.adjusted),
+            (p1.thresholds, p2.thresholds),
+            (s1.member, s2.member),
+        ):
+            np.testing.assert_array_equal(a, b)
 
 
 @pytest.mark.parametrize("p, n_k, m", [(200, 2000, 1000), (500, 2000, 4000)])

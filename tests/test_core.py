@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 
 from confset import (
-    ClassSummary,
+    ClassModel,
     DataError,
     DeviationBound,
     LabeledDataset,
-    OracleParams,
     PredictionSets,
     PValueMatrix,
     TestBatch,
@@ -158,30 +157,26 @@ class TestTestBatch:
 
 
 class TestClassSummary:
+    """ClassModel holding one class's moments, as a single-class fit gives."""
+
     def test_valid(self):
-        s = ClassSummary(
-            class_id=1, mean=np.zeros(2), variance=np.ones(2), count=3
-        )
-        assert s.count == 3
+        model = ClassModel(means=np.zeros((1, 2)), variances=np.ones((1, 2)))
+        assert model.n_classes == 1 and model.n_features == 2
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DataError):
-            ClassSummary(
-                class_id=1, mean=np.zeros(2), variance=np.array([1.0, 0.0]), count=3
-            )
-
-    def test_rejects_small_count(self):
-        with pytest.raises(DataError):
-            ClassSummary(class_id=1, mean=np.zeros(2), variance=np.ones(2), count=2)
+            ClassModel(means=np.zeros((1, 2)), variances=np.array([[1.0, 0.0]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DataError):
-            ClassSummary(class_id=1, mean=np.zeros(2), variance=np.ones(3), count=3)
+            ClassModel(means=np.zeros((1, 2)), variances=np.ones((1, 3)))
 
 
 class TestOracleParams:
+    """ClassModel holding K classes' known moments, as oracle_params gives."""
+
     def test_class_params(self):
-        params = OracleParams(
+        params = ClassModel(
             means=np.array([[0.0, 1.0], [2.0, 3.0]]),
             variances=np.ones((2, 2)),
         )
@@ -193,7 +188,20 @@ class TestOracleParams:
 
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DataError):
-            OracleParams(means=np.zeros((1, 2)), variances=np.array([[1.0, -1.0]]))
+            ClassModel(means=np.zeros((1, 2)), variances=np.array([[1.0, -1.0]]))
+
+    def test_rejects_one_dimensional_moments(self):
+        with pytest.raises(DataError, match=r"\(K, p\)"):
+            ClassModel(means=np.zeros(2), variances=np.ones(2))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(DataError, match="non-finite"):
+            ClassModel(means=np.array([[0.0, np.nan]]), variances=np.ones((1, 2)))
+
+    def test_arrays_are_read_only(self):
+        params = ClassModel(means=np.zeros((2, 2)), variances=np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            params.means[0, 0] = 1.0
 
 
 class TestPValueMatrix:

@@ -1,7 +1,6 @@
-"""File formats: CSV round-trips, config YAML, result tables, JSON snapshots."""
+"""File formats: CSV round-trips, config YAML, result tables, class-moment JSON."""
 
 import csv
-import dataclasses
 import json
 import math
 import re
@@ -10,25 +9,20 @@ import numpy as np
 import pytest
 
 from confset import (
-    ClassSummary,
+    ClassModel,
     DataError,
-    DeviationBound,
     ExperimentConfig,
     LabeledDataset,
     MetricsReport,
-    OracleParams,
     PredictionSets,
-    PValueMatrix,
-    ScenarioConfig,
     TestBatch,
-    evaluate_sets,
-    fit_class_summary,
-    from_jsonable,
+    fit_model,
     generate,
     load_config,
     load_csv,
     load_json,
     multi_class_config,
+    oracle_params,
     predict,
     read_batch_csv,
     read_results,
@@ -37,7 +31,6 @@ from confset import (
     save_config,
     save_json,
     split_train_test,
-    to_jsonable,
     write_batch_csv,
     write_dataset_csv,
     write_pvalues_csv,
@@ -691,66 +684,75 @@ class TestPredictionOutputs:
 
 def _assert_same(a, b):
     assert type(a) is type(b)
-    for f in dataclasses.fields(a):
-        got, want = getattr(b, f.name), getattr(a, f.name)
-        if isinstance(want, np.ndarray):
-            np.testing.assert_array_equal(got, want)
-            assert got.dtype == want.dtype
-        else:
-            assert got == want, f.name
+    for name in ("means", "variances"):
+        got, want = getattr(b, name), getattr(a, name)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        # bit for bit: keeps the sign of -0.0 and every subnormal
+        assert got.tobytes() == want.tobytes()
 
 
 class TestJsonSnapshots:
     def _cases(self):
         gen = np.random.default_rng(8)
-        # summaries/predictions need a tame dataset (1e300**2 overflows);
-        # the tricky one is still serialized as-is below
         tame = LabeledDataset(
             features=gen.normal(size=(12, 7)),
             labels=np.repeat([1, 2, 3], 4),
             n_classes=3,
         )
-        config = multi_class_config(p=3, n_k=5, m=8, rho=0.3, run_seed=2)
-        pvals, sets = predict(
-            tame, TestBatch(features=gen.normal(size=(4, 7))), alpha=0.1
-        )
+        big = np.finfo(np.float64).max  # about 1.8e308
+        extreme = np.array([[-0.0, 5e-324, big, -big, *TRICKY]])
         return [
-            _tricky_dataset(),
-            fit_class_summary(tame, 1),
-            TestBatch(features=gen.normal(size=(3, 2)), truth=np.array([1, 2, 3])),
-            TestBatch(features=gen.normal(size=(3, 2))),
-            OracleParams(means=gen.normal(size=(2, 3)), variances=np.ones((2, 3))),
-            pvals,
-            sets,
-            DeviationBound(a=2.5),
-            config,
-            evaluate_sets(sets, np.array([1, 2, 3, 1])),
+            fit_model(tame),
+            oracle_params(multi_class_config(p=3, n_k=5, m=8, rho=0.3, run_seed=2)),
+            ClassModel(means=extreme, variances=np.abs(extreme) + 5e-324),
         ]
 
     def test_round_trip_every_container(self, tmp_path):
-        for i, obj in enumerate(self._cases()):
+        for i, model in enumerate(self._cases()):
             path = tmp_path / f"snap_{i}.json"
-            save_json(obj, path)
-            _assert_same(obj, load_json(path))
+            save_json(model, path)
+            _assert_same(model, load_json(path))
 
     def test_documents_are_plain_json(self, tmp_path):
-        for obj in self._cases():
-            doc = to_jsonable(obj)
-            assert doc["kind"] == type(obj).__name__
-            json.dumps(doc)  # must not need a custom encoder
+        path = tmp_path / "model.json"
+        for model in self._cases():
+            save_json(model, path)
+            with open(path) as fh:
+                doc = json.load(fh)
+            assert doc["kind"] == "ClassModel"
+            assert set(doc) == {"kind", "means", "variances"}
 
-    def test_in_memory_inverse(self):
-        for obj in self._cases():
-            _assert_same(obj, from_jsonable(to_jsonable(obj)))
+    def test_untagged_document_rejected(self, tmp_path):
+        path = tmp_path / "doc.json"
+        for text in ('{"features": []}', "[1, 2]", '"ClassModel"'):
+            path.write_text(text)
+            with pytest.raises(DataError, match="not a tagged container document"):
+                load_json(path)
 
-    def test_unknown_type_rejected(self):
-        with pytest.raises(DataError, match="cannot serialize"):
-            to_jsonable({"plain": "dict"})
+    def test_unknown_kind_rejected(self, tmp_path):
+        # files tagged OracleParams predate ClassModel; simulate rewrites them
+        path = tmp_path / "doc.json"
+        for kind in ("Mystery", "OracleParams"):
+            doc = {"kind": kind, "means": [[0.0]], "variances": [[1.0]]}
+            path.write_text(json.dumps(doc))
+            with pytest.raises(DataError, match=f"unknown container kind '{kind}'"):
+                load_json(path)
 
-    def test_untagged_document_rejected(self):
-        with pytest.raises(DataError, match="tagged"):
-            from_jsonable({"features": []})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(DataError, match="unknown container kind"):
-            from_jsonable({"kind": "Mystery"})
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"means": [[0.0]]}, "malformed ClassModel document: KeyError 'variances'"),
+            (
+                {"means": [[0.0], [1.0, 2.0]], "variances": [[1.0]]},
+                "malformed ClassModel document: ValueError",
+            ),
+            ({"means": [[0.0]], "variances": [[0.0]]}, "class variances must be positive"),
+        ],
+    )
+    def test_malformed_model_names_the_file(self, tmp_path, doc, message):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps({"kind": "ClassModel", **doc}))
+        with pytest.raises(DataError) as err:
+            load_json(path)
+        assert str(err.value).startswith(f"{path}: {message}")
+        assert len(str(err.value).splitlines()) == 1

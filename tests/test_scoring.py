@@ -4,14 +4,12 @@ import numpy as np
 import pytest
 
 from confset import (
-    ClassSummary,
+    ClassModel,
     DataError,
     DegenerateVarianceError,
     LabeledDataset,
-    OracleParams,
-    empirical_score,
     fit_class_summary,
-    oracle_score,
+    fit_model,
     score_batch,
 )
 from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _block_rows
@@ -24,21 +22,31 @@ def one_class(features):
     )
 
 
+def one_model(mean, variance):
+    """ClassModel of a single class."""
+    return ClassModel(means=np.atleast_2d(mean), variances=np.atleast_2d(variance))
+
+
+def score_one(model, x, class_id=1):
+    """Score of the single point ``x``, as a one-row batch."""
+    rows = np.asarray(x, dtype=np.float64)[np.newaxis]
+    return float(score_batch(model, rows, class_id)[0])
+
+
 class TestFitClassSummary:
     def test_hand_computed_moments(self):
         # rows (0,0), (2,2), (4,4): mean (2,2); unbiased var (4+0+4)/2 = 4
         data = one_class([[0.0, 0.0], [2.0, 2.0], [4.0, 4.0]])
-        s = fit_class_summary(data, 1)
-        np.testing.assert_allclose(s.mean, [2.0, 2.0])
-        np.testing.assert_allclose(s.variance, [4.0, 4.0])
-        assert s.count == 3 and s.class_id == 1
+        mean, var = fit_class_summary(data, 1)
+        np.testing.assert_allclose(mean, [2.0, 2.0])
+        np.testing.assert_allclose(var, [4.0, 4.0])
 
     def test_single_column(self):
         # values 0, 1, 2: mean 1, unbiased var 1
         data = one_class([[0.0], [1.0], [2.0]])
-        s = fit_class_summary(data, 1)
-        assert s.mean[0] == pytest.approx(1.0)
-        assert s.variance[0] == pytest.approx(1.0)
+        mean, var = fit_class_summary(data, 1)
+        assert mean[0] == pytest.approx(1.0)
+        assert var[0] == pytest.approx(1.0)
 
     def test_zero_variance_column_raises_with_location(self):
         data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
@@ -49,9 +57,9 @@ class TestFitClassSummary:
 
     def test_variance_floor_rescues_degenerate_column(self):
         data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
-        s = fit_class_summary(data, 1, variance_floor=0.25)
-        assert s.variance[1] == 0.25
-        assert s.variance[0] == pytest.approx(1.0)  # floor only lifts, never lowers
+        _, var = fit_class_summary(data, 1, variance_floor=0.25)
+        assert var[1] == 0.25
+        assert var[0] == pytest.approx(1.0)  # floor only lifts, never lowers
 
     def test_rejects_nonpositive_floor(self):
         data = one_class([[0.0], [1.0], [2.0]])
@@ -65,7 +73,34 @@ class TestFitClassSummary:
         data = LabeledDataset(
             features=features, labels=np.repeat([1, 2], 3), n_classes=2
         )
-        assert fit_class_summary(data, 2).mean[0] == pytest.approx(10.0)
+        mean, _ = fit_class_summary(data, 2)
+        assert mean[0] == pytest.approx(10.0)
+
+
+class TestFitModel:
+    def test_stacks_the_class_fits(self, rng):
+        data = LabeledDataset(
+            features=rng.normal(size=(15, 4)) * [1.0, 10.0, 0.1, 3.0],
+            labels=np.repeat([2, 1, 3], 5),
+            n_classes=3,
+        )
+        model = fit_model(data)
+        assert model.means.shape == model.variances.shape == (3, 4)
+        for k in (1, 2, 3):
+            mean, var = fit_class_summary(data, k)
+            got_mean, got_var = model.class_params(k)
+            np.testing.assert_array_equal(got_mean, mean)
+            np.testing.assert_array_equal(got_var, var)
+
+    def test_variance_floor_applies_to_every_class(self):
+        features = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]] * 2)
+        data = LabeledDataset(
+            features=features, labels=np.repeat([1, 2], 3), n_classes=2
+        )
+        with pytest.raises(DegenerateVarianceError):
+            fit_model(data)
+        model = fit_model(data, variance_floor=0.25)
+        np.testing.assert_array_equal(model.variances[:, 1], [0.25, 0.25])
 
 
 class TestFitAgainstNumpy:
@@ -78,90 +113,76 @@ class TestFitAgainstNumpy:
     def test_bit_equal(self, rng, p, blocks, extra, offset):
         n = max(blocks * _block_rows(p) + extra, 3)
         rows = offset + rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p)
-        s = fit_class_summary(one_class(rows), 1)
-        np.testing.assert_array_equal(s.mean, rows.mean(axis=0))
-        np.testing.assert_array_equal(s.variance, rows.var(axis=0, ddof=1))
+        mean, var = fit_class_summary(one_class(rows), 1)
+        np.testing.assert_array_equal(mean, rows.mean(axis=0))
+        np.testing.assert_array_equal(var, rows.var(axis=0, ddof=1))
 
     @pytest.mark.parametrize("offset", [0.0, 1e6])
     @pytest.mark.parametrize("n", [3, _CHUNK_ROWS - 1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
     def test_single_column_within_rounding(self, rng, n, offset):
         # numpy sums one contiguous column pairwise, the fit row after row
         rows = offset + rng.normal(size=(n, 1))
-        s = fit_class_summary(one_class(rows), 1)
-        np.testing.assert_array_equal(s.mean, rows.mean(axis=0))
-        np.testing.assert_allclose(s.variance, rows.var(axis=0, ddof=1), rtol=1e-15)
+        mean, var = fit_class_summary(one_class(rows), 1)
+        np.testing.assert_array_equal(mean, rows.mean(axis=0))
+        np.testing.assert_allclose(var, rows.var(axis=0, ddof=1), rtol=1e-15)
 
 
 class TestScores:
+    """Hand values, each scored as a one-row batch."""
+
     def test_empirical_score_hand_value(self):
         # mean (1,1), var (2,2), x=(3,1): (3-1)^2/2 + 0 = 2
-        s = ClassSummary(
-            class_id=1, mean=np.array([1.0, 1.0]), variance=np.array([2.0, 2.0]),
-            count=3,
-        )
-        assert empirical_score(s, np.array([3.0, 1.0])) == pytest.approx(2.0)
+        model = one_model([1.0, 1.0], [2.0, 2.0])
+        assert score_one(model, [3.0, 1.0]) == pytest.approx(2.0)
 
     def test_oracle_score_hand_value(self):
         # mu=(0,0), var=(4,1), x=(2,3): 4/4 + 9/1 = 10
-        params = OracleParams(
+        params = ClassModel(
             means=np.array([[0.0, 0.0]]), variances=np.array([[4.0, 1.0]])
         )
-        assert oracle_score(params, 1, np.array([2.0, 3.0])) == pytest.approx(10.0)
+        assert score_one(params, [2.0, 3.0]) == pytest.approx(10.0)
 
     def test_one_dimensional_case(self):
-        params = OracleParams(means=np.array([[0.0]]), variances=np.array([[1.0]]))
-        assert oracle_score(params, 1, np.array([2.0])) == pytest.approx(4.0)
+        params = ClassModel(means=np.array([[0.0]]), variances=np.array([[1.0]]))
+        assert score_one(params, [2.0]) == pytest.approx(4.0)
 
     def test_score_zero_at_the_mean(self):
-        s = ClassSummary(
-            class_id=1, mean=np.array([3.0, -1.0]), variance=np.array([2.0, 5.0]),
-            count=10,
-        )
-        assert empirical_score(s, np.array([3.0, -1.0])) == 0.0
+        model = one_model([3.0, -1.0], [2.0, 5.0])
+        assert score_one(model, [3.0, -1.0]) == 0.0
 
     def test_rejects_2d_point(self):
-        s = ClassSummary(
-            class_id=1, mean=np.zeros(2), variance=np.ones(2), count=3
-        )
+        # a batch of 2-D points is a 3-D array, not rows
+        model = one_model(np.zeros(2), np.ones(2))
         with pytest.raises(DataError):
-            empirical_score(s, np.zeros((1, 2)))
+            score_batch(model, np.zeros((1, 1, 2)), 1)
 
     def test_rejects_dimension_mismatch(self):
-        s = ClassSummary(
-            class_id=1, mean=np.zeros(2), variance=np.ones(2), count=3
-        )
+        model = one_model(np.zeros(2), np.ones(2))
         with pytest.raises(DataError, match="features"):
-            empirical_score(s, np.zeros(3))
+            score_one(model, np.zeros(3))
 
 
 class TestScoreBatch:
     def test_matches_scalar_scores(self, rng):
         rows = rng.normal(size=(20, 4))
-        s = ClassSummary(
-            class_id=1,
-            mean=rng.normal(size=4),
-            variance=rng.uniform(0.5, 2.0, size=4),
-            count=5,
-        )
-        batch = score_batch(s, rows)
-        expected = [empirical_score(s, r) for r in rows]
+        model = one_model(rng.normal(size=4), rng.uniform(0.5, 2.0, size=4))
+        batch = score_batch(model, rows, 1)
+        expected = [score_one(model, r) for r in rows]
         np.testing.assert_allclose(batch, expected, rtol=1e-12)
 
     def test_oracle_needs_class_id(self):
-        params = OracleParams(means=np.zeros((2, 3)), variances=np.ones((2, 3)))
-        with pytest.raises(DataError, match="class_id"):
+        params = ClassModel(means=np.zeros((2, 3)), variances=np.ones((2, 3)))
+        with pytest.raises(TypeError, match="class_id"):
             score_batch(params, np.zeros((4, 3)))
+        with pytest.raises(DataError, match="class_id"):
+            score_batch(params, np.zeros((4, 3)), class_id=3)
         out = score_batch(params, np.zeros((4, 3)), class_id=2)
         assert out.shape == (4,)
 
     def test_rejects_1d_rows(self):
-        params = OracleParams(means=np.zeros((1, 3)), variances=np.ones((1, 3)))
+        params = ClassModel(means=np.zeros((1, 3)), variances=np.ones((1, 3)))
         with pytest.raises(DataError):
             score_batch(params, np.zeros(3), class_id=1)
-
-    def test_rejects_unknown_model(self):
-        with pytest.raises(DataError):
-            score_batch(object(), np.zeros((2, 2)))
 
 
 def naive_scores(mean, var, rows):
@@ -174,20 +195,17 @@ class TestChunkedKernel:
     @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
     def test_class_summary_matches_loop(self, rng, n):
         rows = rng.normal(size=(n, 5))
-        s = ClassSummary(
-            class_id=1,
-            mean=rng.normal(size=5),
-            variance=rng.uniform(0.5, 2.0, size=5),
-            count=3,
-        )
+        mean, var = rng.normal(size=5), rng.uniform(0.5, 2.0, size=5)
         np.testing.assert_allclose(
-            score_batch(s, rows), naive_scores(s.mean, s.variance, rows), rtol=1e-12
+            score_batch(one_model(mean, var), rows, 1),
+            naive_scores(mean, var, rows),
+            rtol=1e-12,
         )
 
     @pytest.mark.parametrize("n", [1, _CHUNK_ROWS, 2 * _CHUNK_ROWS + 3])
     def test_oracle_params_matches_loop(self, rng, n):
         rows = rng.normal(size=(n, 5))
-        params = OracleParams(
+        params = ClassModel(
             means=rng.normal(size=(2, 5)), variances=rng.uniform(0.5, 2.0, size=(2, 5))
         )
         np.testing.assert_allclose(
@@ -200,14 +218,11 @@ class TestChunkedKernel:
         # centring before squaring: no cancellation at a 1e6 offset
         offset = 1e6
         rows = offset + rng.normal(size=(2 * _CHUNK_ROWS + 3, 5))
-        s = ClassSummary(
-            class_id=1,
-            mean=offset + rng.normal(scale=0.1, size=5),
-            variance=np.ones(5),
-            count=3,
-        )
+        mean, var = offset + rng.normal(scale=0.1, size=5), np.ones(5)
         np.testing.assert_allclose(
-            score_batch(s, rows), naive_scores(s.mean, s.variance, rows), rtol=1e-12
+            score_batch(one_model(mean, var), rows, 1),
+            naive_scores(mean, var, rows),
+            rtol=1e-12,
         )
 
 
@@ -231,16 +246,12 @@ class TestBlockRows:
         rows = offset + rng.normal(size=(n, p))
         means = offset + rng.normal(scale=0.1 if offset else 1.0, size=(4, p))
         variances = rng.uniform(0.5, 2.0, size=(4, p))
-        params = OracleParams(means=means, variances=variances)
+        params = ClassModel(means=means, variances=variances)
         for c in range(4):
             expected = naive_scores(means[c], variances[c], rows)
             np.testing.assert_allclose(
                 score_batch(params, rows, class_id=c + 1), expected, rtol=1e-12
             )
-        s = ClassSummary(class_id=1, mean=means[0], variance=variances[0], count=3)
-        np.testing.assert_allclose(
-            score_batch(s, rows), naive_scores(means[0], variances[0], rows), rtol=1e-12
-        )
 
 
 class TestInvariances:
@@ -248,11 +259,11 @@ class TestInvariances:
         features = rng.normal(size=(30, 5))
         shift = rng.normal(scale=50.0, size=5)
         test_rows = rng.normal(size=(10, 5))
-        s0 = fit_class_summary(one_class(features), 1)
-        s1 = fit_class_summary(one_class(features + shift), 1)
+        m0 = fit_model(one_class(features))
+        m1 = fit_model(one_class(features + shift))
         np.testing.assert_allclose(
-            score_batch(s0, test_rows),
-            score_batch(s1, test_rows + shift),
+            score_batch(m0, test_rows, 1),
+            score_batch(m1, test_rows + shift, 1),
             rtol=1e-9,
         )
 
@@ -260,11 +271,11 @@ class TestInvariances:
         features = rng.normal(size=(30, 5))
         scale = rng.uniform(0.1, 20.0, size=5)
         test_rows = rng.normal(size=(10, 5))
-        s0 = fit_class_summary(one_class(features), 1)
-        s1 = fit_class_summary(one_class(features * scale), 1)
+        m0 = fit_model(one_class(features))
+        m1 = fit_model(one_class(features * scale))
         np.testing.assert_allclose(
-            score_batch(s0, test_rows),
-            score_batch(s1, test_rows * scale),
+            score_batch(m0, test_rows, 1),
+            score_batch(m1, test_rows * scale, 1),
             rtol=1e-9,
         )
 
@@ -272,9 +283,9 @@ class TestInvariances:
         """The score is a sum of per-column terms."""
         features = rng.normal(size=(25, 3))
         test_rows = rng.normal(size=(8, 3))
-        full = score_batch(fit_class_summary(one_class(features), 1), test_rows)
+        full = score_batch(fit_model(one_class(features)), test_rows, 1)
         per_col = np.zeros(8)
         for j in range(3):
-            s = fit_class_summary(one_class(features[:, [j]]), 1)
-            per_col += score_batch(s, test_rows[:, [j]])
+            m = fit_model(one_class(features[:, [j]]))
+            per_col += score_batch(m, test_rows[:, [j]], 1)
         np.testing.assert_allclose(full, per_col, rtol=1e-9)
