@@ -35,7 +35,7 @@ from .core import (
     ValidationReport,
     validate_dataset,
 )
-from .scoring import fit_class_summary, fit_model, score_batch
+from .scoring import fit_class_summary, fit_model, score_batch, score_classes
 from .conformal import (
     acceptance_threshold,
     bh_adjust,
@@ -127,6 +127,7 @@ __all__ = [
     "fit_class_summary",
     "fit_model",
     "score_batch",
+    "score_classes",
     # conformal prediction
     "acceptance_threshold",
     "bh_adjust",

@@ -1,6 +1,8 @@
 """Conformal p-values, BH adjustment, and set-valued prediction.
 
-The pipeline per class k:
+The test batch is scored against all K classes in one pass
+(``score_classes``), and each class's training rows against that class.
+Then, per class k:
 
 1. rank p-value of each test score among the class training scores,
 2. Benjamini-Hochberg step-up across the m test points (a single test point
@@ -31,7 +33,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .scoring import fit_model, score_batch
+from .scoring import fit_model, score_batch, score_classes
 
 __all__ = [
     "conformal_pvalues",
@@ -113,6 +115,9 @@ def predict(
     ----------
     data : LabeledDataset
         Training data; per-class scores are calibrated within each class.
+        Rows whose labels are not grouped by class are stably sorted by
+        label once per call (:meth:`LabeledDataset.grouped`), so the fit and
+        the scoring read every class as a view.
     test : TestBatch
         Points to classify; feature count must match ``data``.
     alpha : float
@@ -131,6 +136,7 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``.
     """
+    data = data.grouped()
     model = oracle if oracle is not None else fit_model(data, variance_floor)
     if model.means.shape != (data.n_classes, data.n_features):
         raise DataError(
@@ -144,14 +150,14 @@ def predict(
             f"{data.n_features}"
         )
     m, k = test.m, data.n_classes
+    test_scores = score_classes(model, test.features)
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)
     for class_id in range(1, k + 1):
         rows = data.class_rows(class_id)
         col = conformal_pvalues(
-            score_batch(model, rows, class_id),
-            score_batch(model, test.features, class_id),
+            score_batch(model, rows, class_id), test_scores[class_id - 1]
         )
         raw[:, class_id - 1] = col
         adjusted[:, class_id - 1] = bh_adjust(col)

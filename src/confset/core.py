@@ -128,6 +128,19 @@ class LabeledDataset:
         """Rows per class, shape (n_classes,)."""
         return np.bincount(self.labels, minlength=self.n_classes + 1)[1:]
 
+    def grouped(self) -> "LabeledDataset":
+        """This dataset with each class's rows in one contiguous run.
+
+        Returns ``self`` when the rows are already grouped. Otherwise the
+        rows are stably sorted by label, so every class keeps its rows in
+        dataset order and :meth:`class_rows` returns views of the result.
+        """
+        labels = self.labels
+        if np.count_nonzero(labels[1:] != labels[:-1]) == self.n_classes - 1:
+            return self
+        order = np.argsort(labels, kind="stable")
+        return LabeledDataset(self.features[order], labels[order], self.n_classes)
+
     def class_rows(self, class_id: int) -> np.ndarray:
         """Feature rows belonging to one class, in dataset order.
 

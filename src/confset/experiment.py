@@ -8,7 +8,8 @@ replicates * test_sets metric reports per predictor.
 Determinism: the replicate stream seed is derived from
 (master_seed, cell_index, replicate_index) through ``SeedSequence``, so
 results depend only on the config — not on worker count or scheduling.
-Reported time is the wall-clock spent inside prediction alone.
+Reported time is the wall-clock spent inside prediction alone, with the
+one class fit per training set counted in the empirical mode's time.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .datagen import (
 )
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
 from .metrics import MetricsReport, evaluate_sets
+from .scoring import fit_model
 
 __all__ = [
     "evaluate_prediction",
@@ -91,22 +93,28 @@ def run_replicate(
     """One training draw scored on ``test_sets`` fresh batches per mode.
 
     Both modes see the identical data; they differ only in whether class
-    parameters are estimated from the training set or taken as known.
+    parameters are estimated from the training set or taken as known. The
+    training set is fitted once, and the fit is passed to every empirical
+    ``predict`` as its class moments, which gives the same output as letting
+    each call refit. The fit's time is added once to the empirical seconds.
     """
     atoms = make_atoms(config.atom_seed, config.p)
     rng = np.random.default_rng(config.run_seed)
     train = generate_training(config, rng, atoms)
-    oracle = oracle_params(config) if "oracle" in modes else None
     reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
     seconds = dict.fromkeys(modes, 0.0)
+    models = {}
+    if "empirical" in modes:
+        started = time.perf_counter()
+        models["empirical"] = fit_model(train)
+        seconds["empirical"] += time.perf_counter() - started
+    if "oracle" in modes:
+        models["oracle"] = oracle_params(config)
     for _ in range(test_sets):
         batch = generate_test_batch(config, rng, atoms)
         for mode in modes:
             report, elapsed = evaluate_prediction(
-                train,
-                batch,
-                config.alpha,
-                oracle=oracle if mode == "oracle" else None,
+                train, batch, config.alpha, oracle=models[mode]
             )
             reports[mode].append(report)
             seconds[mode] += elapsed

@@ -408,7 +408,7 @@ def load_config(path) -> ExperimentConfig:
     except AttributeError:
         raise DataError(f"{path}: config must be a flat key: value mapping") from None
     if unknown:
-        raise DataError(f"{path}: unknown config keys {sorted(unknown)}")
+        raise DataError(f"{path}: unknown config keys {sorted(unknown, key=str)}")
     if "scenario" not in doc:
         raise DataError(f"{path}: config needs a scenario")
     return ExperimentConfig(**doc)

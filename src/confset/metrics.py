@@ -13,6 +13,10 @@ Two global false-discovery notions appear:
   bounded by, pointwise on every realization.
 
 The two disagree in general; keep them apart.
+
+``evaluate_sets`` computes all eight table metrics from one tally of the
+sets by truth label; the per-metric functions compute one metric each and
+give the same value and type.
 """
 
 from __future__ import annotations
@@ -187,16 +191,38 @@ class MetricsReport:
 
 
 def evaluate_sets(sets: PredictionSets, truth: np.ndarray) -> MetricsReport:
-    """Compute the full metrics report for one run."""
+    """Compute the full metrics report for one run.
+
+    Every field comes from one tally of the (point, accepted class) pairs by
+    truth label and by whether the point's set is a singleton, plus one
+    count of points by truth label and by whether their set is empty. Each
+    value and its type equal what the per-metric function returns.
+    """
     member, truth = _checked(sets, truth)
-    k = member.shape[1]
+    m, k = member.shape
+    t = truth - 1
+    sizes = np.count_nonzero(member, axis=1)
+    # pairs[t, s, c]: accepted (point, class c) pairs with truth t + 1 whose
+    # set is a singleton (s = 1) or not (s = 0)
+    key = (t * 2 + (sizes == 1))[:, None] * k + np.arange(k)
+    pairs = np.bincount(key[member], minlength=(k + 1) * 2 * k).reshape(k + 1, 2, k)
+    # points[t, e]: points with truth t + 1 whose set is empty (e = 1) or not
+    points = np.bincount(t * 2 + (sizes == 0), minlength=(k + 1) * 2).reshape(k + 1, 2)
+    hits = pairs.sum(axis=1)
+    own = np.diagonal(hits[:k])
+    counts = points.sum(axis=1)
+    empty = points[:, 1]
+    rejected = np.maximum(m - hits.sum(axis=0), 1)
+    false_rejections = counts[:k] - own
+    inliers = counts[:k].sum()
+    nonempty = m - empty.sum()
     return MetricsReport(
-        cw_fdr=tuple(classwise_fdr(sets, truth, c) for c in range(1, k + 1)),
-        scw_fdr=scw_fdr_loss(sets, truth),
-        fdr=global_fdr(sets, truth),
-        power=outlier_power(sets, truth),
-        coverage=coverage(sets, truth),
-        flr=false_label_rate(sets, truth),
-        accuracy=accuracy(sets, truth),
-        ambiguity=ambiguity(sets),
+        cw_fdr=tuple(false_rejections / rejected),
+        scw_fdr=false_rejections.sum() / rejected.sum(),
+        fdr=empty[:k].sum() / max(1, empty.sum()),
+        power=empty[k] / max(1, counts[k]),
+        coverage=own.sum() / inliers if inliers else 0.0,
+        flr=(counts[k] - empty[k]) / m,
+        accuracy=np.diagonal(pairs[:k, 1]).sum() / inliers if inliers else 0.0,
+        ambiguity=float(hits.sum() / nonempty) if nonempty else 0.0,
     )

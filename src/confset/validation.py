@@ -444,35 +444,102 @@ def _table_means(reports) -> dict[str, float]:
     return means
 
 
+@dataclass(frozen=True)
+class _Table:
+    """The design of one pinned simulation table.
+
+    Equal tables draw equal data, and a mode's reports do not depend on
+    which other modes ran alongside it, so checks on equal tables can share
+    one run.
+    """
+
+    config_maker: object
+    seed: int
+    replicates: int
+    test_sets: int
+    p: int
+    n_k: int
+    rho: float
+    alpha: float
+    m: int
+
+    def run(self, modes: tuple[str, ...]) -> dict[str, list]:
+        """Metric reports per mode over every replicate and test batch."""
+        base = self.config_maker(
+            p=self.p, n_k=self.n_k, rho=self.rho, m=self.m, alpha=self.alpha
+        )
+        reports = {mode: [] for mode in modes}
+        for rep in range(self.replicates):
+            config = with_run_seed(base, replicate_seed(self.seed, 0, rep))
+            rep_reports, _ = run_replicate(config, self.test_sets, modes)
+            for mode in modes:
+                reports[mode].extend(rep_reports[mode])
+        return reports
+
+
+def _cw_fdr_bounds(alpha: float) -> tuple[Bound, ...]:
+    return (
+        Bound("max_cw_fdr", "<=", alpha + MC_SLACK),
+        Bound("scw_fdr", "<=", alpha),
+    )
+
+
+def _multiclass_bounds(alpha: float) -> tuple[Bound, ...]:
+    return (
+        Bound("power", ">=", 0.95),
+        Bound("flr", "<=", 0.01),
+        Bound("max_cw_fdr", "<=", 0.07),
+        Bound("scw_fdr", "<=", 0.05),
+        Bound("coverage", ">=", 0.93),
+        Bound("ambiguity", "<="),
+    )
+
+
+def _oneclass_bounds(alpha: float) -> tuple[Bound, ...]:
+    return (
+        Bound("power", ">="),
+        Bound("fdr", "<=", 0.08),
+        Bound("coverage", ">=", 0.95),
+        Bound("flr", "<="),
+    )
+
+
+# The checks that hold bounds, a function of alpha, on one simulation table.
+_TABLE_CHECKS = {
+    "cw_fdr": (multi_class_config, _cw_fdr_bounds),
+    "multiclass": (multi_class_config, _multiclass_bounds),
+    "oneclass": (one_class_config, _oneclass_bounds),
+}
+
+
+def _table_modes(name: str, alpha: float) -> tuple[str, ...]:
+    """The known-parameter procedure runs only when a bound of check
+    ``name`` is measured against it."""
+    bounds = _TABLE_CHECKS[name][1](alpha)
+    relative = any(bound.limit is None for bound in bounds)
+    return ("empirical", "oracle") if relative else ("empirical",)
+
+
 def _benchmark(
     name: str,
-    config_maker,
-    bounds: tuple[Bound, ...],
-    seed: int,
-    replicates: int,
-    test_sets: int,
-    p: int,
-    n_k: int,
-    rho: float,
-    alpha: float,
-    m: int,
+    table: _Table,
+    modes: tuple[str, ...] | None = None,
+    shared: dict[_Table, dict[str, list]] | None = None,
 ) -> CheckResult:
-    """Run a benchmark table and hold its means to ``bounds``.
+    """Hold the means of ``table`` to the bounds of check ``name``.
 
-    The known-parameter procedure runs on the same data only when a bound
-    is measured against it.
+    ``shared`` holds the reports of tables that earlier checks ran; a table
+    found there is not run again. Otherwise the table runs in ``modes``,
+    by default the modes this check needs, and is added to ``shared``.
     """
     started = time.perf_counter()
-    base = config_maker(p=p, n_k=n_k, rho=rho, m=m, alpha=alpha)
-    relative = any(bound.limit is None for bound in bounds)
-    modes = ("empirical", "oracle") if relative else ("empirical",)
-    reports = {mode: [] for mode in modes}
-    for rep in range(replicates):
-        config = with_run_seed(base, replicate_seed(seed, 0, rep))
-        rep_reports, _ = run_replicate(config, test_sets, modes)
-        for mode in modes:
-            reports[mode].extend(rep_reports[mode])
-    means = {mode: _table_means(mode_reports) for mode, mode_reports in reports.items()}
+    needed = _table_modes(name, table.alpha)
+    shared = {} if shared is None else shared
+    if table not in shared:
+        shared[table] = table.run(modes or needed)
+    # only the modes this check needs, so its line is the same either way
+    means = {mode: _table_means(shared[table][mode]) for mode in needed}
+    bounds = _TABLE_CHECKS[name][1](table.alpha)
     lines = tuple(bound.evaluate(means["empirical"], means.get("oracle")) for bound in bounds)
     details = "; ".join(line.text() for line in lines)
     passed = all(line.passed for line in lines)
@@ -496,14 +563,8 @@ def check_cw_fdr_control(
     class-wise FDR mean <= alpha. Power and set-size lines are checked
     separately by the full benchmark.
     """
-    bounds = (
-        Bound("max_cw_fdr", "<=", alpha + MC_SLACK),
-        Bound("scw_fdr", "<=", alpha),
-    )
-    return _benchmark(
-        "cw_fdr", multi_class_config, bounds,
-        seed, replicates, test_sets, p, n_k, rho, alpha, m,
-    )
+    table = _Table(multi_class_config, seed, replicates, test_sets, p, n_k, rho, alpha, m)
+    return _benchmark("cw_fdr", table)
 
 
 def check_multiclass_benchmark(
@@ -522,18 +583,8 @@ def check_multiclass_benchmark(
     held to fixed targets; the mean non-empty set size to the
     known-parameter procedure's plus ``MC_SLACK``.
     """
-    bounds = (
-        Bound("power", ">=", 0.95),
-        Bound("flr", "<=", 0.01),
-        Bound("max_cw_fdr", "<=", 0.07),
-        Bound("scw_fdr", "<=", 0.05),
-        Bound("coverage", ">=", 0.93),
-        Bound("ambiguity", "<="),
-    )
-    return _benchmark(
-        "multiclass", multi_class_config, bounds,
-        seed, replicates, test_sets, p, n_k, rho, alpha, m,
-    )
+    table = _Table(multi_class_config, seed, replicates, test_sets, p, n_k, rho, alpha, m)
+    return _benchmark("multiclass", table)
 
 
 def check_oneclass_benchmark(
@@ -551,16 +602,8 @@ def check_oneclass_benchmark(
     FDR and coverage are held to fixed targets; power and false label rate
     to the known-parameter procedure's, less or plus ``MC_SLACK``.
     """
-    bounds = (
-        Bound("power", ">="),
-        Bound("fdr", "<=", 0.08),
-        Bound("coverage", ">=", 0.95),
-        Bound("flr", "<="),
-    )
-    return _benchmark(
-        "oneclass", one_class_config, bounds,
-        seed, replicates, test_sets, p, n_k, rho, alpha, m,
-    )
+    table = _Table(one_class_config, seed, replicates, test_sets, p, n_k, rho, alpha, m)
+    return _benchmark("oneclass", table)
 
 
 # The default suite covers the distributional guarantees; all of them hold
@@ -609,12 +652,26 @@ def run_checks(
         raise DataError(
             f"unknown checks {unknown}; available: {sorted(CHECKS)}"
         )
+    # A table that several checks hold bounds on runs once, in every mode
+    # one of them needs.
+    kwargs, tables, modes = {}, {}, {}
+    for name in names:
+        signature = inspect.signature(CHECKS[name])
+        kwargs[name] = {k: v for k, v in overrides.items() if k in signature.parameters}
+        if name in _TABLE_CHECKS:
+            args = signature.bind(**kwargs[name])
+            args.apply_defaults()
+            table = _Table(_TABLE_CHECKS[name][0], **args.arguments)
+            needed = set(modes.get(table, ())) | set(_table_modes(name, table.alpha))
+            tables[name] = table
+            modes[table] = tuple(m for m in ("empirical", "oracle") if m in needed)
+    shared = {}
     results = []
     for name in names:
-        func = CHECKS[name]
-        accepted = inspect.signature(func).parameters
-        kwargs = {k: v for k, v in overrides.items() if k in accepted}
-        result = func(**kwargs)
+        if name in tables:
+            result = _benchmark(name, tables[name], modes[tables[name]], shared)
+        else:
+            result = CHECKS[name](**kwargs[name])
         if echo is not None:
             echo(result.line())
         results.append(result)

@@ -8,11 +8,12 @@ cross-checked against an independently written oracle on random instances.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import pytest
 
-from confset import LabeledDataset, PredictionSets, TestBatch
+from confset import LabeledDataset, PredictionSets, TestBatch, scoring
 
 # the container class is named like a test class; keep pytest from collecting it
 TestBatch.__test__ = False
@@ -185,3 +186,29 @@ def two_class_data():
     features = np.vstack([a, b])
     labels = np.repeat([1, 2], 50)
     return LabeledDataset(features=features, labels=labels, n_classes=2)
+
+
+
+@pytest.fixture
+def scoring_calls(monkeypatch):
+    """Every class fit (its class id) and every ``score_batch`` call (its
+    class id and rows), recorded by spies rebound in every confset
+    namespace, as perfbench/spans.py rebinds the functions it traces."""
+    calls = {"fit": [], "score": []}
+    fit, score = scoring.fit_class_summary, scoring.score_batch
+
+    def fit_spy(data, class_id, variance_floor=None):
+        calls["fit"].append(class_id)
+        return fit(data, class_id, variance_floor)
+
+    def score_spy(model, rows, class_id):
+        calls["score"].append((class_id, rows))
+        return score(model, rows, class_id)
+
+    for real, spy in ((fit, fit_spy), (score, score_spy)):
+        for name, module in list(sys.modules.items()):
+            if name == "confset" or name.startswith("confset."):
+                for attr, value in list(vars(module).items()):
+                    if value is real:
+                        monkeypatch.setattr(module, attr, spy)
+    return calls

@@ -360,6 +360,13 @@ class TestExperiment:
         assert run_cli("experiment", "--config", config) == EXIT_DATA
         assert "banana" in capsys.readouterr().err
 
+    def test_mixed_key_types_are_named_in_one_line(self, tmp_path, capsys):
+        # an integer key beside string keys cannot be sorted by value
+        config = tmp_path / "config.yaml"
+        config.write_text("1: 2\nfoo: 3\nscenario: one_class\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {config}: unknown config keys [1, 'foo']\n"
 
     def test_malformed_yaml_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"

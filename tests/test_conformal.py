@@ -268,39 +268,56 @@ class TestPredict:
 
 
 class TestPredictCalls:
-    """predict fits and scores through the public scoring functions."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        calls = {"fit": [], "score": []}
-        fit, score = scoring.fit_class_summary, conformal.score_batch
-
-        def fit_spy(data, class_id, variance_floor=None):
-            calls["fit"].append(class_id)
-            return fit(data, class_id, variance_floor)
-
-        def score_spy(model, rows, class_id):
-            calls["score"].append(rows)
-            return score(model, rows, class_id)
-
-        # fit_model looks fit_class_summary up in the scoring module
-        monkeypatch.setattr(scoring, "fit_class_summary", fit_spy)
-        monkeypatch.setattr(conformal, "score_batch", score_spy)
-        return calls
+    """predict fits and scores through the public scoring functions, as
+    perfbench's trace counts them (the ``scoring_calls`` fixture)."""
 
     @pytest.mark.parametrize("mode", ["empirical", "oracle"])
-    def test_fits_each_class_once_and_scores_twice(self, calls, mode):
-        config = multi_class_config(p=6, n_k=15, m=20, rho=0.3, run_seed=4)
+    def test_scores_training_rows_once_and_test_blocks_against_every_class(
+        self, scoring_calls, mode
+    ):
+        # p = 200 gives 256-row blocks: m = 600 is two full blocks and a part
+        p, n_k, m = 200, 15, 600
+        config = multi_class_config(p=p, n_k=n_k, m=m, rho=0.3, run_seed=4)
         data, batch = generate(config)
         oracle = oracle_params(config) if mode == "oracle" else None
         predict(data, batch, 0.1, oracle=oracle)
-        k = data.n_classes
-        assert calls["fit"] == ([] if oracle else list(range(1, k + 1)))
-        assert len(calls["score"]) == 2 * k
-        for c in range(k):
-            train_rows, test_rows = calls["score"][2 * c : 2 * c + 2]
-            np.testing.assert_array_equal(train_rows, data.class_rows(c + 1))
-            np.testing.assert_array_equal(test_rows, batch.features)
+        k, step = data.n_classes, scoring._block_rows(p)
+        assert scoring_calls["fit"] == ([] if oracle else list(range(1, k + 1)))
+        train = [(c, r) for c, r in scoring_calls["score"] if np.shares_memory(r, data.features)]
+        test = [(c, r) for c, r in scoring_calls["score"] if np.shares_memory(r, batch.features)]
+        assert len(train) + len(test) == len(scoring_calls["score"])
+        # each training row once, against its own class
+        assert [c for c, _ in train] == list(range(1, k + 1))
+        for c, rows in train:
+            np.testing.assert_array_equal(rows, data.class_rows(c))
+        # each test row once against every class, block by block
+        assert all(r.shape[0] <= step for _, r in test)
+        for c in range(1, k + 1):
+            blocks = [r for cls, r in test if cls == c]
+            assert [b.shape[0] for b in blocks] == [step, step, m - 2 * step]
+            np.testing.assert_array_equal(np.vstack(blocks), batch.features)
+        assert sum(r.shape[0] for _, r in scoring_calls["score"]) == k * (n_k + m)
+
+
+def test_interleaved_labels_are_grouped_once(rng, monkeypatch):
+    # predict sorts the rows by label once, so neither the fit nor the
+    # scoring loop copies a class's rows out by a boolean mask
+    data, batch = random_instance(rng, n_classes=3, p=20, n_k=40, m=10)
+    perm = rng.permutation(data.n)
+    shuffled = LabeledDataset(
+        features=data.features[perm], labels=data.labels[perm], n_classes=3
+    )
+    owns = []
+    class_rows = LabeledDataset.class_rows
+
+    def spy(self, class_id):
+        rows = class_rows(self, class_id)
+        owns.append(rows.flags.owndata)
+        return rows
+
+    monkeypatch.setattr(LabeledDataset, "class_rows", spy)
+    predict(shuffled, batch, 0.1)
+    assert owns == [False] * 6
 
 
 class TestSinglePath:

@@ -124,6 +124,25 @@ class TestLabeledDataset:
         for k in (1, 2):
             np.testing.assert_array_equal(data.class_rows(k), features[labels == k])
 
+    def test_grouped_keeps_a_grouped_dataset(self):
+        data = LabeledDataset(
+            features=np.arange(12.0).reshape(6, 2), labels=[2, 2, 2, 1, 1, 1]
+        )
+        assert data.grouped() is data
+
+    @pytest.mark.parametrize(
+        "labels", [[1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 2, 1], [2, 1, 1, 1, 2, 2]]
+    )
+    def test_grouped_sorts_interleaved_labels_stably(self, labels):
+        labels = np.array(labels)
+        features = np.arange(12.0).reshape(6, 2)
+        grouped = LabeledDataset(features=features, labels=labels).grouped()
+        np.testing.assert_array_equal(grouped.labels, np.sort(labels))
+        for k in (1, 2):
+            rows = grouped.class_rows(k)
+            assert np.shares_memory(rows, grouped.features)
+            np.testing.assert_array_equal(rows, features[labels == k])
+
     def test_coerces_lists_to_float64(self):
         data = LabeledDataset(
             features=[[0, 1], [2, 3], [4, 5]], labels=[1, 1, 1], n_classes=1

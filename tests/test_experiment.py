@@ -95,6 +95,25 @@ class TestRunReplicate:
         assert a != c
 
 
+class TestTraceContract:
+    """Every class fit and every scored row of a replicate passes through
+    the public functions that perfbench/spans.py counts (the
+    ``scoring_calls`` fixture). A kernel that bypassed them would leave the
+    trace blind, and these counts would fall."""
+
+    @pytest.mark.parametrize("modes", [("empirical",), ("oracle",), ("empirical", "oracle")])
+    def test_run_replicate_fits_once_and_scores_every_row(self, scoring_calls, modes):
+        # p = 200 gives 256-row blocks, so m = 700 spans three of them
+        n_k, m, test_sets = 20, 700, 3
+        config = multi_class_config(p=200, n_k=n_k, m=m, rho=0.5, run_seed=3)
+        run_replicate(config, test_sets, modes)
+        k = 4
+        # one fit per replicate, not one per test batch
+        assert scoring_calls["fit"] == (list(range(1, k + 1)) if "empirical" in modes else [])
+        rows = sum(r.shape[0] for _, r in scoring_calls["score"])
+        assert rows == test_sets * len(modes) * k * (n_k + m)
+
+
 class TestRunCell:
     CONFIG = ExperimentConfig(
         scenario="multi_class", p=(8,), n_k=(30,), rho=(0.2,),

@@ -180,6 +180,59 @@ class TestAgainstNaive:
             assert scw_fdr_loss(sets, truth) <= rejection_global_fdp(sets, truth) + 1e-15
 
 
+def per_metric_report(sets, truth) -> MetricsReport:
+    """The report assembled from one per-metric function call per field."""
+    return MetricsReport(
+        cw_fdr=tuple(classwise_fdr(sets, truth, c) for c in range(1, sets.n_classes + 1)),
+        scw_fdr=scw_fdr_loss(sets, truth),
+        fdr=global_fdr(sets, truth),
+        power=outlier_power(sets, truth),
+        coverage=coverage(sets, truth),
+        flr=false_label_rate(sets, truth),
+        accuracy=accuracy(sets, truth),
+        ambiguity=ambiguity(sets),
+    )
+
+
+def typed_rows(report):
+    return [(name, type(value), value) for name, value in report.rows()]
+
+
+class TestOneTally:
+    """evaluate_sets counts once; every field keeps the value and the type
+    (numpy float or Python 0.0) of its per-metric function."""
+
+    @pytest.mark.parametrize(
+        "truth_range", ["with_outliers", "no_outliers", "no_inliers"]
+    )
+    @pytest.mark.parametrize("m", [1, 2, 37])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_random_instances(self, rng, k, m, truth_range):
+        low, high = {"with_outliers": (1, k + 1), "no_outliers": (1, k),
+                     "no_inliers": (k + 1, k + 1)}[truth_range]
+        for _ in range(20):
+            member = rng.random((m, k)) < rng.uniform(0.1, 0.9)
+            sets = PredictionSets(member=member)
+            truth = rng.integers(low, high + 1, size=m)
+            assert typed_rows(evaluate_sets(sets, truth)) == typed_rows(
+                per_metric_report(sets, truth)
+            )
+
+    @pytest.mark.parametrize("m", [1, 5])
+    @pytest.mark.parametrize("fill", [False, True])
+    def test_every_set_empty_or_full(self, rng, m, fill):
+        sets = PredictionSets(member=np.full((m, 3), fill))
+        for truth in (rng.integers(1, 5, size=m), np.full(m, 4), np.full(m, 2)):
+            assert typed_rows(evaluate_sets(sets, truth)) == typed_rows(
+                per_metric_report(sets, truth)
+            )
+
+    def test_hand_instance(self):
+        assert typed_rows(evaluate_sets(HAND_SETS, HAND_TRUTH)) == typed_rows(
+            per_metric_report(HAND_SETS, HAND_TRUTH)
+        )
+
+
 class TestReportContainer:
     def test_frozen(self):
         report = evaluate_sets(HAND_SETS, HAND_TRUTH)

@@ -11,6 +11,7 @@ from confset import (
     fit_class_summary,
     fit_model,
     score_batch,
+    score_classes,
 )
 from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _block_rows
 
@@ -224,6 +225,36 @@ class TestChunkedKernel:
             naive_scores(mean, var, rows),
             rtol=1e-12,
         )
+
+
+class TestScoreClasses:
+    """One pass over the rows, K classes per block, bit for bit the same as
+    one ``score_batch`` call per class."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    @pytest.mark.parametrize("p", [1, 5, 200, 500])
+    def test_bit_equal_to_score_batch_per_class(self, p, offset):
+        rng = np.random.default_rng(p)
+        k = 3
+        model = ClassModel(
+            means=offset + rng.normal(size=(k, p)),
+            variances=rng.uniform(0.5, 2.0, size=(k, p)),
+        )
+        step = _block_rows(p)
+        for n in (1, step - 1, step, step + 1, 2 * step + 3):
+            rows = offset + rng.normal(size=(n, p))
+            got = score_classes(model, rows)
+            assert got.shape == (k, n)
+            for c in range(k):
+                want = score_batch(model, rows, c + 1)
+                assert np.array_equal(got[c].view(np.uint64), want.view(np.uint64)), (n, c)
+
+    def test_rejects_bad_rows(self):
+        model = one_model([0.0, 0.0], [1.0, 1.0])
+        with pytest.raises(DataError, match="2-D"):
+            score_classes(model, np.zeros(2))
+        with pytest.raises(DataError, match="features"):
+            score_classes(model, np.zeros((4, 3)))
 
 
 class TestBlockRows:
