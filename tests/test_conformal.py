@@ -272,6 +272,25 @@ class TestPredictCalls:
     perfbench's trace counts them (the ``scoring_calls`` fixture)."""
 
     @pytest.mark.parametrize("mode", ["empirical", "oracle"])
+    def test_fits_each_class_once_and_scores_twice(self, scoring_calls, mode):
+        # m = 20 fits in one block: each class scores its training rows and
+        # the whole test batch, one call each
+        config = multi_class_config(p=6, n_k=15, m=20, rho=0.3, run_seed=4)
+        data, batch = generate(config)
+        oracle = oracle_params(config) if mode == "oracle" else None
+        predict(data, batch, 0.1, oracle=oracle)
+        k = data.n_classes
+        assert scoring_calls["fit"] == ([] if oracle else list(range(1, k + 1)))
+        assert len(scoring_calls["score"]) == 2 * k
+        for c in range(1, k + 1):
+            calls = [r for cls, r in scoring_calls["score"] if cls == c]
+            assert len(calls) == 2
+            # the test batch is scored first, before the calibration rows
+            test_rows, train_rows = calls
+            np.testing.assert_array_equal(train_rows, data.class_rows(c))
+            np.testing.assert_array_equal(test_rows, batch.features)
+
+    @pytest.mark.parametrize("mode", ["empirical", "oracle"])
     def test_scores_training_rows_once_and_test_blocks_against_every_class(
         self, scoring_calls, mode
     ):
