@@ -80,6 +80,7 @@ from .io import (
     read_batch_csv,
     read_results,
     read_sets_csv,
+    read_truth_csv,
     render_results,
     save_config,
     save_json,
@@ -169,6 +170,7 @@ __all__ = [
     "read_batch_csv",
     "read_results",
     "read_sets_csv",
+    "read_truth_csv",
     "render_results",
     "save_config",
     "save_json",

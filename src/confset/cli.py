@@ -37,6 +37,7 @@ from .io import (
     load_json,
     read_batch_csv,
     read_sets_csv,
+    read_truth_csv,
     render_results,
     save_json,
     write_batch_csv,
@@ -68,6 +69,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
 def _level(text: str) -> float:
     """argparse type: a float strictly between 0 and 1."""
     try:
@@ -94,8 +106,10 @@ def _add_simulate(sub):
     p.add_argument("--m", type=int, default=1000, help="test batch size")
     p.add_argument("--rho", type=float, default=0.0, help="serial correlation")
     p.add_argument("--inlier-ratio", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0, help="stream seed for the draws")
-    p.add_argument("--atom-seed", type=int, default=DEFAULT_ATOM_SEED)
+    p.add_argument(
+        "--seed", type=_non_negative_int, default=0, help="stream seed for the draws"
+    )
+    p.add_argument("--atom-seed", type=_non_negative_int, default=DEFAULT_ATOM_SEED)
     p.add_argument(
         "--out",
         required=True,
@@ -227,12 +241,12 @@ def _add_evaluate(sub):
 
 def cmd_evaluate(args) -> int:
     sets = read_sets_csv(args.sets, args.n_classes)
-    batch = read_batch_csv(args.test, truth_column=args.truth_column)
-    if batch.truth is None or batch.m != sets.m:
+    truth = read_truth_csv(args.test, args.truth_column)
+    if truth.size != sets.m:
         raise DataError(
-            f"{args.sets} has {sets.m} rows but {args.test} has {batch.m}"
+            f"{args.sets} has {sets.m} rows but {args.test} has {truth.size}"
         )
-    report = evaluate_sets(sets, batch.truth)
+    report = evaluate_sets(sets, truth)
     if args.out:
         print(write_results([report], args.out), end="")
         print(f"wrote {args.out}")
@@ -294,7 +308,7 @@ def _add_validate(sub):
         metavar="NAME",
         help=f"check(s) to run, comma-separable; available: {', '.join(sorted(CHECKS))}",
     )
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--alpha", type=_level, default=None)
     p.add_argument("--nk", type=int, default=None, help="training rows per class")
     p.add_argument("--p", type=int, default=None, help="feature dimension")

@@ -4,12 +4,23 @@ Numeric round-trips are exact: floats are written as their shortest
 repr (which reparses to the identical float64), so saving and loading a
 table or a ``ClassModel`` reproduces it bit for bit.
 
-Reading a CSV table, ``csv.reader`` splits the cells and one
-``np.array(..., dtype=np.float64)`` call converts every selected cell.
-numpy converts a string cell through Python's ``float()``, so it accepts
-and rejects exactly the cells a per-cell loop would. Only when that cast
-raises does a per-cell loop run, to name the line and column of the first
-bad cell.
+Reading a CSV table streams it in blocks of rows. ``csv.reader`` splits
+the lines; once the header is checked, rows are gathered into blocks of at
+most ``_BLOCK_CELLS`` cells (8192, at least one row), and each block is
+cast with one ``np.array(..., dtype=np.float64)`` call. numpy converts a
+string cell through Python's ``float()``, so it accepts and rejects exactly
+the cells a per-cell loop would. Labels are mapped and outlier rows split
+per block, and the blocks' float arrays are joined once at the end. Only
+when a block's cast raises does a per-cell loop run over that block, to
+name the line and column of its first bad cell; a row with the wrong
+number of cells is reported after the rows before it are checked, so the
+first malformed line in file order is the one named.
+
+A cell held as a Python string costs about ten times its float, so a
+whole-file parse peaked near 12x the returned array. Streamed, the peak is
+the per-block arrays and their join (about twice the array) plus one or
+two blocks of strings: under 3x at 1000x200. ``read_truth_csv`` parses
+only the truth column and keeps no feature cell at all.
 
 Writing, each numeric row becomes one line: the shortest reprs of its
 floats, joined by commas, plus any integer cells, ended by ``"\r\n"``.
@@ -37,12 +48,13 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .datagen import DEFAULT_ATOM_SEED
+from .datagen import DEFAULT_ATOM_SEED, check_inlier_ratio, check_seed
 from .metrics import MetricsReport
 
 __all__ = [
     "load_csv",
     "read_batch_csv",
+    "read_truth_csv",
     "write_dataset_csv",
     "write_batch_csv",
     "split_train_test",
@@ -80,8 +92,25 @@ def _open_write(path, **kwargs):
         raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
-def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]], list[int]]:
-    """Header, non-blank rows, and the file line on which each row ends."""
+# Cells per block of parsed rows. Until its one cast, a block holds each
+# cell as a Python string (about 80 bytes with its share of the row lists,
+# against 8 bytes as a float), so the budget, not the file, bounds that copy.
+# An interleaved sweep of 2^10 to 2^18 cells on a 2-vCPU x86 machine, reading
+# 1000x201 and 800x201 CSVs, found every read time within run-to-run noise
+# of the whole-file parse, and a tracemalloc peak rising from 2.2x to 11.8x
+# the returned array; 2^13 cells keeps it near 2.5x.
+_BLOCK_CELLS = 1 << 13
+
+
+def _read_table(path, delimiter: str):
+    """Yield the checked header, then ``(rows, lines)`` blocks of non-blank rows.
+
+    ``lines[i]`` is the file line on which ``rows[i]`` ends. A block holds
+    at most ``_BLOCK_CELLS`` cells, and at least one row. A row whose cell
+    count differs from the header's raises only after the rows before it
+    have been yielded, so the caller checks those first and the first
+    malformed line in file order is the one reported.
+    """
     with _open_read(path, newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         try:
@@ -92,43 +121,71 @@ def _read_table(path, delimiter: str) -> tuple[list[str], list[list[str]], list[
         if len(set(header)) != len(header):
             dup = next(h for h in header if header.count(h) > 1)
             raise DataError(f"{path}: duplicate column name {dup!r}")
-        rows = []
-        lines = []
+        yield header
+        block_rows = max(1, _BLOCK_CELLS // max(1, len(header)))
+        rows, lines = [], []
+        yielded = False
         for row in reader:
             if not row:
                 continue
             if len(row) != len(header):
+                if rows:
+                    yield rows, lines
                 raise DataError(
                     f"{path}: line {reader.line_num} has {len(row)} cells, "
                     f"header has {len(header)}"
                 )
             rows.append(row)
             lines.append(reader.line_num)
-    if not rows:
+            if len(rows) == block_rows:
+                yield rows, lines
+                rows, lines = [], []
+                yielded = True
+    if rows:
+        yield rows, lines
+    elif not yielded:
         raise DataError(f"{path}: no data rows")
-    return header, rows, lines
 
 
-def _parse_features(path, rows, lines, header, feature_cols) -> np.ndarray:
-    pick = itemgetter(*feature_cols)
+def _column(path, header, name: str, role: str) -> int:
+    if name not in header:
+        raise DataError(f"{path}: {role} column {name!r} not in header {header}")
+    return header.index(name)
+
+
+def _parse_block(path, rows, lines, header, feature_cols, int_col=None):
+    """One block's feature cells as a float array, plus column ``int_col`` as ints.
+
+    Without ``int_col`` the second item is None. When a cast raises, the
+    cells are checked one by one to name the first bad one in file order.
+    """
     try:
-        cells = np.array(list(map(pick, rows)), dtype=np.float64)
+        cells = np.array(list(map(itemgetter(*feature_cols), rows)), dtype=np.float64)
+        ints = None if int_col is None else [int(row[int_col].strip()) for row in rows]
     except ValueError:
-        _raise_bad_cell(path, rows, lines, header, feature_cols)
+        columns = [(c, float) for c in feature_cols]
+        if int_col is not None:
+            columns = sorted(columns + [(int_col, int)])
+        _raise_bad_cell(path, rows, lines, header, columns)
         raise
-    return cells.reshape(len(rows), len(feature_cols))
+    return cells.reshape(len(rows), len(feature_cols)), ints
 
 
-def _raise_bad_cell(path, rows, lines, header, feature_cols) -> None:
-    """Raise DataError naming line and column of the first cell ``float()`` rejects."""
+def _raise_bad_cell(path, rows, lines, header, columns) -> None:
+    """Raise DataError naming the first cell, in file order, its parser rejects.
+
+    ``columns`` lists ``(column, parser)`` pairs in column order; the parser
+    is ``float`` for a feature and ``int`` for an integer truth column.
+    """
     for row, line in zip(rows, lines):
-        for c in feature_cols:
+        for c, parse in columns:
             cell = row[c].strip()
             try:
-                float(cell)
+                parse(cell)
             except ValueError:
+                kind = "non-numeric" if parse is float else "non-integer"
                 raise DataError(
-                    f"{path}: non-numeric cell {cell!r} at line {line}, "
+                    f"{path}: {kind} cell {cell!r} at line {line}, "
                     f"column {header[c]!r}"
                 ) from None
 
@@ -155,46 +212,40 @@ def load_csv(
         With ``outlier_label``: inlier dataset, batch of outlier rows
         (None when no row carries the label), and the map.
     """
-    header, rows, lines = _read_table(path, delimiter)
-    if label_column not in header:
-        raise DataError(f"{path}: label column {label_column!r} not in header {header}")
-    label_idx = header.index(label_column)
+    table = _read_table(path, delimiter)
+    header = next(table)
+    label_idx = _column(path, header, label_column, "label")
     feature_cols = [c for c in range(len(header)) if c != label_idx]
     if not feature_cols:
         raise DataError(f"{path}: no feature columns besides the label")
 
     label_map: dict[str, int] = {}
-    labels = []
-    outlier_rows, outlier_lines = [], []
-    inlier_rows, inlier_lines = [], []
-    for row, line in zip(rows, lines):
-        raw = row[label_idx].strip()
-        if outlier_label is not None and raw == outlier_label:
-            outlier_rows.append(row)
-            outlier_lines.append(line)
-            continue
-        if raw not in label_map:
-            label_map[raw] = len(label_map) + 1
-        labels.append(label_map[raw])
-        inlier_rows.append(row)
-        inlier_lines.append(line)
-    if not inlier_rows:
+    labels: list[int] = []
+    inliers, outliers = [], []
+    for rows, lines in table:
+        features, _ = _parse_block(path, rows, lines, header, feature_cols)
+        raw = [row[label_idx].strip() for row in rows]
+        if outlier_label in raw:
+            mask = np.array([r == outlier_label for r in raw])
+            outliers.append(features[mask])
+            features = features[~mask]
+            raw = [r for r in raw if r != outlier_label]
+        labels += [label_map.setdefault(r, len(label_map) + 1) for r in raw]
+        inliers.append(features)
+    if not labels:
         raise DataError(f"{path}: every row carries the outlier label")
 
-    features = _parse_features(path, inlier_rows, inlier_lines, header, feature_cols)
     data = LabeledDataset(
-        features=features,
+        features=np.concatenate(inliers),
         labels=np.asarray(labels),
         n_classes=len(label_map),
     )
     if outlier_label is None:
         return data, label_map
     batch = None
-    if outlier_rows:
-        out_features = _parse_features(
-            path, outlier_rows, outlier_lines, header, feature_cols
-        )
-        truth = np.full(len(outlier_rows), data.n_classes + 1)
+    if outliers:
+        out_features = np.concatenate(outliers)
+        truth = np.full(out_features.shape[0], data.n_classes + 1)
         batch = TestBatch(features=out_features, truth=truth)
     return data, batch, label_map
 
@@ -212,38 +263,51 @@ def read_batch_csv(
     from the map, or equal to ``outlier_label``, become K+1); otherwise they
     must already be integers, as written by :func:`write_batch_csv`.
     """
-    header, rows, lines = _read_table(path, delimiter)
-    truth = None
-    if truth_column is None:
-        feature_cols = list(range(len(header)))
-    else:
-        if truth_column not in header:
-            raise DataError(
-                f"{path}: truth column {truth_column!r} not in header {header}"
-            )
-        t_idx = header.index(truth_column)
-        feature_cols = [c for c in range(len(header)) if c != t_idx]
-        cells = [row[t_idx].strip() for row in rows]
-        if label_map is not None:
-            k = max(label_map.values())
-            truth = [
-                k + 1
-                if (cell == outlier_label or cell not in label_map)
-                else label_map[cell]
-                for cell in cells
-            ]
-        else:
-            try:
-                truth = [int(cell) for cell in cells]
-            except ValueError as e:
-                raise DataError(
-                    f"{path}: truth labels are not integers and no label_map "
-                    f"was given ({e})"
-                ) from None
+    table = _read_table(path, delimiter)
+    header = next(table)
+    t_idx = None
+    if truth_column is not None:
+        t_idx = _column(path, header, truth_column, "truth")
+    feature_cols = [c for c in range(len(header)) if c != t_idx]
     if not feature_cols:
         raise DataError(f"{path}: no feature columns besides the truth")
-    features = _parse_features(path, rows, lines, header, feature_cols)
-    return TestBatch(features=features, truth=truth)
+    int_col = t_idx if label_map is None else None
+    blocks = []
+    truth = None if t_idx is None else []
+    for rows, lines in table:
+        features, ints = _parse_block(path, rows, lines, header, feature_cols, int_col)
+        blocks.append(features)
+        if ints is not None:
+            truth += ints
+        elif t_idx is not None:
+            outlier_id = max(label_map.values()) + 1
+            cells = (row[t_idx].strip() for row in rows)
+            truth += [
+                outlier_id if cell == outlier_label else label_map.get(cell, outlier_id)
+                for cell in cells
+            ]
+    return TestBatch(features=np.concatenate(blocks), truth=truth)
+
+
+def read_truth_csv(path, truth_column: str) -> np.ndarray:
+    """Only the integer truth column of a test CSV, as int64.
+
+    The other cells are split but never parsed, so a file that
+    :func:`read_batch_csv` rejects for its feature cells, or for having no
+    feature column, still gives its truth. Every row must have a cell per
+    header column, and every truth cell must be an integer.
+    """
+    table = _read_table(path, ",")
+    header = next(table)
+    t_idx = _column(path, header, truth_column, "truth")
+    truth: list[int] = []
+    for rows, lines in table:
+        try:
+            truth += [int(row[t_idx].strip()) for row in rows]
+        except ValueError:
+            _raise_bad_cell(path, rows, lines, header, [(t_idx, int)])
+            raise
+    return np.asarray(truth, dtype=np.int64)
 
 
 def _write_features(path, features: np.ndarray, tag: str | None, tags) -> None:
@@ -359,6 +423,9 @@ class ExperimentConfig:
             raise DataError("replicates and test_sets must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
+        check_inlier_ratio(self.inlier_ratio)
+        check_seed("master_seed", self.master_seed)
+        check_seed("atom_seed", self.atom_seed)
         if self.scenario == "csv":
             if not self.csv_path or not self.label_column:
                 raise DataError("csv scenario needs csv_path and label_column")

@@ -7,16 +7,26 @@ cross-checked against an independently written oracle on random instances.
 
 from __future__ import annotations
 
+import csv
 import math
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from confset import LabeledDataset, PredictionSets, TestBatch, scoring
 
 # the container class is named like a test class; keep pytest from collecting it
 TestBatch.__test__ = False
+
+# Property tests replay the same examples on every run, write no example
+# database, and have no per-example deadline, so a slow or shared machine
+# neither fails them nor changes what they check.
+settings.register_profile(
+    "confset", derandomize=True, deadline=None, max_examples=40, database=None
+)
+settings.load_profile("confset")
 
 
 # ---------------------------------------------------------------------------
@@ -69,6 +79,21 @@ def naive_predict(data: LabeledDataset, test: TestBatch, alpha, oracle=None):
         for i in range(m):
             member[i, k - 1] = adjusted[i] > cut
     return [set(np.flatnonzero(row) + 1) for row in member]
+
+
+def naive_csv_table(path) -> tuple[list[str], list[list[str]]]:
+    """Header (cells stripped) and non-blank rows of a whole CSV file."""
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    return [h.strip() for h in rows[0]], rows[1:]
+
+
+def naive_floats(rows, skip=None) -> np.ndarray:
+    """Every cell outside column ``skip``, parsed one at a time by ``float()``."""
+    return np.array(
+        [[float(cell) for j, cell in enumerate(row) if j != skip] for row in rows],
+        dtype=np.float64,
+    )
 
 
 def naive_metrics(sets: list[set], truth, n_classes: int) -> dict:

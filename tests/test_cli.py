@@ -1,5 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import confset
 
@@ -67,6 +71,27 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--scenario", "bogus", "--out", "x")
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag, value", [("--seed", -1), ("--atom-seed", -3)])
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(
+                "simulate", "--p", 3, "--nk", 5, "--m", 4, flag, value,
+                "--out", tmp_path / "s",
+            )
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be a non-negative integer, got {value}" in err
+        assert "Traceback" not in err
+
+    def test_infinite_inlier_ratio_is_data_error(self, tmp_path, capsys):
+        code = run_cli(
+            "simulate", "--p", 3, "--nk", 5, "--m", 4, "--inlier-ratio", "inf",
+            "--out", tmp_path / "s",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "error: inlier_ratio must be finite and positive, got inf\n"
 
 
 @pytest.fixture
@@ -282,6 +307,30 @@ class TestEvaluate:
         assert err == f"error: {bad}: line 4: set label 7 outside 1..1\n"
 
 
+    def test_reads_only_the_truth_column(self, simulated, tmp_path, capsys):
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--out", tmp_path / "pred",
+        )
+        argv = ["evaluate", "--sets", tmp_path / "pred_sets.csv", "--n-classes", 1]
+        capsys.readouterr()
+        assert run_cli(*argv, "--test", f"{simulated}_test.csv") == EXIT_OK
+        want = capsys.readouterr().out
+        lines = Path(f"{simulated}_test.csv").read_text().splitlines()
+        truth = [line.rsplit(",", 1)[1] for line in lines]
+        p = len(lines[0].split(",")) - 1
+        junk_cells = ",".join((["bad", "nan", "", "1e999"] * p)[:p])
+        junk = tmp_path / "junk_features.csv"
+        junk.write_text(
+            "\n".join([lines[0]] + [f"{junk_cells},{t}" for t in truth[1:]]) + "\n"
+        )
+        only = tmp_path / "truth_only.csv"
+        only.write_text("\n".join(truth) + "\n")
+        for test in (junk, only):
+            assert run_cli(*argv, "--test", test) == EXIT_OK
+            assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("n_classes", [0, -1])
     def test_nonpositive_class_count_is_usage_error(
         self, simulated, tmp_path, capsys, n_classes
@@ -376,6 +425,20 @@ class TestExperiment:
         assert err.startswith(f"error: {config}: line 3: not valid YAML: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("master_seed: -1", "master_seed must be a non-negative integer, got -1"),
+            ("atom_seed: -1", "atom_seed must be a non-negative integer, got -1"),
+            ("inlier_ratio: .inf", "inlier_ratio must be finite and positive, got inf"),
+        ],
+    )
+    def test_bad_seed_or_ratio_is_data_error(self, tmp_path, capsys, line, message):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"scenario: one_class\n{line}\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_bad_workers_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONFSET_WORKERS", "abc")
         # only experiment reads the variable; every other command ignores it
@@ -452,6 +515,7 @@ class TestValidate:
             (("--check", "coverage", "--alpha", 1.5), "--alpha"),
             (("--check", "coverage", "--alpha", 0), "--alpha"),
             (("--check", "coverage", "--alpha", "nan"), "--alpha"),
+            (("--check", "scw", "--seed", -1), "--seed"),
         ],
     )
     def test_bad_count_or_level_is_usage_error(self, capsys, argv, flag):
@@ -467,3 +531,84 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def clean_files(tmp_path_factory):
+    """A small simulated train/test pair and the sets predicted for it."""
+    root = tmp_path_factory.mktemp("clean")
+    with contextlib.redirect_stdout(io.StringIO()):
+        run_cli(
+            "simulate", "--scenario", "one", "--p", 3, "--nk", 8, "--m", 6,
+            "--seed", 2, "--out", root / "sim",
+        )
+        run_cli(
+            "predict", "--train", root / "sim_train.csv", "--test", root / "sim_test.csv",
+            "--out", root / "pred",
+        )
+    return root
+
+
+# (command, the file to break, the column that is not a feature)
+TARGETS = [("predict", "train", "label"), ("predict", "test", "truth"), ("evaluate", "test", "truth")]
+
+
+@st.composite
+def malformed(draw, lines, command, target):
+    """The lines of a CSV broken in a way its reader must report."""
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    kinds = ["empty", "header only", "duplicate header", "missing column", "short row", "long row"]
+    if command == "predict":
+        kinds.append("feature cell")
+    if command == "evaluate" or target == "train":
+        kinds.append("tag cell")
+    if command == "evaluate":
+        kinds += ["extra row", "missing row"]
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "empty":
+        return []
+    if kind == "header only":
+        return lines[:1]
+    if kind == "duplicate header":
+        header[0] = header[1]
+    elif kind == "missing column":
+        header[-1] = "other"
+    elif kind == "short row":
+        del rows[i][draw(st.integers(0, len(header) - 1))]
+    elif kind == "long row":
+        rows[i].append("0")
+    elif kind == "feature cell":
+        rows[i][draw(st.integers(0, len(header) - 2))] = draw(
+            st.sampled_from(["bad", "", "0x1", "nan", "-inf", "1e999"])
+        )
+    elif kind == "tag cell":
+        # a one-row class for training; not an integer in 1..K+1 for evaluate
+        rows[i][-1] = draw(st.sampled_from(["x", "1.5", "", "0", "99"]))
+    elif kind == "extra row":
+        rows.append(rows[i])
+    else:
+        del rows[i]
+    return [",".join(header)] + [",".join(row) for row in rows]
+
+
+@given(data=st.data(), target=st.sampled_from(TARGETS))
+def test_malformed_csv_exits_3_with_one_line(clean_files, data, target):
+    command, which, _ = target
+    root = clean_files
+    lines = (root / f"sim_{which}.csv").read_text().splitlines()
+    broken = root / "broken.csv"
+    broken.write_text("".join(f"{line}\n" for line in data.draw(malformed(lines, command, which))))
+    files = {"train": root / "sim_train.csv", "test": root / "sim_test.csv", which: broken}
+    if command == "predict":
+        argv = ["predict", "--train", files["train"], "--test", files["test"],
+                "--truth-column", "truth", "--out", root / "x"]
+    else:
+        argv = ["evaluate", "--sets", root / "pred_sets.csv", "--test", files["test"],
+                "--n-classes", 1]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code == EXIT_DATA
+    assert err.getvalue().startswith("error: ")
+    assert len(err.getvalue().splitlines()) == 1

@@ -130,6 +130,11 @@ class TestScenarioConfig:
                 scenario="multi_class", p=5, n_k=5,
                 class_specs=(ComponentSpec(0.0, 0.5),),
             ),
+            dict(scenario="one_class", p=5, n_k=5, inlier_ratio=float("inf")),
+            dict(scenario="one_class", p=5, n_k=5, inlier_ratio=float("nan")),
+            dict(scenario="one_class", p=5, n_k=5, run_seed=-1),
+            dict(scenario="one_class", p=5, n_k=5, atom_seed=-1),
+            dict(scenario="one_class", p=5, n_k=5, run_seed=1.5),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -367,7 +367,7 @@ class TestBatchCsvRoundTrip:
     def test_string_truth_without_map_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x1,truth\n1.0,cat\n")
-        with pytest.raises(DataError, match="not integers"):
+        with pytest.raises(DataError, match=r"non-integer cell 'cat' at line 2, column 'truth'$"):
             read_batch_csv(path, truth_column="truth")
 
     def test_missing_truth_column(self, tmp_path):
@@ -483,6 +483,11 @@ class TestExperimentConfig:
                      train_fraction=1.0),
                 "train_fraction",
             ),
+            (dict(scenario="one_class", inlier_ratio=float("inf")), "inlier_ratio"),
+            (dict(scenario="one_class", inlier_ratio=-1.0), "inlier_ratio"),
+            (dict(scenario="one_class", master_seed=-1), "master_seed"),
+            (dict(scenario="one_class", atom_seed=-1), "atom_seed"),
+            (dict(scenario="one_class", master_seed="7"), "master_seed"),
         ],
     )
     def test_rejects_invalid(self, kwargs, msg):
