@@ -32,8 +32,6 @@ from .core import (
     PredictionSets,
     PValueMatrix,
     TestBatch,
-    ValidationReport,
-    validate_dataset,
 )
 from .scoring import fit_class_summary, fit_model, score_batch, score_classes
 from .conformal import (
@@ -122,8 +120,6 @@ __all__ = [
     "PredictionSets",
     "PValueMatrix",
     "TestBatch",
-    "ValidationReport",
-    "validate_dataset",
     # scoring
     "fit_class_summary",
     "fit_model",

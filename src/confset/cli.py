@@ -58,37 +58,26 @@ EXIT_DATA = 3
 EXIT_CHECK = 4
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: an integer >= 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(parse, ok, need: str):
+    """argparse type: ``parse(text)``, a usage error unless ``ok`` holds."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {parse.__name__} value: {text!r}"
+            ) from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
+        return value
+
+    return convert
 
 
-def _non_negative_int(text: str) -> int:
-    """argparse type: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _level(text: str) -> float:
-    """argparse type: a float strictly between 0 and 1."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not 0.0 < value < 1.0:
-        raise argparse.ArgumentTypeError(f"must be in (0, 1), got {text}")
-    return value
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _add_simulate(sub):
@@ -324,21 +313,15 @@ def cmd_validate(args) -> int:
     names = None
     if args.check:
         names = [n for chunk in args.check for n in chunk.split(",") if n]
+    # each flag sets the check parameter of its name, apart from these
+    renamed = {"nk": ("n_k",), "draws": ("n_draws", "draws")}
     overrides = {}
-    for flag, keys in (
-        ("seed", ("seed",)),
-        ("alpha", ("alpha",)),
-        ("nk", ("n_k",)),
-        ("p", ("p",)),
-        ("rho", ("rho",)),
-        ("draws", ("n_draws", "draws")),
-        ("trials", ("trials",)),
-        ("replicates", ("replicates",)),
-        ("test_sets", ("test_sets",)),
+    for flag in (
+        "seed", "alpha", "nk", "p", "rho", "draws", "trials", "replicates", "test_sets"
     ):
         value = getattr(args, flag)
         if value is not None:
-            for key in keys:
+            for key in renamed.get(flag, (flag,)):
                 overrides[key] = value
     results = run_checks(names, echo=print, **overrides)
     failed = [r.name for r in results if not r.passed]

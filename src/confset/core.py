@@ -14,7 +14,7 @@ classes).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "PValueMatrix",
     "PredictionSets",
     "DeviationBound",
-    "ValidationReport",
-    "validate_dataset",
 ]
 
 
@@ -357,47 +355,3 @@ class DeviationBound:
         if n < 3:
             raise DataError(f"n must be >= 3, got {n}")
         return 4.0 * self.scale * math.sqrt(math.log(n) / n)
-
-    def failure_probability(self, n: int) -> float:
-        return 2.0 * float(n) ** (-self.a)
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Diagnostics from :func:`validate_dataset`; structural errors raise instead."""
-
-    class_counts: np.ndarray
-    min_class_variance: np.ndarray
-    max_abs_feature: float
-    zero_variance: tuple = field(default_factory=tuple)
-
-    @property
-    def ok(self) -> bool:
-        return len(self.zero_variance) == 0
-
-
-def validate_dataset(data: LabeledDataset) -> ValidationReport:
-    """Compute per-class diagnostics and flag zero-variance feature columns.
-
-    Structural problems (labels outside 1..K, non-finite features, classes
-    with fewer than 3 rows) are fatal and raise ``DataError`` at
-    ``LabeledDataset`` construction, before this function can run. What
-    remains here is the soft check scoring cares about: a flagged
-    (class, column) pair means the fitted variance is exactly zero and
-    ``fit_class_summary`` will refuse it unless given a variance floor.
-    """
-    k = data.n_classes
-    min_var = np.empty(k)
-    flags = []
-    for class_id in range(1, k + 1):
-        rows = data.class_rows(class_id)
-        var = rows.var(axis=0, ddof=1)
-        min_var[class_id - 1] = var.min()
-        for col in np.flatnonzero(var == 0.0):
-            flags.append((class_id, int(col)))
-    return ValidationReport(
-        class_counts=_readonly(data.class_counts),
-        min_class_variance=_readonly(min_var),
-        max_abs_feature=float(np.abs(data.features).max()),
-        zero_variance=tuple(flags),
-    )

@@ -136,22 +136,19 @@ def _run_split_job(job: _SplitJob):
     return {"empirical": [report]}, {"empirical": elapsed}
 
 
-def _run_job(job):
-    return _run_sim_job(job) if isinstance(job, _SimJob) else _run_split_job(job)
-
-
 def _modes(exp: ExperimentConfig) -> tuple[str, ...]:
     return ("empirical", "oracle") if exp.mode == "both" else (exp.mode,)
 
 
-def _map_jobs(jobs, workers: int):
+def _map_jobs(run, jobs, workers: int):
+    """``run(job)`` for each job, in order; ``run`` is top-level, so it pickles."""
     if workers <= 1 or len(jobs) <= 1:
-        return [_run_job(job) for job in jobs]
+        return [run(job) for job in jobs]
     # Imported here: only a parallel run pays for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))
+        return list(pool.map(run, jobs))
 
 
 @dataclass(frozen=True)
@@ -201,7 +198,7 @@ def run_cell(
         )
         for r in range(exp.replicates)
     ]
-    outputs = _map_jobs(jobs, workers)
+    outputs = _map_jobs(_run_sim_job, jobs, workers)
     reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
     seconds = dict.fromkeys(modes, 0.0)
     for rep_reports, rep_seconds in outputs:
@@ -236,7 +233,7 @@ def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
         )
         for r in range(exp.replicates)
     ]
-    outputs = _map_jobs(jobs, workers)
+    outputs = _map_jobs(_run_split_job, jobs, workers)
     reports = [r for rep_reports, _ in outputs for r in rep_reports["empirical"]]
     seconds = sum(s["empirical"] for _, s in outputs)
     return CellResult(

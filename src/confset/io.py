@@ -34,6 +34,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -413,12 +414,23 @@ class ExperimentConfig:
             raise DataError(f"unknown mode {self.mode!r}")
         for name in ("p", "n_k", "rho"):
             value = getattr(self, name)
-            if np.isscalar(value):
+            try:
+                value = (value,) if np.isscalar(value) else tuple(value)
+            except TypeError:  # None, a date or another non-iterable scalar
                 value = (value,)
-            value = tuple(value)
             if not value:
                 raise DataError(f"{name} grid must not be empty")
+            for entry in value:
+                _check_number(f"each {name} value", entry, integer=name != "rho")
             object.__setattr__(self, name, value)
+        for name in ("m", "replicates", "test_sets"):
+            _check_number(name, getattr(self, name), integer=True)
+        for name in ("alpha", "inlier_ratio", "train_fraction"):
+            _check_number(name, getattr(self, name))
+        for name in ("out_dir", "csv_path", "label_column", "outlier_label"):
+            value = getattr(self, name)
+            if not isinstance(value, str) and (value is not None or name == "out_dir"):
+                raise DataError(f"{name} must be a string, got {value!r}")
         if self.replicates < 1 or self.test_sets < 1:
             raise DataError("replicates and test_sets must be >= 1")
         if not 0.0 < self.alpha < 1.0:
@@ -438,6 +450,14 @@ class ExperimentConfig:
 
     def cells(self) -> list[tuple[int, int, float]]:
         return [(p, n, r) for p in self.p for n in self.n_k for r in self.rho]
+
+
+def _check_number(name: str, value, integer: bool = False) -> None:
+    """DataError unless ``value`` is a number (an integer if ``integer``), not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise DataError(f"{name} must be {what}, got {value!r}")
 
 
 _CONFIG_LIST_KEYS = {"p", "n_k", "rho"}
@@ -478,7 +498,10 @@ def load_config(path) -> ExperimentConfig:
         raise DataError(f"{path}: unknown config keys {sorted(unknown, key=str)}")
     if "scenario" not in doc:
         raise DataError(f"{path}: config needs a scenario")
-    return ExperimentConfig(**doc)
+    try:
+        return ExperimentConfig(**doc)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

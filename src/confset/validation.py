@@ -23,15 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import (
-    acceptance_threshold,
-    bh_adjust,
-    conformal_pvalues,
-    predict,
-    set_size_discrepancy,
-)
-from .core import DataError, DeviationBound, PredictionSets
+from .conformal import acceptance_threshold, bh_adjust, predict, set_size_discrepancy
+from .core import ClassModel, DataError, DeviationBound, PredictionSets
 from .datagen import (
+    ScenarioConfig,
     generate_test_batch,
     generate_training,
     make_atoms,
@@ -42,7 +37,6 @@ from .datagen import (
 )
 from .experiment import replicate_seed, run_replicate
 from .metrics import rejection_global_fdp, scw_fdr_loss
-from .scoring import fit_model, score_batch
 
 __all__ = [
     "CheckResult",
@@ -100,6 +94,31 @@ def _timed(
     )
 
 
+def _draw_pvalues(
+    config: ScenarioConfig,
+    draws: int,
+    rng: np.random.Generator,
+    oracles: tuple[ClassModel | None, ...],
+) -> np.ndarray:
+    """Raw p-values of fresh inliers as ``predict`` ships them, shape
+    (draws, len(oracles)).
+
+    Each draw makes a fresh one-class training set and one inlier from
+    ``rng``, then ranks the inlier through :func:`predict` once per entry of
+    ``oracles``: known class moments, or ``None`` for the moments fitted on
+    that training set, as ``predict``'s ``oracle=`` takes them. With m = 1
+    ``predict`` leaves the p-value unadjusted.
+    """
+    atoms = make_atoms(config.atom_seed, config.p)
+    pvals = np.empty((draws, len(oracles)))
+    for i in range(draws):
+        train = generate_training(config, rng, atoms)
+        batch = generate_test_batch(config, rng, atoms)
+        for j, oracle in enumerate(oracles):
+            pvals[i, j] = predict(train, batch, config.alpha, oracle=oracle)[0].raw[0, 0]
+    return pvals
+
+
 def check_super_uniformity(
     seed: int = 0,
     n_draws: int = 2000,
@@ -114,20 +133,12 @@ def check_super_uniformity(
     are exchangeable, so the p-value's exceedance rate sits at or below
     ``a`` exactly; the bound allows 3 * sqrt(a(1-a)/draws) of Monte Carlo
     slack. Each draw uses a fresh single-class training set and one fresh
-    inlier.
+    inlier, ranked through ``predict``.
     """
     started = time.perf_counter()
     config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=min(alphas))
-    atoms = make_atoms(config.atom_seed, p)
-    oracle = oracle_params(config)
     rng = np.random.default_rng(seed)
-    pvals = np.empty(n_draws)
-    for i in range(n_draws):
-        train = generate_training(config, rng, atoms)
-        batch = generate_test_batch(config, rng, atoms)
-        train_scores = score_batch(oracle, train.class_rows(1), class_id=1)
-        test_scores = score_batch(oracle, batch.features, class_id=1)
-        pvals[i] = conformal_pvalues(train_scores, test_scores)[0]
+    pvals = _draw_pvalues(config, n_draws, rng, (oracle_params(config),))[:, 0]
     parts = []
     passed = True
     for a in alphas:
@@ -154,19 +165,9 @@ def check_oracle_coverage(
     if slack is None:
         slack = 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / n_draws))
     config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=alpha)
-    atoms = make_atoms(config.atom_seed, p)
-    oracle = oracle_params(config)
-    threshold = acceptance_threshold(n_k, alpha)
     rng = np.random.default_rng(seed)
-    hits = 0
-    for _ in range(n_draws):
-        train = generate_training(config, rng, atoms)
-        batch = generate_test_batch(config, rng, atoms)
-        train_scores = score_batch(oracle, train.class_rows(1), class_id=1)
-        test_scores = score_batch(oracle, batch.features, class_id=1)
-        pval = conformal_pvalues(train_scores, test_scores)[0]
-        hits += pval > threshold
-    rate = hits / n_draws
+    pvals = _draw_pvalues(config, n_draws, rng, (oracle_params(config),))[:, 0]
+    rate = np.count_nonzero(pvals > acceptance_threshold(n_k, alpha)) / n_draws
     target = 1.0 - alpha - slack
     details = f"coverage {rate:.4f} >= {target:.4f} (alpha={alpha:g}, n_k={n_k})"
     return _timed("coverage", started, rate >= target, details)
@@ -192,23 +193,9 @@ def check_deviation_trend(
     q95 = []
     for idx, n_k in enumerate(n_grid):
         config = one_class_config(p=p, n_k=n_k, rho=rho, m=1)
-        atoms = make_atoms(config.atom_seed, p)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        oracle = oracle_params(config)
-        gaps = np.empty(draws)
-        for i in range(draws):
-            train = generate_training(config, rng, atoms)
-            batch = generate_test_batch(config, rng, atoms)
-            rows = train.class_rows(1)
-            p_est, p_known = (
-                conformal_pvalues(
-                    score_batch(model, rows, class_id=1),
-                    score_batch(model, batch.features, class_id=1),
-                )[0]
-                for model in (fit_model(train), oracle)
-            )
-            gaps[i] = abs(p_est - p_known)
-        q95.append(float(np.quantile(gaps, 0.95)))
+        pvals = _draw_pvalues(config, draws, rng, (None, oracle_params(config)))
+        q95.append(float(np.quantile(np.abs(pvals[:, 0] - pvals[:, 1]), 0.95)))
     decreasing = all(q95[i + 1] < q95[i] for i in range(len(q95) - 1))
     ratios = [q / bound.bound(n) for q, n in zip(q95, n_grid)]
     below = all(r < 1.0 for r in ratios)

@@ -437,7 +437,27 @@ class TestExperiment:
         config = tmp_path / "config.yaml"
         config.write_text(f"scenario: one_class\n{line}\n")
         assert run_cli("experiment", "--config", config) == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "replicates: abc",
+            "alpha: x",
+            "m: 2.5",
+            "rho: null",
+            "p: [a]",
+            "test_sets: []",
+            "inlier_ratio: abc",
+        ],
+    )
+    def test_wrongly_typed_field_is_data_error(self, tmp_path, capsys, line):
+        config = tmp_path / "config.yaml"
+        config.write_text(f"scenario: one_class\n{line}\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}:")
+        assert len(err.splitlines()) == 1
 
     def test_bad_workers_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONFSET_WORKERS", "abc")

@@ -14,7 +14,6 @@ from confset import (
     PredictionSets,
     PValueMatrix,
     TestBatch,
-    validate_dataset,
 )
 
 
@@ -288,9 +287,6 @@ class TestDeviationBound:
         expected = 4.0 * (math.sqrt(2.0) + 4.0 / 3.0) * math.sqrt(math.log(100) / 100)
         assert b.bound(100) == pytest.approx(expected, rel=1e-12)
 
-    def test_failure_probability(self):
-        assert DeviationBound(a=2.0).failure_probability(10) == pytest.approx(0.02)
-
     def test_monotone_decreasing_in_n(self):
         b = DeviationBound(a=2.0)
         values = [b.bound(n) for n in (10, 100, 1000, 10000)]
@@ -303,20 +299,3 @@ class TestDeviationBound:
     def test_rejects_small_n(self):
         with pytest.raises(DataError):
             DeviationBound().bound(2)
-
-
-class TestValidateDataset:
-    def test_healthy(self):
-        report = validate_dataset(small_data())
-        assert report.ok
-        assert list(report.class_counts) == [3, 3]
-        assert report.zero_variance == ()
-        assert report.max_abs_feature == 11.0
-
-    def test_flags_zero_variance_column(self):
-        features = np.arange(12.0).reshape(6, 2)
-        features[3:, 1] = 5.0
-        report = validate_dataset(small_data(features=features))
-        assert not report.ok
-        assert (2, 1) in report.zero_variance
-        assert report.min_class_variance[1] == 0.0

@@ -1,12 +1,19 @@
-"""run_checks: benchmark checks on one simulation table share one run."""
+"""validate's checks: the p-value draw loop, pinned check lines, and
+benchmark checks on one simulation table sharing one run."""
 
+import numpy as np
 import pytest
 
 from confset import validation
+from confset.datagen import one_class_config, oracle_params
 from confset.validation import (
+    _draw_pvalues,
     check_cw_fdr_control,
+    check_deviation_trend,
     check_multiclass_benchmark,
     check_oneclass_benchmark,
+    check_oracle_coverage,
+    check_super_uniformity,
     run_checks,
 )
 
@@ -45,3 +52,54 @@ def test_different_tables_run_apart(replicate_modes):
     assert replicate_modes == [("empirical",)] * 2 + [("empirical", "oracle")] * 2
     alone = [check_cw_fdr_control(seed=7, **SMALL), check_oneclass_benchmark(seed=7, **SMALL)]
     assert [r.details for r in shared] == [r.details for r in alone]
+
+
+def test_in_sample_pvalues_are_anti_conservative():
+    """The documented defect of the in-sample default (ROADMAP item 1).
+
+    At n_k = 20, p = 200 a true inlier's in-sample p-value is at most 0.05
+    far more often than 5 % of the time, while the known-moment p-value of
+    the same draw stays within Monte Carlo slack of 0.05. Once full
+    conformal calibration becomes the default (ROADMAP step 1c), the first
+    assertion flips.
+    """
+    config = one_class_config(p=200, n_k=20, rho=0.0, m=1)
+    draws = 200
+    pvals = _draw_pvalues(
+        config, draws, np.random.default_rng(12), (None, oracle_params(config))
+    )
+    assert pvals.shape == (draws, 2)
+    in_sample, known = np.mean(pvals <= 0.05, axis=0)
+    assert in_sample >= 0.3
+    assert known <= 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / draws)
+
+
+# Recorded before the three checks shared one draw loop; they pin that the
+# loop consumes the generator in the same order and ranks the same scores.
+@pytest.mark.parametrize(
+    "check, kwargs, details",
+    [
+        (
+            check_super_uniformity,
+            dict(n_draws=300, p=20, n_k=50),
+            "P(p<=0.01)=0.0000 (bound 0.0272); P(p<=0.05)=0.0467 (bound 0.0877); "
+            "P(p<=0.1)=0.1033 (bound 0.1520); P(p<=0.2)=0.1867 (bound 0.2693)",
+        ),
+        (
+            check_oracle_coverage,
+            dict(n_draws=300, p=20, n_k=50),
+            "coverage 0.9533 >= 0.9123 (alpha=0.05, n_k=50)",
+        ),
+        (
+            check_deviation_trend,
+            dict(n_grid=(50, 200), draws=100, p=20),
+            "n=50: q95=0.2167, q95/bound=0.070; n=200: q95=0.0898, "
+            "q95/bound=0.050; strictly decreasing: True",
+        ),
+    ],
+    ids=["super_uniformity", "coverage", "deviation"],
+)
+def test_check_lines_are_pinned(check, kwargs, details):
+    result = check(**kwargs)
+    assert result.passed
+    assert result.details == details
