@@ -41,20 +41,7 @@ from .conformal import (
     predict,
     set_size_discrepancy,
 )
-from .metrics import (
-    METRIC_ORDER,
-    MetricsReport,
-    accuracy,
-    ambiguity,
-    classwise_fdr,
-    coverage,
-    evaluate_sets,
-    false_label_rate,
-    global_fdr,
-    outlier_power,
-    rejection_global_fdp,
-    scw_fdr_loss,
-)
+from .metrics import MetricsReport, evaluate_sets, rejection_global_fdp
 from .datagen import (
     DEFAULT_ATOM_SEED,
     ComponentSpec,
@@ -132,18 +119,9 @@ __all__ = [
     "predict",
     "set_size_discrepancy",
     # metrics
-    "METRIC_ORDER",
     "MetricsReport",
-    "accuracy",
-    "ambiguity",
-    "classwise_fdr",
-    "coverage",
     "evaluate_sets",
-    "false_label_rate",
-    "global_fdr",
-    "outlier_power",
     "rejection_global_fdp",
-    "scw_fdr_loss",
     # data generation
     "DEFAULT_ATOM_SEED",
     "ComponentSpec",

@@ -160,7 +160,12 @@ def _add_predict(sub):
         default=None,
         help="JSON file with known class parameters (required for --mode oracle)",
     )
-    p.add_argument("--variance-floor", type=float, default=None)
+    p.add_argument(
+        "--variance-floor",
+        type=float,
+        default=None,
+        help="variance floor of each fitted class (not with --mode oracle)",
+    )
     p.add_argument(
         "--out",
         required=True,
@@ -171,6 +176,11 @@ def _add_predict(sub):
 
 
 def cmd_predict(args) -> int:
+    # each flag below works in one mode only; in the other it would be ignored
+    if args.oracle_params and args.mode != "oracle":
+        return _usage_error("--oracle-params needs --mode oracle")
+    if args.variance_floor is not None and args.mode == "oracle":
+        return _usage_error("--variance-floor has no effect with --mode oracle")
     loaded = load_csv(args.train, args.label_column, outlier_label=args.outlier_label)
     if args.outlier_label is None:
         data, label_map = loaded
@@ -272,11 +282,7 @@ def cmd_experiment(args) -> int:
         try:
             workers = int(env)
         except ValueError:
-            print(
-                f"error: CONFSET_WORKERS must be an integer, got {env!r}",
-                file=sys.stderr,
-            )
-            return EXIT_USAGE
+            return _usage_error(f"CONFSET_WORKERS must be an integer, got {env!r}")
     config = load_config(args.config)
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
@@ -347,6 +353,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_experiment(sub)
     _add_validate(sub)
     return parser
+
+
+def _usage_error(message: str) -> int:
+    print(f"error: {message}", file=sys.stderr)
+    return EXIT_USAGE
 
 
 def main(argv=None) -> int:

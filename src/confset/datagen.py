@@ -71,15 +71,12 @@ class ComponentSpec(NamedTuple):
 
 
 def check_seed(name: str, seed) -> None:
-    """DataError unless ``seed`` is an integer >= 0, as numpy's seeding needs."""
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    """DataError unless ``seed`` is an integer >= 0, as numpy's seeding needs.
+
+    A bool is not a seed, though ``bool`` subclasses ``int``.
+    """
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DataError(f"{name} must be a non-negative integer, got {seed!r}")
-
-
-def check_inlier_ratio(ratio) -> None:
-    """DataError unless ``ratio`` is finite and positive."""
-    if not 0.0 < ratio < math.inf:
-        raise DataError(f"inlier_ratio must be finite and positive, got {ratio}")
 
 
 @dataclass(frozen=True)
@@ -116,7 +113,10 @@ class ScenarioConfig:
             raise DataError(f"rho must be in [0, 1), got {self.rho}")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
-        check_inlier_ratio(self.inlier_ratio)
+        if not 0.0 < self.inlier_ratio < math.inf:
+            raise DataError(
+                f"inlier_ratio must be finite and positive, got {self.inlier_ratio}"
+            )
         check_seed("atom_seed", self.atom_seed)
         check_seed("run_seed", self.run_seed)
         specs = tuple(ComponentSpec(*s) for s in self.class_specs)

@@ -27,8 +27,6 @@ from .datagen import (
     make_atoms,
     generate_test_batch,
     generate_training,
-    multi_class_config,
-    one_class_config,
     oracle_params,
     with_run_seed,
 )
@@ -166,19 +164,6 @@ class CellResult:
         return f"{self.scenario}_p{self.p}_nk{self.n_k}_rho{self.rho:g}_{mode}"
 
 
-def _cell_scenario(exp: ExperimentConfig, p: int, n_k: int, rho: float) -> ScenarioConfig:
-    maker = one_class_config if exp.scenario == "one_class" else multi_class_config
-    return maker(
-        p=p,
-        n_k=n_k,
-        rho=rho,
-        m=exp.m,
-        alpha=exp.alpha,
-        inlier_ratio=exp.inlier_ratio,
-        atom_seed=exp.atom_seed,
-    )
-
-
 def run_cell(
     exp: ExperimentConfig,
     p: int,
@@ -189,7 +174,7 @@ def run_cell(
 ) -> CellResult:
     """All replicates of one simulated grid cell."""
     modes = _modes(exp)
-    base = _cell_scenario(exp, p, n_k, rho)
+    base = exp.cell_scenario(p, n_k, rho)
     jobs = [
         _SimJob(
             config=with_run_seed(base, replicate_seed(exp.master_seed, cell_index, r)),

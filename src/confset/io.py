@@ -49,7 +49,13 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .datagen import DEFAULT_ATOM_SEED, check_inlier_ratio, check_seed
+from .datagen import (
+    DEFAULT_ATOM_SEED,
+    ScenarioConfig,
+    check_seed,
+    multi_class_config,
+    one_class_config,
+)
 from .metrics import MetricsReport
 
 __all__ = [
@@ -103,7 +109,7 @@ def _open_write(path, **kwargs):
 _BLOCK_CELLS = 1 << 13
 
 
-def _read_table(path, delimiter: str):
+def _read_table(path):
     """Yield the checked header, then ``(rows, lines)`` blocks of non-blank rows.
 
     ``lines[i]`` is the file line on which ``rows[i]`` ends. A block holds
@@ -113,7 +119,7 @@ def _read_table(path, delimiter: str):
     malformed line in file order is the one reported.
     """
     with _open_read(path, newline="") as fh:
-        reader = csv.reader(fh, delimiter=delimiter)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -195,7 +201,6 @@ def load_csv(
     path,
     label_column: str,
     outlier_label: str | None = None,
-    delimiter: str = ",",
 ):
     """Read a labeled CSV into training containers.
 
@@ -213,7 +218,7 @@ def load_csv(
         With ``outlier_label``: inlier dataset, batch of outlier rows
         (None when no row carries the label), and the map.
     """
-    table = _read_table(path, delimiter)
+    table = _read_table(path)
     header = next(table)
     label_idx = _column(path, header, label_column, "label")
     feature_cols = [c for c in range(len(header)) if c != label_idx]
@@ -256,7 +261,6 @@ def read_batch_csv(
     truth_column: str | None = None,
     label_map: dict[str, int] | None = None,
     outlier_label: str | None = None,
-    delimiter: str = ",",
 ) -> TestBatch:
     """Read a test CSV. Without ``truth_column`` the batch is unlabeled.
 
@@ -264,7 +268,7 @@ def read_batch_csv(
     from the map, or equal to ``outlier_label``, become K+1); otherwise they
     must already be integers, as written by :func:`write_batch_csv`.
     """
-    table = _read_table(path, delimiter)
+    table = _read_table(path)
     header = next(table)
     t_idx = None
     if truth_column is not None:
@@ -298,7 +302,7 @@ def read_truth_csv(path, truth_column: str) -> np.ndarray:
     feature column, still gives its truth. Every row must have a cell per
     header column, and every truth cell must be an integer.
     """
-    table = _read_table(path, ",")
+    table = _read_table(path)
     header = next(table)
     t_idx = _column(path, header, truth_column, "truth")
     truth: list[int] = []
@@ -433,23 +437,36 @@ class ExperimentConfig:
                 raise DataError(f"{name} must be a string, got {value!r}")
         if self.replicates < 1 or self.test_sets < 1:
             raise DataError("replicates and test_sets must be >= 1")
+        check_seed("master_seed", self.master_seed)
+        if self.scenario != "csv":
+            # ScenarioConfig checks the ranges of the simulated fields
+            for cell in self.cells():
+                self.cell_scenario(*cell)
+            return
+        if not self.csv_path or not self.label_column:
+            raise DataError("csv scenario needs csv_path and label_column")
+        if self.mode != "empirical":
+            raise DataError("csv data has no oracle parameters; use mode: empirical")
         if not 0.0 < self.alpha < 1.0:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
-        check_inlier_ratio(self.inlier_ratio)
-        check_seed("master_seed", self.master_seed)
-        check_seed("atom_seed", self.atom_seed)
-        if self.scenario == "csv":
-            if not self.csv_path or not self.label_column:
-                raise DataError("csv scenario needs csv_path and label_column")
-            if self.mode != "empirical":
-                raise DataError("csv data has no oracle parameters; use mode: empirical")
-            if not 0.0 < self.train_fraction < 1.0:
-                raise DataError(
-                    f"train_fraction must be in (0, 1), got {self.train_fraction}"
-                )
+        if not 0.0 < self.train_fraction < 1.0:
+            raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
     def cells(self) -> list[tuple[int, int, float]]:
         return [(p, n, r) for p in self.p for n in self.n_k for r in self.rho]
+
+    def cell_scenario(self, p: int, n_k: int, rho: float) -> ScenarioConfig:
+        """The simulation design of the grid cell (p, n_k, rho)."""
+        maker = one_class_config if self.scenario == "one_class" else multi_class_config
+        return maker(
+            p=p,
+            n_k=n_k,
+            rho=rho,
+            m=self.m,
+            alpha=self.alpha,
+            inlier_ratio=self.inlier_ratio,
+            atom_seed=self.atom_seed,
+        )
 
 
 def _check_number(name: str, value, integer: bool = False) -> None:

@@ -6,17 +6,17 @@ prediction set; an empty set declares the point an outlier.
 
 Two global false-discovery notions appear:
 
-* ``global_fdr`` -- the share of outlier declarations (empty sets) that hit
-  true inliers; this is the "FDR" row of the result tables.
+* ``MetricsReport.fdr`` -- the share of outlier declarations (empty sets)
+  that hit true inliers; this is the "FDR" row of the result tables.
 * ``rejection_global_fdp`` -- V / max(1, R) over all class-wise rejections
-  pooled; this is the quantity the summarized class-wise loss is provably
-  bounded by, pointwise on every realization.
+  pooled; this is the quantity the summarized class-wise loss
+  (``MetricsReport.scw_fdr``) is provably bounded by, pointwise on every
+  realization, because each class adds at least 1 to its denominator.
 
 The two disagree in general; keep them apart.
 
 ``evaluate_sets`` computes all eight table metrics from one tally of the
-sets by truth label; the per-metric functions compute one metric each and
-give the same value and type.
+sets by truth label.
 """
 
 from __future__ import annotations
@@ -27,31 +27,7 @@ import numpy as np
 
 from .core import DataError, PredictionSets
 
-__all__ = [
-    "MetricsReport",
-    "classwise_fdr",
-    "scw_fdr_loss",
-    "rejection_global_fdp",
-    "global_fdr",
-    "outlier_power",
-    "coverage",
-    "false_label_rate",
-    "accuracy",
-    "ambiguity",
-    "evaluate_sets",
-    "METRIC_ORDER",
-]
-
-METRIC_ORDER = (
-    "cw_fdr",
-    "scw_fdr",
-    "fdr",
-    "power",
-    "coverage",
-    "flr",
-    "accuracy",
-    "ambiguity",
-)
+__all__ = ["MetricsReport", "evaluate_sets", "rejection_global_fdp"]
 
 
 def _checked(sets: PredictionSets, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -68,36 +44,6 @@ def _checked(sets: PredictionSets, truth: np.ndarray) -> tuple[np.ndarray, np.nd
     return member, truth
 
 
-def classwise_fdr(sets: PredictionSets, truth: np.ndarray, class_id: int) -> float:
-    """Share of class-k rejections that were true class-k points.
-
-    V_k / max(1, R_k) where R_k counts points whose set excludes k and V_k
-    those among them with truth == k.
-    """
-    member, truth = _checked(sets, truth)
-    if not 1 <= class_id <= member.shape[1]:
-        raise DataError(f"class_id {class_id} outside 1..{member.shape[1]}")
-    rejected = ~member[:, class_id - 1]
-    false = rejected & (truth == class_id)
-    return false.sum() / max(1, rejected.sum())
-
-
-def scw_fdr_loss(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Summarized class-wise loss: sum_k V_k / sum_k max(1, R_k).
-
-    Never exceeds :func:`rejection_global_fdp` on the same realization,
-    because each class contributes at least 1 to the denominator.
-    """
-    member, truth = _checked(sets, truth)
-    v_total = 0
-    denom = 0
-    for k in range(1, member.shape[1] + 1):
-        rejected = ~member[:, k - 1]
-        v_total += (rejected & (truth == k)).sum()
-        denom += max(1, rejected.sum())
-    return v_total / denom
-
-
 def rejection_global_fdp(sets: PredictionSets, truth: np.ndarray) -> float:
     """Pooled false discovery proportion V / max(1, R) over all rejections."""
     member, truth = _checked(sets, truth)
@@ -108,64 +54,6 @@ def rejection_global_fdp(sets: PredictionSets, truth: np.ndarray) -> float:
         v_total += (rejected & (truth == k)).sum()
         r_total += rejected.sum()
     return v_total / max(1, r_total)
-
-
-def global_fdr(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Share of empty-set (outlier) declarations that hit true inliers."""
-    member, truth = _checked(sets, truth)
-    declared = member.sum(axis=1) == 0
-    k = member.shape[1]
-    false = declared & (truth <= k)
-    return false.sum() / max(1, declared.sum())
-
-
-def outlier_power(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Fraction of true outliers receiving the empty set. 0.0 if no outliers."""
-    member, truth = _checked(sets, truth)
-    outliers = truth == member.shape[1] + 1
-    empty = member.sum(axis=1) == 0
-    return (outliers & empty).sum() / max(1, outliers.sum())
-
-
-def coverage(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Fraction of true inliers whose set contains their class. 0.0 if no inliers."""
-    member, truth = _checked(sets, truth)
-    k = member.shape[1]
-    inliers = truth <= k
-    if not inliers.any():
-        return 0.0
-    idx = np.flatnonzero(inliers)
-    hit = member[idx, truth[idx] - 1]
-    return hit.sum() / idx.size
-
-
-def false_label_rate(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Fraction of ALL test points that are true outliers with a nonempty set."""
-    member, truth = _checked(sets, truth)
-    outliers = truth == member.shape[1] + 1
-    nonempty = member.sum(axis=1) > 0
-    return (outliers & nonempty).sum() / member.shape[0]
-
-
-def accuracy(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Fraction of true inliers whose set is exactly their class (singleton)."""
-    member, truth = _checked(sets, truth)
-    k = member.shape[1]
-    inliers = truth <= k
-    if not inliers.any():
-        return 0.0
-    idx = np.flatnonzero(inliers)
-    exact = member[idx, truth[idx] - 1] & (member[idx].sum(axis=1) == 1)
-    return exact.sum() / idx.size
-
-
-def ambiguity(sets: PredictionSets, truth: np.ndarray | None = None) -> float:
-    """Mean set size over nonempty sets; 0.0 when every set is empty."""
-    sizes = sets.sizes
-    nonempty = sizes > 0
-    if not nonempty.any():
-        return 0.0
-    return float(sizes[nonempty].mean())
 
 
 @dataclass(frozen=True)
@@ -195,8 +83,7 @@ def evaluate_sets(sets: PredictionSets, truth: np.ndarray) -> MetricsReport:
 
     Every field comes from one tally of the (point, accepted class) pairs by
     truth label and by whether the point's set is a singleton, plus one
-    count of points by truth label and by whether their set is empty. Each
-    value and its type equal what the per-metric function returns.
+    count of points by truth label and by whether their set is empty.
     """
     member, truth = _checked(sets, truth)
     m, k = member.shape

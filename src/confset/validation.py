@@ -36,7 +36,7 @@ from .datagen import (
     with_run_seed,
 )
 from .experiment import replicate_seed, run_replicate
-from .metrics import rejection_global_fdp, scw_fdr_loss
+from .metrics import evaluate_sets, rejection_global_fdp
 
 __all__ = [
     "CheckResult",
@@ -264,7 +264,7 @@ def check_scw_bound(
         member = rng.random((n_points, k)) < rng.random()
         truth = rng.integers(1, k + 2, size=n_points)
         sets = PredictionSets(member=member)
-        scw = scw_fdr_loss(sets, truth)
+        scw = evaluate_sets(sets, truth).scw_fdr
         fdp = rejection_global_fdp(sets, truth)
         worst = max(worst, scw - fdp)
         violations += scw > fdp
@@ -290,20 +290,21 @@ def check_loss_construction(
     is truly class 1 with probability beta, otherwise an outlier. The single
     rejection is false with probability beta, counted against one rejection
     globally but against two class denominators set-wise, so the means over
-    trials must approach beta and beta/2.
+    trials must approach beta and beta/2. Each trial's losses depend only
+    on point 0's truth, so both outcomes are evaluated once and weighted by
+    the share of trials that drew each.
     """
     started = time.perf_counter()
-    member = np.array([[False, True], [True, True]])
-    sets = PredictionSets(member=member)
+    sets = PredictionSets(member=np.array([[False, True], [True, True]]))
+
+    def losses(t0: int) -> tuple[float, float]:
+        truth = np.array([t0, 2])
+        return evaluate_sets(sets, truth).scw_fdr, rejection_global_fdp(sets, truth)
+
+    hit, miss = losses(1), losses(3)  # point 0 truly class 1, or an outlier
     rng = np.random.default_rng(seed)
-    scw_sum = 0.0
-    fdp_sum = 0.0
-    for _ in range(trials):
-        truth = np.array([1 if rng.random() < beta else 3, 2])
-        scw_sum += scw_fdr_loss(sets, truth)
-        fdp_sum += rejection_global_fdp(sets, truth)
-    scw_mean = scw_sum / trials
-    fdp_mean = fdp_sum / trials
+    share = np.count_nonzero(rng.random(trials) < beta) / trials
+    scw_mean, fdp_mean = (share * h + (1.0 - share) * o for h, o in zip(hit, miss))
     ok = abs(scw_mean - scw_target) <= scw_tol and abs(fdp_mean - fdr_target) <= fdr_tol
     details = (
         f"mean scw {scw_mean:.4f} (target {scw_target:g}+-{scw_tol:g}); "

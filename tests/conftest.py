@@ -111,7 +111,7 @@ def naive_metrics(sets: list[set], truth, n_classes: int) -> dict:
         v_total += len(false_rej)
         denom_total += max(1, len(rejected))
         r_total += len(rejected)
-    out["cw_fdr"] = cw
+    out["cw_fdr"] = tuple(cw)
     out["scw_fdr"] = v_total / denom_total
     out["rejection_fdp"] = v_total / max(1, r_total)
     empty = [i for i in range(m) if not sets[i]]

@@ -163,6 +163,27 @@ class TestPredict:
         assert code == EXIT_DATA
         assert "--oracle-params" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--oracle-params", "o.json"], "--oracle-params needs --mode oracle"),
+            (
+                ["--mode", "oracle", "--oracle-params", "o.json",
+                 "--variance-floor", "0.1"],
+                "--variance-floor has no effect with --mode oracle",
+            ),
+        ],
+        ids=["params_without_oracle_mode", "floor_with_oracle_mode"],
+    )
+    def test_ignored_flag_is_usage_error(self, simulated, tmp_path, capsys, flags, message):
+        code = run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", *flags, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "x_pvalues.csv").exists()
+
     def test_oracle_shape_mismatch(self, simulated, tmp_path, capsys):
         other = tmp_path / "other"
         run_cli(
@@ -431,6 +452,8 @@ class TestExperiment:
             ("master_seed: -1", "master_seed must be a non-negative integer, got -1"),
             ("atom_seed: -1", "atom_seed must be a non-negative integer, got -1"),
             ("inlier_ratio: .inf", "inlier_ratio must be finite and positive, got inf"),
+            ("master_seed: true", "master_seed must be a non-negative integer, got True"),
+            ("atom_seed: false", "atom_seed must be a non-negative integer, got False"),
         ],
     )
     def test_bad_seed_or_ratio_is_data_error(self, tmp_path, capsys, line, message):
@@ -438,6 +461,25 @@ class TestExperiment:
         config.write_text(f"scenario: one_class\n{line}\n")
         assert run_cli("experiment", "--config", config) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {config}: {message}\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("n_k: [2]", "n_k must be >= 3, got 2"),
+            ("rho: [0.0, 1.5]", "rho must be in [0, 1), got 1.5"),
+            ("p: [0]", "p must be >= 1, got 0"),
+            ("m: 0", "m must be >= 1, got 0"),
+        ],
+    )
+    def test_out_of_range_grid_is_data_error_before_output(
+        self, tmp_path, capsys, line, message
+    ):
+        config = tmp_path / "config.yaml"
+        out_dir = tmp_path / "out"
+        config.write_text(f"scenario: multi_class\nout_dir: {out_dir}\n{line}\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {config}: {message}\n"
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "line",

@@ -135,6 +135,7 @@ class TestScenarioConfig:
             dict(scenario="one_class", p=5, n_k=5, run_seed=-1),
             dict(scenario="one_class", p=5, n_k=5, atom_seed=-1),
             dict(scenario="one_class", p=5, n_k=5, run_seed=1.5),
+            dict(scenario="one_class", p=5, n_k=5, run_seed=True),
         ],
     )
     def test_rejects_invalid(self, kwargs):

@@ -90,12 +90,6 @@ class TestDatasetCsvRoundTrip:
         _, label_map = load_csv(path, label_column="animal")
         assert label_map == {"cat": 1, "dog": 2, "bird": 3}
 
-    def test_custom_delimiter(self, tmp_path):
-        path = tmp_path / "semi.csv"
-        path.write_text("x1;label\n1.0;a\n2.0;a\n3.0;a\n")
-        data, _ = load_csv(path, label_column="label", delimiter=";")
-        assert data.n == 3
-
 
 class TestOutlierSegregation:
     def _write(self, path, labels):

@@ -1,4 +1,7 @@
-"""Evaluation metrics: hand-checked instance, edge conventions, naive cross-check."""
+"""Evaluation metrics: hand-checked instance, edge conventions, and every
+field of ``evaluate_sets`` against the naive loop in ``conftest``."""
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -7,17 +10,10 @@ from confset import (
     DataError,
     MetricsReport,
     PredictionSets,
-    accuracy,
-    ambiguity,
-    classwise_fdr,
-    coverage,
     evaluate_sets,
-    false_label_rate,
-    global_fdr,
-    outlier_power,
     rejection_global_fdp,
-    scw_fdr_loss,
 )
+from confset.validation import check_scw_bound
 from conftest import naive_metrics
 
 
@@ -29,90 +25,96 @@ from conftest import naive_metrics
 #   point 4: truth 3, set {}       outlier caught
 HAND_SETS = PredictionSets.from_sets([{1}, {2}, set(), {1, 2}, set()], n_classes=2)
 HAND_TRUTH = np.array([1, 1, 2, 3, 3])
+HAND = evaluate_sets(HAND_SETS, HAND_TRUTH)
+
+
+def assert_matches_naive(sets, truth):
+    """Each report field and the pooled FDP equal the naive loop's exactly:
+    both divide the same integer counts."""
+    report = evaluate_sets(sets, truth)
+    want = naive_metrics(sets.sets, truth, n_classes=sets.n_classes)
+    for f in fields(MetricsReport):
+        assert getattr(report, f.name) == want[f.name], f.name
+    assert rejection_global_fdp(sets, truth) == want["rejection_fdp"]
 
 
 class TestHandInstance:
     def test_classwise_fdr(self):
         # class 1 rejected at points 1,2,4; only point 1 is truly class 1
-        assert classwise_fdr(HAND_SETS, HAND_TRUTH, 1) == pytest.approx(1 / 3)
         # class 2 rejected at points 0,2,4; only point 2 is truly class 2
-        assert classwise_fdr(HAND_SETS, HAND_TRUTH, 2) == pytest.approx(1 / 3)
+        assert HAND.cw_fdr == (1 / 3, 1 / 3)
 
     def test_scw_fdr(self):
         # (1 + 1) / (3 + 3)
-        assert scw_fdr_loss(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 3)
+        assert HAND.scw_fdr == 1 / 3
 
     def test_rejection_global_fdp(self):
-        assert rejection_global_fdp(HAND_SETS, HAND_TRUTH) == pytest.approx(2 / 6)
+        assert rejection_global_fdp(HAND_SETS, HAND_TRUTH) == 2 / 6
 
     def test_global_fdr(self):
         # empty sets at points 2,4; point 2 is a true inlier
-        assert global_fdr(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 2)
+        assert HAND.fdr == 1 / 2
 
     def test_outlier_power(self):
         # outliers at 3,4; only 4 got the empty set
-        assert outlier_power(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 2)
+        assert HAND.power == 1 / 2
 
     def test_coverage(self):
         # inliers 0,1,2; only 0 has truth in its set
-        assert coverage(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 3)
+        assert HAND.coverage == 1 / 3
 
     def test_false_label_rate(self):
         # of 5 points, one true outlier (3) kept a nonempty set
-        assert false_label_rate(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 5)
+        assert HAND.flr == 1 / 5
 
     def test_accuracy(self):
         # only point 0 is an inlier with the exact singleton
-        assert accuracy(HAND_SETS, HAND_TRUTH) == pytest.approx(1 / 3)
+        assert HAND.accuracy == 1 / 3
 
     def test_ambiguity(self):
         # nonempty sizes 1, 1, 2
-        assert ambiguity(HAND_SETS) == pytest.approx(4 / 3)
+        assert HAND.ambiguity == 4 / 3
 
     def test_evaluate_sets_collects_everything(self):
-        report = evaluate_sets(HAND_SETS, HAND_TRUTH)
-        assert report.cw_fdr == pytest.approx((1 / 3, 1 / 3))
-        assert report.scw_fdr == pytest.approx(1 / 3)
-        assert report.fdr == pytest.approx(1 / 2)
-        assert report.power == pytest.approx(1 / 2)
-        assert report.coverage == pytest.approx(1 / 3)
-        assert report.flr == pytest.approx(1 / 5)
-        assert report.accuracy == pytest.approx(1 / 3)
-        assert report.ambiguity == pytest.approx(4 / 3)
+        assert HAND == MetricsReport(
+            cw_fdr=(1 / 3, 1 / 3), scw_fdr=1 / 3, fdr=1 / 2, power=1 / 2,
+            coverage=1 / 3, flr=1 / 5, accuracy=1 / 3, ambiguity=4 / 3,
+        )
 
     def test_report_rows_order_and_names(self):
-        rows = evaluate_sets(HAND_SETS, HAND_TRUTH).rows()
+        rows = HAND.rows()
         assert [name for name, _ in rows] == [
             "cw_fdr_1", "cw_fdr_2", "scw_fdr", "fdr", "power",
             "coverage", "flr", "accuracy", "ambiguity",
         ]
-        assert rows[0][1] == pytest.approx(1 / 3)
-        assert rows[-1][1] == pytest.approx(4 / 3)
+        assert rows[0][1] == 1 / 3
+        assert rows[-1][1] == 4 / 3
 
 
 class TestEdgeConventions:
     def test_no_outliers_power_zero(self):
         sets = PredictionSets.from_sets([{1}, set()], n_classes=1)
-        assert outlier_power(sets, np.array([1, 1])) == 0.0
+        assert evaluate_sets(sets, np.array([1, 1])).power == 0.0
 
     def test_no_inliers_coverage_and_accuracy_zero(self):
         sets = PredictionSets.from_sets([{1}, set()], n_classes=1)
-        truth = np.array([2, 2])
-        assert coverage(sets, truth) == 0.0
-        assert accuracy(sets, truth) == 0.0
+        report = evaluate_sets(sets, np.array([2, 2]))
+        assert report.coverage == 0.0
+        assert report.accuracy == 0.0
 
     def test_all_empty_ambiguity_zero(self):
         sets = PredictionSets.from_sets([set(), set()], n_classes=3)
-        assert ambiguity(sets) == 0.0
+        assert evaluate_sets(sets, np.array([1, 4])).ambiguity == 0.0
 
     def test_no_empty_sets_fdr_zero(self):
         sets = PredictionSets.from_sets([{1}, {1}], n_classes=1)
-        assert global_fdr(sets, np.array([1, 2])) == 0.0
+        assert evaluate_sets(sets, np.array([1, 2])).fdr == 0.0
 
     def test_no_rejections_classwise_zero(self):
         sets = PredictionSets.from_sets([{1, 2}, {1, 2}], n_classes=2)
-        assert classwise_fdr(sets, np.array([1, 2]), 1) == 0.0
-        assert scw_fdr_loss(sets, np.array([1, 2])) == 0.0
+        report = evaluate_sets(sets, np.array([1, 2]))
+        assert report.cw_fdr == (0.0, 0.0)
+        assert report.scw_fdr == 0.0
         assert rejection_global_fdp(sets, np.array([1, 2])) == 0.0
 
     def test_perfect_prediction(self):
@@ -128,29 +130,25 @@ class TestEdgeConventions:
         assert report.cw_fdr == (0.0, 0.0)
 
     def test_ambiguity_ignores_truth_argument(self):
-        assert ambiguity(HAND_SETS, HAND_TRUTH) == ambiguity(HAND_SETS)
+        assert evaluate_sets(HAND_SETS, np.full(5, 3)).ambiguity == HAND.ambiguity
 
 
 class TestValidation:
+    @staticmethod
+    def raises_in_both(truth, match=None):
+        for metric in (evaluate_sets, rejection_global_fdp):
+            with pytest.raises(DataError, match=match):
+                metric(HAND_SETS, truth)
+
     def test_truth_length_mismatch(self):
-        with pytest.raises(DataError, match="one entry per test point"):
-            coverage(HAND_SETS, np.array([1, 2]))
+        self.raises_in_both(np.array([1, 2]), "one entry per test point")
 
     def test_truth_out_of_range(self):
-        with pytest.raises(DataError, match="1..3"):
-            coverage(HAND_SETS, np.array([1, 1, 2, 3, 4]))
-        with pytest.raises(DataError, match="1..3"):
-            coverage(HAND_SETS, np.array([0, 1, 2, 3, 3]))
+        self.raises_in_both(np.array([1, 1, 2, 3, 4]), "1..3")
+        self.raises_in_both(np.array([0, 1, 2, 3, 3]), "1..3")
 
     def test_truth_must_be_one_dimensional(self):
-        with pytest.raises(DataError):
-            coverage(HAND_SETS, HAND_TRUTH.reshape(5, 1))
-
-    def test_classwise_fdr_class_id_range(self):
-        with pytest.raises(DataError, match="class_id"):
-            classwise_fdr(HAND_SETS, HAND_TRUTH, 0)
-        with pytest.raises(DataError, match="class_id"):
-            classwise_fdr(HAND_SETS, HAND_TRUTH, 3)
+        self.raises_in_both(HAND_TRUTH.reshape(5, 1))
 
 
 class TestAgainstNaive:
@@ -159,48 +157,19 @@ class TestAgainstNaive:
             k = int(rng.integers(1, 5))
             m = int(rng.integers(1, 40))
             member = rng.random((m, k)) < rng.uniform(0.2, 0.8)
-            sets = PredictionSets(member=member)
             truth = rng.integers(1, k + 2, size=m)
-            report = evaluate_sets(sets, truth)
-            want = naive_metrics(sets.sets, truth, n_classes=k)
-            np.testing.assert_allclose(report.cw_fdr, want["cw_fdr"], rtol=1e-12)
-            for name in ("scw_fdr", "fdr", "power", "coverage",
-                         "flr", "accuracy", "ambiguity"):
-                assert getattr(report, name) == pytest.approx(want[name]), name
-            assert rejection_global_fdp(sets, truth) == pytest.approx(
-                want["rejection_fdp"]
-            )
+            assert_matches_naive(PredictionSets(member=member), truth)
 
-    def test_scw_never_exceeds_rejection_fdp(self, rng):
-        for _ in range(500):
-            k = int(rng.integers(1, 7))
-            m = int(rng.integers(1, 25))
-            sets = PredictionSets(member=rng.random((m, k)) < rng.random())
-            truth = rng.integers(1, k + 2, size=m)
-            assert scw_fdr_loss(sets, truth) <= rejection_global_fdp(sets, truth) + 1e-15
-
-
-def per_metric_report(sets, truth) -> MetricsReport:
-    """The report assembled from one per-metric function call per field."""
-    return MetricsReport(
-        cw_fdr=tuple(classwise_fdr(sets, truth, c) for c in range(1, sets.n_classes + 1)),
-        scw_fdr=scw_fdr_loss(sets, truth),
-        fdr=global_fdr(sets, truth),
-        power=outlier_power(sets, truth),
-        coverage=coverage(sets, truth),
-        flr=false_label_rate(sets, truth),
-        accuracy=accuracy(sets, truth),
-        ambiguity=ambiguity(sets),
-    )
-
-
-def typed_rows(report):
-    return [(name, type(value), value) for name, value in report.rows()]
+    def test_scw_never_exceeds_rejection_fdp(self):
+        # the pointwise bound, on other instances than validate's seed 4
+        result = check_scw_bound(seed=1, trials=500)
+        assert result.passed, result.details
 
 
 class TestOneTally:
-    """evaluate_sets counts once; every field keeps the value and the type
-    (numpy float or Python 0.0) of its per-metric function."""
+    """The one tally of evaluate_sets equals the naive loop on every shape:
+    one, two or four classes; one, two or many points; truths with and
+    without outliers or inliers; every set empty or every set full."""
 
     @pytest.mark.parametrize(
         "truth_range", ["with_outliers", "no_outliers", "no_inliers"]
@@ -212,10 +181,8 @@ class TestOneTally:
                      "no_inliers": (k + 1, k + 1)}[truth_range]
         for _ in range(20):
             member = rng.random((m, k)) < rng.uniform(0.1, 0.9)
-            sets = PredictionSets(member=member)
-            truth = rng.integers(low, high + 1, size=m)
-            assert typed_rows(evaluate_sets(sets, truth)) == typed_rows(
-                per_metric_report(sets, truth)
+            assert_matches_naive(
+                PredictionSets(member=member), rng.integers(low, high + 1, size=m)
             )
 
     @pytest.mark.parametrize("m", [1, 5])
@@ -223,21 +190,16 @@ class TestOneTally:
     def test_every_set_empty_or_full(self, rng, m, fill):
         sets = PredictionSets(member=np.full((m, 3), fill))
         for truth in (rng.integers(1, 5, size=m), np.full(m, 4), np.full(m, 2)):
-            assert typed_rows(evaluate_sets(sets, truth)) == typed_rows(
-                per_metric_report(sets, truth)
-            )
+            assert_matches_naive(sets, truth)
 
     def test_hand_instance(self):
-        assert typed_rows(evaluate_sets(HAND_SETS, HAND_TRUTH)) == typed_rows(
-            per_metric_report(HAND_SETS, HAND_TRUTH)
-        )
+        assert_matches_naive(HAND_SETS, HAND_TRUTH)
 
 
 class TestReportContainer:
     def test_frozen(self):
-        report = evaluate_sets(HAND_SETS, HAND_TRUTH)
         with pytest.raises(Exception):
-            report.fdr = 0.0
+            HAND.fdr = 0.0
 
     def test_constructible_directly(self):
         r = MetricsReport(

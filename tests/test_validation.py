@@ -10,9 +10,11 @@ from confset.validation import (
     _draw_pvalues,
     check_cw_fdr_control,
     check_deviation_trend,
+    check_loss_construction,
     check_multiclass_benchmark,
     check_oneclass_benchmark,
     check_oracle_coverage,
+    check_scw_bound,
     check_super_uniformity,
     run_checks,
 )
@@ -74,8 +76,11 @@ def test_in_sample_pvalues_are_anti_conservative():
     assert known <= 0.05 + 3.0 * np.sqrt(0.05 * 0.95 / draws)
 
 
-# Recorded before the three checks shared one draw loop; they pin that the
-# loop consumes the generator in the same order and ranks the same scores.
+# Recorded before the three p-value checks shared one draw loop; they pin
+# that the loop consumes the generator in the same order and ranks the same
+# scores. The scw and construction lines were recorded while both checks
+# still called one function per loss; they pin that evaluate_sets gives the
+# same losses and that one vector draw gives the same stream.
 @pytest.mark.parametrize(
     "check, kwargs, details",
     [
@@ -96,8 +101,19 @@ def test_in_sample_pvalues_are_anti_conservative():
             "n=50: q95=0.2167, q95/bound=0.070; n=200: q95=0.0898, "
             "q95/bound=0.050; strictly decreasing: True",
         ),
+        (
+            check_scw_bound,
+            dict(trials=2000),
+            "2000 random instances, 0 violations; max(scw - fdp) = 0.000e+00",
+        ),
+        (
+            check_loss_construction,
+            dict(trials=20000),
+            "mean scw 0.0756 (target 0.075+-0.005); "
+            "mean global fdp 0.1512 (target 0.15+-0.01)",
+        ),
     ],
-    ids=["super_uniformity", "coverage", "deviation"],
+    ids=["super_uniformity", "coverage", "deviation", "scw", "construction"],
 )
 def test_check_lines_are_pinned(check, kwargs, details):
     result = check(**kwargs)
