@@ -79,7 +79,6 @@ from .io import (
 )
 from .experiment import (
     CellResult,
-    evaluate_prediction,
     replicate_seed,
     run_cell,
     run_experiment,
@@ -157,7 +156,6 @@ __all__ = [
     "write_thresholds_csv",
     # experiments
     "CellResult",
-    "evaluate_prediction",
     "replicate_seed",
     "run_cell",
     "run_experiment",

@@ -276,13 +276,16 @@ def _add_experiment(sub):
 
 
 def cmd_experiment(args) -> int:
-    workers = args.workers
+    workers, source = args.workers, "--workers"
     if workers is None:
-        env = os.environ.get("CONFSET_WORKERS", "1")
+        source = "CONFSET_WORKERS"
+        env = os.environ.get(source, "1")
         try:
             workers = int(env)
         except ValueError:
             return _usage_error(f"CONFSET_WORKERS must be an integer, got {env!r}")
+    if workers < 1:
+        return _usage_error(f"{source} must be a positive integer, got {workers}")
     config = load_config(args.config)
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
@@ -305,7 +308,9 @@ def _add_validate(sub):
     )
     p.add_argument("--seed", type=_non_negative_int, default=None)
     p.add_argument("--alpha", type=_level, default=None)
-    p.add_argument("--nk", type=int, default=None, help="training rows per class")
+    p.add_argument(
+        "--nk", dest="n_k", type=int, default=None, help="training rows per class"
+    )
     p.add_argument("--p", type=int, default=None, help="feature dimension")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--draws", type=_positive_int, default=None)
@@ -319,16 +324,9 @@ def cmd_validate(args) -> int:
     names = None
     if args.check:
         names = [n for chunk in args.check for n in chunk.split(",") if n]
-    # each flag sets the check parameter of its name, apart from these
-    renamed = {"nk": ("n_k",), "draws": ("n_draws", "draws")}
-    overrides = {}
-    for flag in (
-        "seed", "alpha", "nk", "p", "rho", "draws", "trials", "replicates", "test_sets"
-    ):
-        value = getattr(args, flag)
-        if value is not None:
-            for key in renamed.get(flag, (flag,)):
-                overrides[key] = value
+    # each flag sets the check parameter named by its dest
+    keys = "seed alpha n_k p rho draws trials replicates test_sets".split()
+    overrides = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     results = run_checks(names, echo=print, **overrides)
     failed = [r.name for r in results if not r.passed]
     if failed:

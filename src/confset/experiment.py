@@ -3,7 +3,11 @@
 An experiment is a cross product of (dimension, training size, correlation)
 cells. Each cell runs ``replicates`` independent draws; each draw fits one
 training set and scores ``test_sets`` fresh batches, so a cell aggregates
-replicates * test_sets metric reports per predictor.
+replicates * test_sets metric reports per predictor. A ``csv`` experiment
+is one cell whose replicates are stratified re-splits of a labeled file,
+one batch each. Both kinds of replicate predict and evaluate their batches
+in one loop, and ``validate``'s benchmark tables are one-cell experiments
+run through :func:`run_cell`, so every replicated table comes from here.
 
 Determinism: the replicate stream seed is derived from
 (master_seed, cell_index, replicate_index) through ``SeedSequence``, so
@@ -16,12 +20,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .conformal import predict
-from .core import ClassModel, DataError, LabeledDataset, TestBatch
+from .core import ClassModel, LabeledDataset, TestBatch
 from .datagen import (
     ScenarioConfig,
     make_atoms,
@@ -35,7 +40,6 @@ from .metrics import MetricsReport, evaluate_sets
 from .scoring import fit_model
 
 __all__ = [
-    "evaluate_prediction",
     "replicate_seed",
     "run_replicate",
     "run_cell",
@@ -51,36 +55,31 @@ def replicate_seed(master_seed: int, cell_index: int, rep: int) -> int:
     )
 
 
-def evaluate_prediction(
+def _score_batches(
     train: LabeledDataset,
-    batch: TestBatch,
+    batches,
     alpha: float,
-    oracle: ClassModel | None = None,
-    variance_floor: float | None = None,
-) -> tuple[MetricsReport, float]:
-    """Predict on one batch and score it. Returns (report, predict seconds)."""
-    if batch.truth is None:
-        raise DataError("cannot evaluate an unlabeled batch")
-    started = time.perf_counter()
-    _, sets = predict(train, batch, alpha, oracle=oracle, variance_floor=variance_floor)
-    elapsed = time.perf_counter() - started
-    return evaluate_sets(sets, batch.truth), elapsed
-
-
-@dataclass(frozen=True)
-class _SimJob:
-    config: ScenarioConfig
-    test_sets: int
-    modes: tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _SplitJob:
-    data: LabeledDataset
-    outliers: TestBatch | None
-    fraction: float
-    alpha: float
-    seed: int
+    models: dict[str, ClassModel | None],
+) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
+    """Predict every batch once per mode and evaluate its sets, timing the
+    fit and ``predict`` per mode. ``models`` maps each mode to the class
+    moments its ``predict`` calls score with; ``None``, as in ``predict``,
+    stands for the moments fitted on ``train``, fitted once here."""
+    reports: dict[str, list[MetricsReport]] = {mode: [] for mode in models}
+    seconds = dict.fromkeys(models, 0.0)
+    models = dict(models)
+    for mode, model in models.items():
+        if model is None:
+            started = time.perf_counter()
+            models[mode] = fit_model(train)
+            seconds[mode] += time.perf_counter() - started
+    for batch in batches:
+        for mode, model in models.items():
+            started = time.perf_counter()
+            _, sets = predict(train, batch, alpha, oracle=model)
+            seconds[mode] += time.perf_counter() - started
+            reports[mode].append(evaluate_sets(sets, batch.truth))
+    return reports, seconds
 
 
 def run_replicate(
@@ -91,61 +90,47 @@ def run_replicate(
     """One training draw scored on ``test_sets`` fresh batches per mode.
 
     Both modes see the identical data; they differ only in whether class
-    parameters are estimated from the training set or taken as known. The
-    training set is fitted once, and the fit is passed to every empirical
-    ``predict`` as its class moments, which gives the same output as letting
-    each call refit. The fit's time is added once to the empirical seconds.
+    parameters are estimated from the training set, once per replicate, or
+    taken as known. The fit's time counts to the empirical seconds.
     """
     atoms = make_atoms(config.atom_seed, config.p)
     rng = np.random.default_rng(config.run_seed)
     train = generate_training(config, rng, atoms)
-    reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
-    seconds = dict.fromkeys(modes, 0.0)
-    models = {}
-    if "empirical" in modes:
-        started = time.perf_counter()
-        models["empirical"] = fit_model(train)
-        seconds["empirical"] += time.perf_counter() - started
-    if "oracle" in modes:
-        models["oracle"] = oracle_params(config)
-    for _ in range(test_sets):
-        batch = generate_test_batch(config, rng, atoms)
-        for mode in modes:
-            report, elapsed = evaluate_prediction(
-                train, batch, config.alpha, oracle=models[mode]
-            )
-            reports[mode].append(report)
-            seconds[mode] += elapsed
-    return reports, seconds
+    models = {
+        mode: oracle_params(config) if mode == "oracle" else None for mode in modes
+    }
+    batches = (generate_test_batch(config, rng, atoms) for _ in range(test_sets))
+    return _score_batches(train, batches, config.alpha, models)
 
 
-def _run_sim_job(job: _SimJob):
-    return run_replicate(job.config, job.test_sets, job.modes)
-
-
-def _run_split_job(job: _SplitJob):
-    train, batch = split_train_test(job.data, job.fraction, job.seed)
-    if job.outliers is not None:
+def _split_replicate(
+    data: LabeledDataset,
+    outliers: TestBatch | None,
+    fraction: float,
+    alpha: float,
+    seed: int,
+) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
+    """One stratified re-split of a labeled file, scored in the empirical
+    mode; every outlier row joins the test batch."""
+    train, batch = split_train_test(data, fraction, seed)
+    if outliers is not None:
         batch = TestBatch(
-            features=np.vstack([batch.features, job.outliers.features]),
-            truth=np.concatenate([batch.truth, job.outliers.truth]),
+            features=np.vstack([batch.features, outliers.features]),
+            truth=np.concatenate([batch.truth, outliers.truth]),
         )
-    report, elapsed = evaluate_prediction(train, batch, job.alpha)
-    return {"empirical": [report]}, {"empirical": elapsed}
-
-
-def _modes(exp: ExperimentConfig) -> tuple[str, ...]:
-    return ("empirical", "oracle") if exp.mode == "both" else (exp.mode,)
+    return _score_batches(train, [batch], alpha, {"empirical": None})
 
 
 def _map_jobs(run, jobs, workers: int):
-    """``run(job)`` for each job, in order; ``run`` is top-level, so it pickles."""
+    """``run(job)`` for each job, in order; ``run`` pickles (a top-level
+    function or a ``partial`` of one)."""
     if workers <= 1 or len(jobs) <= 1:
         return [run(job) for job in jobs]
     # Imported here: only a parallel run pays for loading the process pool.
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # the pool starts all its workers at once, so never more than there are jobs
+    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
         return list(pool.map(run, jobs))
 
 
@@ -164,6 +149,16 @@ class CellResult:
         return f"{self.scenario}_p{self.p}_nk{self.n_k}_rho{self.rho:g}_{mode}"
 
 
+def _pool_cell(scenario: str, p: int, n_k: int, rho: float, outputs) -> CellResult:
+    """One cell from the (reports, seconds) pairs of its replicates."""
+    reports, seconds = {}, {}
+    for rep_reports, rep_seconds in outputs:
+        for mode, mode_reports in rep_reports.items():
+            reports.setdefault(mode, []).extend(mode_reports)
+            seconds[mode] = seconds.get(mode, 0.0) + rep_seconds[mode]
+    return CellResult(scenario, p, n_k, rho, reports, seconds)
+
+
 def run_cell(
     exp: ExperimentConfig,
     p: int,
@@ -173,31 +168,14 @@ def run_cell(
     workers: int = 1,
 ) -> CellResult:
     """All replicates of one simulated grid cell."""
-    modes = _modes(exp)
+    modes = ("empirical", "oracle") if exp.mode == "both" else (exp.mode,)
     base = exp.cell_scenario(p, n_k, rho)
-    jobs = [
-        _SimJob(
-            config=with_run_seed(base, replicate_seed(exp.master_seed, cell_index, r)),
-            test_sets=exp.test_sets,
-            modes=modes,
-        )
+    configs = [
+        with_run_seed(base, replicate_seed(exp.master_seed, cell_index, r))
         for r in range(exp.replicates)
     ]
-    outputs = _map_jobs(_run_sim_job, jobs, workers)
-    reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
-    seconds = dict.fromkeys(modes, 0.0)
-    for rep_reports, rep_seconds in outputs:
-        for mode in modes:
-            reports[mode].extend(rep_reports[mode])
-            seconds[mode] += rep_seconds[mode]
-    return CellResult(
-        scenario=exp.scenario,
-        p=p,
-        n_k=n_k,
-        rho=rho,
-        reports=reports,
-        predict_seconds=seconds,
-    )
+    run = partial(run_replicate, test_sets=exp.test_sets, modes=modes)
+    return _pool_cell(exp.scenario, p, n_k, rho, _map_jobs(run, configs, workers))
 
 
 def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
@@ -208,27 +186,10 @@ def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
         data, outliers, _ = load_csv(
             exp.csv_path, exp.label_column, outlier_label=exp.outlier_label
         )
-    jobs = [
-        _SplitJob(
-            data=data,
-            outliers=outliers,
-            fraction=exp.train_fraction,
-            alpha=exp.alpha,
-            seed=replicate_seed(exp.master_seed, 0, r),
-        )
-        for r in range(exp.replicates)
-    ]
-    outputs = _map_jobs(_run_split_job, jobs, workers)
-    reports = [r for rep_reports, _ in outputs for r in rep_reports["empirical"]]
-    seconds = sum(s["empirical"] for _, s in outputs)
-    return CellResult(
-        scenario="csv",
-        p=data.n_features,
-        n_k=min(data.class_counts),
-        rho=0.0,
-        reports={"empirical": reports},
-        predict_seconds={"empirical": seconds},
-    )
+    seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
+    run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha)
+    outputs = _map_jobs(run, seeds, workers)
+    return _pool_cell("csv", data.n_features, min(data.class_counts), 0.0, outputs)
 
 
 def run_experiment(

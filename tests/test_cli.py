@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from confset import (
     read_sets_csv,
 )
 from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from confset.validation import CHECKS, CheckResult
+from confset.validation import CHECKS, CheckResult, check_oracle_coverage
 
 
 def run_cli(*argv):
@@ -516,6 +517,27 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err == "error: CONFSET_WORKERS must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize(
+        "flag, env, message",
+        [
+            (("--workers", 0), None, "--workers must be a positive integer, got 0"),
+            (("--workers", -2), None, "--workers must be a positive integer, got -2"),
+            ((), "0", "CONFSET_WORKERS must be a positive integer, got 0"),
+        ],
+    )
+    def test_nonpositive_workers_is_usage_error(
+        self, tmp_path, capsys, monkeypatch, flag, env, message
+    ):
+        if env is not None:
+            monkeypatch.setenv("CONFSET_WORKERS", env)
+        config = tmp_path / "config.yaml"
+        config.write_text(f"scenario: one_class\nout_dir: {tmp_path / 'out'}\n")
+        assert run_cli("experiment", "--config", config, *flag) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestValidate:
     def test_single_cheap_check(self, capsys):
@@ -542,6 +564,15 @@ class TestValidate:
         )
         assert code == EXIT_OK
         assert "coverage 0." in capsys.readouterr().out
+
+    def test_flags_set_the_check_parameters_of_their_names(self, capsys):
+        assert run_cli(
+            "validate", "--check", "coverage", "--draws", 300, "--nk", 50, "--p", 20
+        ) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[0]
+        expected = check_oracle_coverage(draws=300, n_k=50, p=20).line()
+        untimed = re.compile(r" \(\d+\.\ds\)")
+        assert untimed.sub("", line) == untimed.sub("", expected)
 
     def test_unknown_check_is_data_error(self, capsys):
         assert run_cli("validate", "--check", "bogus") == EXIT_DATA

@@ -1,15 +1,19 @@
 """Experiment runner: seeding, replicates, cells, parallelism, file outputs."""
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
 from confset import (
-    DataError,
     ExperimentConfig,
     TestBatch,
-    evaluate_prediction,
     evaluate_sets,
     generate,
+    generate_test_batch,
+    generate_training,
+    load_csv,
+    make_atoms,
     multi_class_config,
     one_class_config,
     oracle_params,
@@ -19,6 +23,7 @@ from confset import (
     run_cell,
     run_experiment,
     run_replicate,
+    split_train_test,
     with_run_seed,
 )
 
@@ -46,14 +51,6 @@ class TestReplicateSeed:
 
 
 class TestEvaluatePrediction:
-    def test_matches_manual_pipeline(self):
-        config = multi_class_config(p=6, n_k=12, m=30, rho=0.3, run_seed=4)
-        train, batch = generate(config)
-        report, seconds = evaluate_prediction(train, batch, alpha=0.1)
-        _, sets = predict(train, batch, 0.1)
-        assert report == evaluate_sets(sets, batch.truth)
-        assert seconds >= 0.0
-
     def test_oracle_flag_changes_parameterization(self):
         config = multi_class_config(p=6, n_k=12, m=40, rho=0.3, run_seed=5)
         train, batch = generate(config)
@@ -61,14 +58,28 @@ class TestEvaluatePrediction:
         p_orc, _ = predict(train, batch, 0.1, oracle=oracle_params(config))
         assert not np.array_equal(p_emp.raw, p_orc.raw)
 
-    def test_rejects_unlabeled_batch(self, two_class_data):
-        with pytest.raises(DataError, match="unlabeled"):
-            evaluate_prediction(
-                two_class_data, TestBatch(features=np.zeros((1, 2))), 0.05
-            )
-
 
 class TestRunReplicate:
+    def test_matches_manual_pipeline(self):
+        """Each report is evaluate_sets(predict(...)) on the replicate's own
+        draws: the training set, then the batches, from one run_seed stream."""
+        # sizes chosen so sets are nontrivial and the two modes differ
+        config = multi_class_config(p=8, n_k=30, m=60, rho=0.2, alpha=0.25, run_seed=4)
+        reports, seconds = run_replicate(config, 3, ("empirical", "oracle"))
+        assert reports["empirical"] != reports["oracle"]
+        atoms = make_atoms(config.atom_seed, config.p)
+        rng = np.random.default_rng(config.run_seed)
+        train = generate_training(config, rng, atoms)
+        oracles = {"empirical": None, "oracle": oracle_params(config)}
+        expected = {mode: [] for mode in oracles}
+        for _ in range(3):
+            batch = generate_test_batch(config, rng, atoms)
+            for mode, oracle in oracles.items():
+                _, sets = predict(train, batch, 0.25, oracle=oracle)
+                expected[mode].append(evaluate_sets(sets, batch.truth))
+        assert reports == expected
+        assert all(s > 0.0 for s in seconds.values())
+
     def test_report_counts(self):
         config = one_class_config(p=5, n_k=20, m=16, run_seed=6)
         reports, seconds = run_replicate(config, test_sets=3, modes=("empirical",))
@@ -129,6 +140,29 @@ class TestRunCell:
         serial = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0, workers=1)
         parallel = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0, workers=2)
         assert serial.reports == parallel.reports
+
+    def test_pool_never_larger_than_job_count(self, monkeypatch):
+        """A pool starts all its workers at once, so it is sized to the jobs;
+        the recorder maps serially and starts no process."""
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+        pooled = run_cell(self.CONFIG, 8, 30, 0.2, workers=64)
+        assert sizes == [self.CONFIG.replicates]
+        assert pooled.reports == run_cell(self.CONFIG, 8, 30, 0.2).reports
 
     def test_both_mode_collects_two_tables(self):
         exp = ExperimentConfig(
@@ -218,6 +252,34 @@ class TestRunExperiment:
             caught = report.power * 10
             leaked = report.flr * m_total
             assert caught + leaked == pytest.approx(10.0)
+
+    def test_csv_replicates_match_manual_pipeline(self, tmp_path):
+        gen = np.random.default_rng(15)
+        groups = (("c1", 0.0, 1.0, 20), ("c2", 6.0, 1.0, 20), ("odd", 0.0, 6.0, 8))
+        rows = ["x1,x2,y"] + [
+            f"{a},{b},{label}"
+            for label, loc, scale, n in groups
+            for a, b in gen.normal(loc, scale, size=(n, 2))
+        ]
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(rows) + "\n")
+        exp = ExperimentConfig(
+            scenario="csv", csv_path=str(path), label_column="y",
+            outlier_label="odd", replicates=3, alpha=0.2, train_fraction=0.6,
+            out_dir=str(tmp_path / "out"), master_seed=9,
+        )
+        reports = run_experiment(exp)[0].reports["empirical"]
+        data, outliers, _ = load_csv(path, "y", outlier_label="odd")
+        expected = []
+        for r in range(3):
+            train, batch = split_train_test(data, 0.6, replicate_seed(9, 0, r))
+            batch = TestBatch(
+                features=np.vstack([batch.features, outliers.features]),
+                truth=np.concatenate([batch.truth, outliers.truth]),
+            )
+            _, sets = predict(train, batch, 0.2)
+            expected.append(evaluate_sets(sets, batch.truth))
+        assert reports == expected
 
     def test_csv_without_outliers(self, tmp_path):
         gen = np.random.default_rng(13)

@@ -4,7 +4,7 @@ benchmark checks on one simulation table sharing one run."""
 import numpy as np
 import pytest
 
-from confset import validation
+from confset import experiment
 from confset.datagen import one_class_config, oracle_params
 from confset.validation import (
     _draw_pvalues,
@@ -25,15 +25,15 @@ SMALL = dict(replicates=2, test_sets=2, p=6, n_k=20, m=40)
 @pytest.fixture
 def replicate_modes(monkeypatch):
     """The modes of every run_replicate call the checks make."""
-    modes = []
-    real = validation.run_replicate
+    calls = []
+    real = experiment.run_replicate
 
-    def spy(config, test_sets, run_modes):
-        modes.append(run_modes)
-        return real(config, test_sets, run_modes)
+    def spy(config, test_sets, modes):
+        calls.append(modes)
+        return real(config, test_sets, modes)
 
-    monkeypatch.setattr(validation, "run_replicate", spy)
-    return modes
+    monkeypatch.setattr(experiment, "run_replicate", spy)
+    return calls
 
 
 def test_cw_fdr_and_multiclass_share_one_table(replicate_modes):
@@ -54,6 +54,12 @@ def test_different_tables_run_apart(replicate_modes):
     assert replicate_modes == [("empirical",)] * 2 + [("empirical", "oracle")] * 2
     alone = [check_cw_fdr_control(seed=7, **SMALL), check_oneclass_benchmark(seed=7, **SMALL)]
     assert [r.details for r in shared] == [r.details for r in alone]
+
+
+def test_multiclass_error_bounds_follow_alpha():
+    result = check_multiclass_benchmark(alpha=0.1, **SMALL)
+    assert result.bound("max_cw_fdr").bound.rule == "<= 0.12"
+    assert result.bound("scw_fdr").bound.rule == "<= 0.1"
 
 
 def test_in_sample_pvalues_are_anti_conservative():
@@ -81,18 +87,21 @@ def test_in_sample_pvalues_are_anti_conservative():
 # scores. The scw and construction lines were recorded while both checks
 # still called one function per loss; they pin that evaluate_sets gives the
 # same losses and that one vector draw gives the same stream.
+# The cw_fdr, multiclass and oneclass lines were recorded while the
+# benchmark tables still had their own replicate loop; they pin that
+# run_cell draws and scores the same replicates.
 @pytest.mark.parametrize(
     "check, kwargs, details",
     [
         (
             check_super_uniformity,
-            dict(n_draws=300, p=20, n_k=50),
+            dict(draws=300, p=20, n_k=50),
             "P(p<=0.01)=0.0000 (bound 0.0272); P(p<=0.05)=0.0467 (bound 0.0877); "
             "P(p<=0.1)=0.1033 (bound 0.1520); P(p<=0.2)=0.1867 (bound 0.2693)",
         ),
         (
             check_oracle_coverage,
-            dict(n_draws=300, p=20, n_k=50),
+            dict(draws=300, p=20, n_k=50),
             "coverage 0.9533 >= 0.9123 (alpha=0.05, n_k=50)",
         ),
         (
@@ -112,8 +121,34 @@ def test_in_sample_pvalues_are_anti_conservative():
             "mean scw 0.0756 (target 0.075+-0.005); "
             "mean global fdp 0.1512 (target 0.15+-0.01)",
         ),
+        (
+            check_cw_fdr_control,
+            dict(replicates=2, test_sets=2),
+            "max_cw_fdr=0.0181 (ok <= 0.07); scw_fdr=0.0134 (ok <= 0.05)",
+        ),
+        (
+            check_multiclass_benchmark,
+            dict(replicates=2, test_sets=2),
+            "power=0.9960, oracle 0.9930 (ok >= 0.95); "
+            "flr=0.0010, oracle 0.0018 (ok <= 0.01); "
+            "max_cw_fdr=0.0181, oracle 0.0106 (ok <= 0.07); "
+            "scw_fdr=0.0134, oracle 0.0100 (ok <= 0.05); "
+            "coverage=0.9427, oracle 0.9577 (ok >= 0.93); "
+            "ambiguity=1.1019, oracle 1.1286 (ok <= oracle + 0.02 = 1.1486)",
+        ),
+        (
+            check_oneclass_benchmark,
+            dict(replicates=2, test_sets=2),
+            "power=0.8330, oracle 0.8020 (ok >= oracle - 0.02 = 0.7820); "
+            "fdr=0.0506, oracle 0.0303 (ok <= 0.08); "
+            "coverage=0.9850, oracle 0.9913 (ok >= 0.95); "
+            "flr=0.0418, oracle 0.0495 (ok <= oracle + 0.02 = 0.0695)",
+        ),
     ],
-    ids=["super_uniformity", "coverage", "deviation", "scw", "construction"],
+    ids=[
+        "super_uniformity", "coverage", "deviation", "scw", "construction",
+        "cw_fdr", "multiclass", "oneclass",
+    ],
 )
 def test_check_lines_are_pinned(check, kwargs, details):
     result = check(**kwargs)
