@@ -18,10 +18,12 @@ larger scale, so they match the inlier means but are overdispersed.
 A training set or a test batch is one block, drawn by one ``sample_points``
 call from per-component row counts. The generator is consumed component by
 component (Gaussian rows, then atom picks), so the stream is the same as
-drawing each component alone. The AR(1) recursion then runs once over the
-whole block, in place; picks are kept in the smallest integer dtype that
-holds them; nothing is transposed, since a transposed copy costs more peak
-memory than its contiguous column loop saves.
+drawing each component alone. The AR(1) recursion runs in place over the
+unfinished rows once they reach ``_CHUNK_ROWS`` or the block ends, so small
+components share one pass; only the picks of rows still waiting for it are
+held, never more than ``_CHUNK_ROWS`` rows of them, in the smallest integer
+dtype that holds them. Nothing is transposed, since a transposed copy costs
+more peak memory than its contiguous column loop saves.
 
 Equicorrelated noise deliberately does not appear here: a shared Gaussian
 factor at rho=0.8 dominates every distance-to-mean score and no mean/variance
@@ -178,8 +180,10 @@ def make_atoms(atom_seed: int, p: int) -> np.ndarray:
     return np.random.default_rng(atom_seed).uniform(-3.0, 3.0, size=p)
 
 
-# Rows per pass of the AR(1) recursion. Each pass pays the p-step Python loop
-# again, so passes are long; the cap only bounds the working set.
+# Rows of one AR(1) pass, and the most unfinished rows whose atom picks are
+# held while they wait for it. Each pass pays the p-step Python loop again, so
+# passes are long and small components share one; the cap bounds the held
+# picks and the working set.
 _CHUNK_ROWS = 2048
 # Target bytes of one row block of atom picks (drawn as int64) and of the
 # in-place affine step and atom gather.
@@ -199,20 +203,26 @@ def sample_points(
 
     The generator is consumed per component in a fixed order: the n_i x p
     Gaussian block, written straight into its output rows, then the n_i x p
-    atom indices. A seeded generator therefore reproduces every draw bit for
-    bit, and splitting the same components over several calls gives the same
-    rows. The picks are drawn as int64 in row blocks (the same stream) and
-    kept in the smallest unsigned dtype that holds p - 1.
+    atom indices, drawn as int64 in row blocks (the same stream). A seeded
+    generator therefore reproduces every draw bit for bit, and splitting the
+    same components over several calls gives the same rows.
 
-    The AR(1) recursion then runs once over the whole block, in place and in
-    row chunks: columns 1.. are scaled by sqrt(1 - rho**2), then each column
-    gains rho times the one before, so every element is rounded exactly as
-    rho * z[j-1] + sqrt(1 - rho**2) * g[j]. The block stays row-major and is
-    never transposed: a transposed copy would make the column loop
-    contiguous, but it needs a second block of memory and leaves column-major
-    rows for the row-wise steps after it. Shift, scale and atoms are applied
-    in place in cache-sized row blocks, in the order
-    sqrt(scale) * (z + shift) + w.
+    Rows are unfinished from their Gaussian draw until the AR(1) recursion
+    and the affine step have run over them. While a component leaves fewer
+    than ``_CHUNK_ROWS`` rows unfinished and the block goes on, its picks
+    are held, in the smallest unsigned dtype that holds p - 1. Once the
+    unfinished rows reach ``_CHUNK_ROWS``, or the block ends, the AR(1)
+    recursion runs over them in place and in row chunks: columns 1.. are
+    scaled by sqrt(1 - rho**2), then each column gains rho times the one
+    before, so every element is rounded exactly as
+    rho * z[j-1] + sqrt(1 - rho**2) * g[j]. Shift, scale and atoms then
+    follow in place in cache-sized row blocks, in the order
+    sqrt(scale) * (z + shift) + w: the held picks for the waiting
+    components, and for the current one picks drawn block by block and
+    added at once. So at most ``_CHUNK_ROWS`` rows of picks are ever held.
+    The block stays row-major and is never transposed: a transposed copy
+    would make the column loop contiguous, but it needs a second block of
+    memory and leaves column-major rows for the row-wise steps after it.
 
     Raises DataError for rho outside [0, 1), a negative row count, a
     non-positive scale, or an empty or non-1-D atom pool.
@@ -233,35 +243,48 @@ def sample_points(
         hi += n
     p = atoms.shape[0]
     z = np.empty((hi, p))
-    idx = np.empty(z.shape, dtype=np.min_scalar_type(p - 1))
+    ar = rho != 0.0 and p > 1
+    held = np.empty((min(_CHUNK_ROWS, hi) if ar else 0, p), dtype=np.min_scalar_type(p - 1))
     block_rows = max(1, _BLOCK_BYTES // (8 * p))
 
-    for _, lo, hi in spans:
+    first = 0  # the first component whose rows are unfinished
+    for i, (_, lo, hi) in enumerate(spans):
         rng.standard_normal(out=z[lo:hi])
-        for r in range(lo, hi, block_rows):
-            s = min(r + block_rows, hi)
-            idx[r:s] = rng.integers(0, p, size=(s - r, p))
-
-    if rho != 0.0 and p > 1:
-        innov = math.sqrt(1.0 - rho * rho)
-        tmp = np.empty(min(_CHUNK_ROWS, z.shape[0]))
-        for r in range(0, z.shape[0], _CHUNK_ROWS):
-            chunk = z[r:r + _CHUNK_ROWS]
-            t = tmp[: chunk.shape[0]]
-            chunk[:, 1:] *= innov
-            for j in range(1, p):
-                np.multiply(chunk[:, j - 1], rho, out=t)
-                chunk[:, j] += t
-
-    for spec, lo, hi in spans:
-        root = math.sqrt(spec.scale)
-        for r in range(lo, hi, block_rows):
-            s = min(r + block_rows, hi)
-            block = z[r:s]
-            block += spec.shift
-            block *= root
-            block += atoms[idx[r:s]]
+        start = spans[first][1]
+        if ar and hi - start < _CHUNK_ROWS and i + 1 < len(spans):
+            for r in range(lo, hi, block_rows):
+                s = min(r + block_rows, hi)
+                held[r - start:s - start] = rng.integers(0, p, size=(s - r, p))
+            continue
+        if ar:
+            _ar1(z[start:hi], rho)
+        for spec, c_lo, c_hi in spans[first:i + 1]:
+            root = math.sqrt(spec.scale)
+            for r in range(c_lo, c_hi, block_rows):
+                s = min(r + block_rows, c_hi)
+                if r < lo:
+                    picks = held[r - start:s - start]
+                else:
+                    picks = rng.integers(0, p, size=(s - r, p))
+                block = z[r:s]
+                block += spec.shift
+                block *= root
+                block += atoms[picks]
+        first = i + 1
     return z
+
+
+def _ar1(z: np.ndarray, rho: float) -> None:
+    """The AR(1) recursion over the columns of ``z``, in place, in row chunks."""
+    innov = math.sqrt(1.0 - rho * rho)
+    tmp = np.empty(min(_CHUNK_ROWS, z.shape[0]))
+    for r in range(0, z.shape[0], _CHUNK_ROWS):
+        chunk = z[r:r + _CHUNK_ROWS]
+        t = tmp[: chunk.shape[0]]
+        chunk[:, 1:] *= innov
+        for j in range(1, z.shape[1]):
+            np.multiply(chunk[:, j - 1], rho, out=t)
+            chunk[:, j] += t
 
 
 def apportion_test_counts(m: int, inlier_ratio: float, n_classes: int) -> tuple[list[int], int]:

@@ -9,8 +9,8 @@ explicit Monte Carlo slack. Checks come in two groups:
   error-rate control, loss orderings, step-up behaviour, convergence
   trends). These hold by construction and pass at the default seeds.
 * ``BENCHMARK_CHECKS`` rerun the two simulation benchmarks at pinned
-  designs. Error-control lines are held to fixed targets; efficiency
-  lines (power, false label rate, set size) to the known-parameter
+  designs. Error-control lines are held to targets set by alpha;
+  efficiency lines (power, false label rate, set size) to the known-parameter
   procedure run on the same data, within Monte Carlo slack. They are
   costly, so they run only when named explicitly.
 
@@ -449,7 +449,7 @@ def _multiclass_bounds(alpha: float) -> tuple[Bound, ...]:
         Bound("power", ">=", 0.95),
         Bound("flr", "<=", 0.01),
         *_cw_fdr_bounds(alpha),
-        Bound("coverage", ">=", 0.93),
+        Bound("coverage", ">=", 1.0 - alpha - MC_SLACK),
         Bound("ambiguity", "<="),
     )
 
@@ -457,8 +457,8 @@ def _multiclass_bounds(alpha: float) -> tuple[Bound, ...]:
 def _oneclass_bounds(alpha: float) -> tuple[Bound, ...]:
     return (
         Bound("power", ">="),
-        Bound("fdr", "<=", 0.08),
-        Bound("coverage", ">=", 0.95),
+        Bound("fdr", "<=", alpha + 0.03),
+        Bound("coverage", ">=", 1.0 - alpha),
         Bound("flr", "<="),
     )
 
@@ -547,8 +547,9 @@ def check_multiclass_benchmark(
 ) -> CheckResult:
     """Four-class benchmark at the pinned design.
 
-    Power, false label rate, class-wise and summarized FDR and coverage are
-    held to fixed targets; the mean non-empty set size to the
+    Power and false label rate are held to fixed targets; class-wise FDR
+    to alpha + ``MC_SLACK``, summarized FDR to alpha and coverage to
+    1 - alpha - ``MC_SLACK``; the mean non-empty set size to the
     known-parameter procedure's plus ``MC_SLACK``.
     """
     table = _table("multiclass", seed, replicates, test_sets, p, n_k, rho, alpha, m)
@@ -567,8 +568,8 @@ def check_oneclass_benchmark(
 ) -> CheckResult:
     """Single-class benchmark at the pinned design.
 
-    FDR and coverage are held to fixed targets; power and false label rate
-    to the known-parameter procedure's, less or plus ``MC_SLACK``.
+    FDR is held to alpha + 0.03 and coverage to 1 - alpha; power and false
+    label rate to the known-parameter procedure's, less or plus ``MC_SLACK``.
     """
     table = _table("oneclass", seed, replicates, test_sets, p, n_k, rho, alpha, m)
     return _benchmark("oneclass", table)

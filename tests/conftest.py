@@ -150,8 +150,10 @@ def naive_sample_component(spec, n, rho, atoms, rng) -> np.ndarray:
 
 
 def naive_generate(config):
-    """(train features, labels, test features, truth) of ``generate(config)``,
-    drawn one component at a time, skipping test components with no rows."""
+    """(train features, labels, test features, truth, next draw) of
+    ``generate(config)``, drawn one component at a time, skipping test
+    components with no rows; the next draw is the generator's
+    ``random()`` after both blocks."""
     from confset import apportion_test_counts, make_atoms
 
     atoms = make_atoms(config.atom_seed, config.p)
@@ -168,7 +170,9 @@ def naive_generate(config):
         if n > 0:
             test.append(naive_sample_component(spec, n, config.rho, atoms, rng))
             truth += [k] * n
-    return np.vstack(train), np.array(labels), np.vstack(test), np.array(truth)
+    return (
+        np.vstack(train), np.array(labels), np.vstack(test), np.array(truth), rng.random()
+    )
 
 
 def random_instance(rng, n_classes=None, p=None, n_k=None, m=None):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,28 @@ class TestTestBatch:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             TestBatch(features=np.array([[np.inf, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_naming_first_in_row_order(self, bad):
+        features = np.zeros((5, 4))
+        features[3, 0] = bad
+        features[2, 3] = bad
+        features[4, 1] = -bad
+        with pytest.raises(DataError) as err:
+            TestBatch(features=features)
+        assert str(err.value) == "non-finite value in features at row 2, column 3"
+
+    def test_finiteness_check_builds_no_mask(self):
+        # a float64 batch is taken as it is; the check must not allocate a
+        # bool mask of n x p bytes (1 MB here) to find nothing
+        features = np.random.default_rng(0).standard_normal((2000, 500))
+        tracemalloc.start()
+        try:
+            TestBatch(features=features)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < features.size // 8, peak
 
 
 class TestClassSummary:

@@ -26,6 +26,8 @@ from confset import (
 
 from conftest import naive_generate
 
+_CHUNK = datagen._CHUNK_ROWS
+
 
 class TestAtoms:
     def test_deterministic_and_in_range(self):
@@ -213,7 +215,7 @@ class TestNaiveReference:
     @staticmethod
     def assert_matches_naive(config):
         train, test = generate(config)
-        x, labels, y, truth = naive_generate(config)
+        x, labels, y, truth, next_draw = naive_generate(config)
         np.testing.assert_array_equal(train.features, x)
         np.testing.assert_array_equal(train.labels, labels)
         np.testing.assert_array_equal(test.features, y)
@@ -222,6 +224,7 @@ class TestNaiveReference:
         atoms = make_atoms(config.atom_seed, config.p)
         np.testing.assert_array_equal(generate_training(config, rng, atoms).features, x)
         np.testing.assert_array_equal(generate_test_batch(config, rng, atoms).features, y)
+        assert rng.random() == next_draw
 
     @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
     @pytest.mark.parametrize("p", [1, 7, 300])
@@ -234,6 +237,29 @@ class TestNaiveReference:
         n_k = datagen._CHUNK_ROWS + 300 if make is one_class_config else 600
         config = make(p=7, n_k=n_k, m=datagen._CHUNK_ROWS + 5, rho=0.8, run_seed=4)
         assert config.n_k * config.n_classes > datagen._CHUNK_ROWS
+        self.assert_matches_naive(config)
+
+    @pytest.mark.parametrize(
+        "make, n_k, m, ratio, test_counts",
+        [
+            # unfinished rows reach exactly _CHUNK_ROWS in both blocks
+            (multi_class_config, _CHUNK // 2, 2 * _CHUNK + 100, 2 * _CHUNK / 100,
+             [_CHUNK // 2] * 4 + [100]),
+            # small components, then one of _CHUNK_ROWS + 1 rows; the second
+            # also holds _CHUNK_ROWS - 2 training rows before its first pass
+            (one_class_config, 5, _CHUNK + 6, 5 / (_CHUNK + 1), [5, _CHUNK + 1]),
+            (multi_class_config, _CHUNK - 2, _CHUNK + 13, 12 / (_CHUNK + 1),
+             [3] * 4 + [_CHUNK + 1]),
+            # zero-row components first, then in the middle, then last
+            (multi_class_config, 3, _CHUNK + 1, 1e-9, [0] * 4 + [_CHUNK + 1]),
+            (multi_class_config, 3, 7, 0.4, [1, 1, 0, 0, 5]),
+            (multi_class_config, 3, 2, 1e9, [1, 1, 0, 0, 0]),
+        ],
+    )
+    def test_components_straddling_the_ar1_flush(self, make, n_k, m, ratio, test_counts):
+        config = make(p=7, n_k=n_k, m=m, inlier_ratio=ratio, rho=0.8, run_seed=5)
+        counts, n_out = apportion_test_counts(m, ratio, config.n_classes)
+        assert counts + [n_out] == test_counts
         self.assert_matches_naive(config)
 
     def test_shifted_and_scaled_components(self):
@@ -276,11 +302,14 @@ class TestOneDrawPerBlock:
     @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
     @pytest.mark.parametrize("p, m", [(200, 1000), (500, 4000)])
     def test_peak_memory_bounded(self, make, p, m):
-        # the block, its compact picks and 256 KiB temporaries; no
-        # per-component copies stacked afterwards. Training blocks are m rows
-        # too, so the fixed temporaries weigh the same in every case.
+        # the block, at most _CHUNK_ROWS rows of compact picks and a few
+        # row-block temporaries; no whole-block side array and no
+        # per-component copies stacked afterwards. Training blocks are m
+        # rows too, so the fixed temporaries weigh the same in every case.
         config = make(p=p, n_k=m // (4 if make is multi_class_config else 1), m=m, rho=0.8)
         atoms = make_atoms(config.atom_seed, p)
+        picks_itemsize = np.min_scalar_type(p - 1).itemsize
+        side = _CHUNK * p * picks_itemsize + 4 * datagen._BLOCK_BYTES
         for draw in (generate_training, generate_test_batch):
             rng = np.random.default_rng(0)
             tracemalloc.start()
@@ -289,7 +318,7 @@ class TestOneDrawPerBlock:
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 1.6 * out.features.nbytes, (draw.__name__, peak / out.features.nbytes)
+            assert peak <= out.features.nbytes + side, (draw.__name__, peak / out.features.nbytes)
 
 
 class TestGenerateTraining:

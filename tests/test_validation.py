@@ -60,6 +60,15 @@ def test_multiclass_error_bounds_follow_alpha():
     result = check_multiclass_benchmark(alpha=0.1, **SMALL)
     assert result.bound("max_cw_fdr").bound.rule == "<= 0.12"
     assert result.bound("scw_fdr").bound.rule == "<= 0.1"
+    assert result.bound("coverage").bound.rule == ">= 0.88"
+
+
+def test_oneclass_bounds_follow_alpha():
+    result = check_oneclass_benchmark(alpha=0.2, replicates=2, test_sets=2)
+    assert result.bound("fdr").bound.rule == "<= 0.23"
+    coverage = result.bound("coverage")
+    assert coverage.bound.rule == ">= 0.8"
+    assert coverage.passed, coverage.text()
 
 
 def test_in_sample_pvalues_are_anti_conservative():
