@@ -27,7 +27,6 @@ from .core import (
     ClassModel,
     DataError,
     DegenerateVarianceError,
-    DeviationBound,
     LabeledDataset,
     PredictionSets,
     PValueMatrix,
@@ -39,7 +38,6 @@ from .conformal import (
     bh_adjust,
     conformal_pvalues,
     predict,
-    set_size_discrepancy,
 )
 from .metrics import MetricsReport, evaluate_sets, rejection_global_fdp
 from .datagen import (
@@ -101,7 +99,6 @@ __all__ = [
     "ClassModel",
     "DataError",
     "DegenerateVarianceError",
-    "DeviationBound",
     "LabeledDataset",
     "PredictionSets",
     "PValueMatrix",
@@ -116,7 +113,6 @@ __all__ = [
     "bh_adjust",
     "conformal_pvalues",
     "predict",
-    "set_size_discrepancy",
     # metrics
     "MetricsReport",
     "evaluate_sets",

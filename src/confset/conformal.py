@@ -17,6 +17,10 @@ With known moments the training and test scores are exchangeable and the
 rank p-values are valid at any sample size. The fitted default calibrates
 in-sample, which makes the training scores too small: its p-values are
 anti-conservative at small n_k (ROADMAP, open item 1).
+
+This module makes one predictor's sets. Comparing two predictors on the
+same batch, as the set-size gap between fitted and known moments, is done
+by the check that needs it, in ``validation``.
 """
 
 from __future__ import annotations
@@ -40,7 +44,6 @@ __all__ = [
     "bh_adjust",
     "acceptance_threshold",
     "predict",
-    "set_size_discrepancy",
 ]
 
 
@@ -166,16 +169,3 @@ def predict(
     sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
     return pvals, sets
 
-
-def set_size_discrepancy(a: PredictionSets, b: PredictionSets) -> float:
-    """Mean absolute difference in prediction-set size between two outputs.
-
-    Used to compare empirical and oracle predictions on the same test batch;
-    shrinks as the training size grows.
-    """
-    if a.member.shape != b.member.shape:
-        raise DataError(
-            f"prediction sets have mismatched shapes {a.member.shape} and "
-            f"{b.member.shape}"
-        )
-    return float(np.abs(a.sizes - b.sizes).mean())

@@ -3,6 +3,9 @@
 Everything downstream (scoring, conformal p-values, metrics) operates on the
 types defined here. Containers are frozen dataclasses holding read-only numpy
 arrays: once constructed they are safe to share across worker processes.
+The module holds containers and errors only; the envelope on the gap
+between fitted and known-moment p-values lives with its one check, in
+``validation``.
 
 Label conventions
 -----------------
@@ -13,7 +16,6 @@ classes).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +28,6 @@ __all__ = [
     "ClassModel",
     "PValueMatrix",
     "PredictionSets",
-    "DeviationBound",
 ]
 
 
@@ -303,18 +304,6 @@ class PredictionSets:
             member = member.astype(bool)
         object.__setattr__(self, "member", _readonly(member))
 
-    @classmethod
-    def from_sets(cls, sets, n_classes: int) -> "PredictionSets":
-        """Build from an iterable of label collections (labels in 1..n_classes)."""
-        sets = list(sets)
-        member = np.zeros((len(sets), n_classes), dtype=bool)
-        for i, labels in enumerate(sets):
-            for k in labels:
-                if not 1 <= k <= n_classes:
-                    raise DataError(f"set label {k} outside 1..{n_classes}")
-                member[i, k - 1] = True
-        return cls(member)
-
     @property
     def m(self) -> int:
         return self.member.shape[0]
@@ -331,29 +320,3 @@ class PredictionSets:
     def sets(self) -> list[frozenset[int]]:
         """Per-point accepted labels as frozensets."""
         return [frozenset(np.flatnonzero(row) + 1) for row in self.member]
-
-
-@dataclass(frozen=True)
-class DeviationBound:
-    """High-probability bound on |empirical - oracle| conformal p-values.
-
-    For a class with n training points the deviation exceeds ``bound(n)``
-    with probability at most ``2 * n**-a``. Requires a >= 2; the bound decays
-    like sqrt(log n / n) and is vacuous (> 1) for small n.
-    """
-
-    a: float = 2.0
-
-    def __post_init__(self):
-        if not self.a >= 2:
-            raise DataError(f"a must be >= 2, got {self.a}")
-
-    @property
-    def scale(self) -> float:
-        """Multiplier sqrt(a) + 2a/3 in front of the rate."""
-        return math.sqrt(self.a) + 2.0 * self.a / 3.0
-
-    def bound(self, n: int) -> float:
-        if n < 3:
-            raise DataError(f"n must be >= 3, got {n}")
-        return 4.0 * self.scale * math.sqrt(math.log(n) / n)

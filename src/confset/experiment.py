@@ -36,6 +36,7 @@ from .datagen import (
     with_run_seed,
 )
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
+from .io import _os_errors
 from .metrics import MetricsReport, evaluate_sets
 from .scoring import fit_model
 
@@ -204,7 +205,8 @@ def run_experiment(
     and rendered tables.
     """
     out_dir = Path(exp.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    with _os_errors("create", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
     save_config(exp, out_dir / "config.yaml")
     if exp.scenario == "csv":
         cells = [_run_csv_experiment(exp, workers)]

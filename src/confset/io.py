@@ -4,7 +4,10 @@ Numeric round-trips are exact: floats are written as their shortest
 repr (which reparses to the identical float64), so saving and loading a
 table or a ``ClassModel`` reproduces it bit for bit.
 
-Reading a CSV table streams it in blocks of rows. ``csv.reader`` splits
+Every CSV read, results and prediction-sets tables included, goes through
+one reader, ``_read_table``, with one policy: blank lines are skipped, the
+header names each column once, and every row has a cell per header
+column. It streams the table in blocks of rows. ``csv.reader`` splits
 the lines; once the header is checked, rows are gathered into blocks of at
 most ``_BLOCK_CELLS`` cells (8192, at least one row), and each block is
 cast with one ``np.array(..., dtype=np.float64)`` call. numpy converts a
@@ -35,6 +38,7 @@ import csv
 import json
 import math
 import numbers
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
@@ -85,18 +89,23 @@ def _floats(values: list[float]) -> str:
     return ",".join(map(repr, values))
 
 
-def _open_read(path, **kwargs):
+@contextmanager
+def _os_errors(verb: str, path):
+    """Turn an OSError in the block into one DataError line naming ``path``."""
     try:
-        return open(path, **kwargs)
+        yield
     except OSError as e:
-        raise DataError(f"cannot read {path}: {e.strerror or e}") from None
+        raise DataError(f"cannot {verb} {path}: {e.strerror or e}") from None
+
+
+def _open_read(path, **kwargs):
+    with _os_errors("read", path):
+        return open(path, **kwargs)
 
 
 def _open_write(path, **kwargs):
-    try:
+    with _os_errors("write", path):
         return open(path, "w", **kwargs)
-    except OSError as e:
-        raise DataError(f"cannot write {path}: {e.strerror or e}") from None
 
 
 # Cells per block of parsed rows. Until its one cast, a block holds each
@@ -571,44 +580,24 @@ def write_results(
         if time_s is not None:
             writer.writerow(["time_s", repr(float(time_s)), "0.0"])
     text = render_results(reports, time_s)
-    path.with_suffix(".txt").write_text(text)
+    with _open_write(path.with_suffix(".txt")) as fh:
+        fh.write(text)
     return text
-
-
-def _tagged_rows(path, fh, columns: list[str], what: str):
-    """Yield (line number, row) of a CSV this module wrote with ``columns``.
-
-    Checks the header and that each non-blank row has a cell per column;
-    the caller parses the cells.
-    """
-    reader = csv.reader(fh)
-    header = next(reader, None)
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    if header[: len(columns)] != columns:
-        raise DataError(f"{path}: not a {what}")
-    for row in reader:
-        if not row:
-            continue
-        if len(row) < len(columns):
-            raise DataError(
-                f"{path}: line {reader.line_num} has {len(row)} cells, "
-                f"expected {len(columns)}"
-            )
-        yield reader.line_num, row
 
 
 def read_results(path) -> dict[str, tuple[float, float]]:
     """Parse a results CSV back into {metric: (mean, std)}."""
+    table = _read_table(path)
+    if next(table) != ["metric", "mean", "std"]:
+        raise DataError(f"{path}: not a results table")
     out = {}
-    with _open_read(path, newline="") as fh:
-        columns = ["metric", "mean", "std"]
-        for line, row in _tagged_rows(path, fh, columns, "results table"):
+    for rows, lines in table:
+        for row, line in zip(rows, lines):
             try:
                 out[row[0]] = (float(row[1]), float(row[2]))
             except ValueError:
                 raise DataError(
-                    f"{path}: line {line}: non-numeric mean or std in {row[:3]}"
+                    f"{path}: line {line}: non-numeric mean or std in {row}"
                 ) from None
     return out
 
@@ -648,25 +637,37 @@ def write_sets_csv(path, sets: PredictionSets) -> None:
 
 
 def read_sets_csv(path, n_classes: int) -> PredictionSets:
-    collected = []
-    with _open_read(path, newline="") as fh:
-        columns = ["index", "size", "labels"]
-        for line, row in _tagged_rows(path, fh, columns, "prediction-sets table"):
-            cell = row[2].strip()
+    """Read the sets that :func:`write_sets_csv` wrote, as an (m, K) mask.
+
+    Row i must hold index i, a ';'-joined list of labels in 1..n_classes,
+    and the size of that set; any other row is one ``DataError`` naming
+    its line.
+    """
+    table = _read_table(path)
+    if next(table) != ["index", "size", "labels"]:
+        raise DataError(f"{path}: not a prediction-sets table")
+    member = []
+    for rows, lines in table:
+        for (index, size, cell), line in zip(rows, lines):
+            where = f"{path}: line {line}"
+            if index.strip() != str(len(member)):
+                raise DataError(f"{where}: index {index!r}, expected {len(member)}")
+            cell = cell.strip()
             try:
                 labels = [int(t) for t in cell.split(";")] if cell else []
             except ValueError:
                 raise DataError(
-                    f"{path}: line {line}: labels cell {cell!r} is not a "
-                    "';'-joined list of integers"
+                    f"{where}: labels cell {cell!r} is not a ';'-joined list of integers"
                 ) from None
+            row = [False] * n_classes
             for k in labels:
                 if not 1 <= k <= n_classes:
-                    raise DataError(
-                        f"{path}: line {line}: set label {k} outside 1..{n_classes}"
-                    )
-            collected.append(labels)
-    return PredictionSets.from_sets(collected, n_classes)
+                    raise DataError(f"{where}: set label {k} outside 1..{n_classes}")
+                row[k - 1] = True
+            if size.strip() != str(sum(row)):
+                raise DataError(f"{where}: size {size!r}, but the set has {sum(row)}")
+            member.append(row)
+    return PredictionSets(np.array(member, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

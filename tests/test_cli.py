@@ -2,6 +2,8 @@
 
 import contextlib
 import io
+import json
+import math
 import os
 import re
 import subprocess
@@ -10,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -328,6 +331,38 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == f"error: {bad}: line 4: set label 7 outside 1..1\n"
 
+    @pytest.mark.parametrize(
+        "index, size, message",
+        [
+            ("7", "3", "line 2: index '7', expected 0"),
+            (None, "3", "line 2: size '3', but the set has "),
+        ],
+        ids=["index and size", "size"],
+    )
+    def test_rewritten_index_or_size_is_data_error(
+        self, simulated, tmp_path, capsys, index, size, message
+    ):
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--out", tmp_path / "pred",
+        )
+        lines = (tmp_path / "pred_sets.csv").read_text().splitlines()
+        rows = [line.split(",") for line in lines[1:]]
+        bad = tmp_path / "bad_sets.csv"
+        bad.write_text("\n".join(
+            [lines[0]] + [f"{index or i},{size},{labels}" for i, _, labels in rows]
+        ) + "\n")
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--sets", bad,
+            "--test", f"{simulated}_test.csv", "--n-classes", 1,
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: {message}")
+        assert len(err.splitlines()) == 1
+
 
     def test_reads_only_the_truth_column(self, simulated, tmp_path, capsys):
         run_cli(
@@ -502,6 +537,19 @@ class TestExperiment:
         assert err.startswith(f"error: {config}:")
         assert len(err.splitlines()) == 1
 
+    def test_uncreatable_out_dir_is_data_error(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory\n")
+        config = tmp_path / "config.yaml"
+        config.write_text(
+            "scenario: multi_class\np: [3]\nn_k: [5]\nm: 8\n"
+            f"replicates: 1\ntest_sets: 1\nout_dir: {blocker / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot create {blocker / 'out'}: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_bad_workers_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CONFSET_WORKERS", "abc")
         # only experiment reads the variable; every other command ignores it
@@ -637,9 +685,19 @@ def clean_files(tmp_path_factory):
         )
         run_cli(
             "predict", "--train", root / "sim_train.csv", "--test", root / "sim_test.csv",
-            "--out", root / "pred",
+            "--truth-column", "truth", "--out", root / "pred",
         )
+    assert (root / "pred_sets.csv").exists()
     return root
+
+
+def _exits_3_with_one_line(*argv) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli(*argv)
+    assert code == EXIT_DATA, err.getvalue()
+    assert err.getvalue().startswith("error: ")
+    assert len(err.getvalue().splitlines()) == 1
 
 
 # (command, the file to break, the column that is not a feature)
@@ -699,9 +757,187 @@ def test_malformed_csv_exits_3_with_one_line(clean_files, data, target):
     else:
         argv = ["evaluate", "--sets", root / "pred_sets.csv", "--test", files["test"],
                 "--n-classes", 1]
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = run_cli(*argv)
-    assert code == EXIT_DATA
-    assert err.getvalue().startswith("error: ")
-    assert len(err.getvalue().splitlines()) == 1
+    _exits_3_with_one_line(*argv)
+
+
+@st.composite
+def malformed_sets(draw, lines):
+    """The lines of a one-class sets CSV broken in a way evaluate must report."""
+    header, rows = lines[0], [line.split(",") for line in lines[1:]]
+    kinds = ["empty", "header only", "foreign header", "short row", "long row",
+             "index", "size", "labels", "extra row", "missing row"]
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(rows) - 1))
+    cell = st.sampled_from(["", " ", "x", "1.0", "-1", "2", "10"])
+    if kind == "empty":
+        return []
+    if kind == "header only":
+        return lines[:1]
+    if kind == "foreign header":
+        header = draw(st.sampled_from(
+            ["index,size,label", "size,index,labels", "a,b,c", "index,size,labels,x"]
+        ))
+    elif kind == "short row":
+        del rows[i][draw(st.integers(0, 2))]
+    elif kind == "long row":
+        rows[i].append(draw(cell))
+    elif kind == "index":
+        rows[i][0] = draw(cell.filter(lambda v: v.strip() != str(i)))
+    elif kind == "size":
+        # with one class the labels cell is "" or "1", so its length is the size
+        rows[i][1] = draw(cell.filter(lambda v: v.strip() != str(len(rows[i][2]))))
+    elif kind == "labels":
+        # with one class, each is out of range or not a ';'-joined integer list
+        rows[i][2] = draw(st.sampled_from(["0", "2", "x", "1;", ";1", "1;2", "-1", "1.0"]))
+    elif kind == "extra row":
+        rows.append([str(len(rows)), "0", ""])
+    else:
+        del rows[i]
+    return [header] + [",".join(row) for row in rows]
+
+
+@given(data=st.data())
+def test_malformed_sets_csv_exits_3_with_one_line(clean_files, data):
+    root = clean_files
+    lines = (root / "pred_sets.csv").read_text().splitlines()
+    broken = root / "broken_sets.csv"
+    broken.write_text("".join(f"{line}\n" for line in data.draw(malformed_sets(lines))))
+    _exits_3_with_one_line(
+        "evaluate", "--sets", broken, "--test", root / "sim_test.csv", "--n-classes", 1,
+    )
+
+
+# Strings that are not numbers, not even to numpy's float cast.
+WORDS = st.sampled_from(["", "x", "one", "1,5", "[1]"])
+
+
+@st.composite
+def malformed_model(draw, text):
+    """The bytes of a one-class ``--oracle-params`` file that predict must reject."""
+    doc = json.loads(text)
+    kind = draw(st.sampled_from(
+        ["truncated", "not utf-8", "not an object", "kind", "missing field",
+         "entry", "non-finite", "variance", "shape"]
+    ))
+    if kind == "truncated":
+        return text[: draw(st.integers(0, len(text) - 1))].encode()
+    if kind == "not utf-8":
+        return b'{"kind": "\xff"}'
+    field = draw(st.sampled_from(["means", "variances"]))
+    j = draw(st.integers(0, len(doc["means"][0]) - 1))
+    if kind == "not an object":
+        doc = draw(st.one_of(st.none(), st.integers(), WORDS, st.lists(st.integers(), max_size=3)))
+    elif kind == "kind":
+        doc["kind"] = draw(st.one_of(st.none(), st.integers(), WORDS, st.just("OracleParams")))
+    elif kind == "missing field":
+        del doc[draw(st.sampled_from(["kind", "means", "variances"]))]
+    elif kind == "entry":
+        doc[field][0][j] = draw(st.one_of(
+            st.none(), WORDS, st.lists(st.floats(0.5, 2.0), max_size=2), st.just({})
+        ))
+    elif kind == "non-finite":
+        doc[field][0][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    elif kind == "variance":
+        doc["variances"][0][j] = draw(st.floats(max_value=0.0, allow_nan=False))
+    else:
+        # too few or too many classes or features, or not a (K, p) array
+        doc[field] = draw(st.sampled_from([
+            doc[field][0], [], [doc[field][0]] * 2, [doc[field][0] + [1.0]],
+            [doc[field][0][:-1]], [[doc[field][0]]],
+        ]))
+    return json.dumps(doc).encode()
+
+
+@given(data=st.data())
+def test_malformed_oracle_params_exits_3_with_one_line(clean_files, data):
+    root = clean_files
+    text = (root / "sim_oracle.json").read_text()
+    broken = root / "broken_oracle.json"
+    broken.write_bytes(data.draw(malformed_model(text)))
+    _exits_3_with_one_line(
+        "predict", "--train", root / "sim_train.csv", "--test", root / "sim_test.csv",
+        "--truth-column", "truth", "--mode", "oracle", "--oracle-params", broken,
+        "--out", root / "oracle_pred",
+    )
+
+
+TEXT = st.text(st.characters(codec="utf-8"), max_size=6)
+NOT_INT_SCALAR = st.one_of(
+    st.none(), st.booleans(), TEXT, st.floats(), st.dictionaries(TEXT, st.integers(), max_size=2)
+)
+NOT_NUMBER = st.one_of(
+    st.none(), st.booleans(), TEXT, st.lists(st.integers(), max_size=2),
+    st.dictionaries(TEXT, st.integers(), max_size=2),
+)
+NOT_INT = st.one_of(NOT_NUMBER, st.floats())
+NOT_TEXT = st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.integers(), max_size=2))
+
+
+def _bad_grid(entry, good):
+    """A grid value holding a bad entry: the entry alone, or after a good one."""
+    return st.one_of(entry, st.lists(entry, min_size=1, max_size=2).map(lambda bad: [good] + bad))
+
+
+def _not_choice(*names):
+    return st.one_of(st.none(), st.integers(), TEXT.filter(lambda v: v not in names))
+
+
+# For every config field, values that field rejects in a simulated scenario.
+BAD_FIELDS = {
+    "scenario": _not_choice("one_class", "multi_class", "csv"),
+    "mode": _not_choice("empirical", "oracle", "both"),
+    "p": _bad_grid(st.one_of(NOT_INT_SCALAR, st.integers(max_value=0)), 3),
+    "n_k": _bad_grid(st.one_of(NOT_INT_SCALAR, st.integers(max_value=2)), 5),
+    "rho": _bad_grid(
+        st.one_of(st.none(), st.booleans(), TEXT, st.floats().filter(lambda v: not 0 <= v < 1)),
+        0.0,
+    ),
+    "m": st.one_of(NOT_INT, st.integers(max_value=0)),
+    "replicates": st.one_of(NOT_INT, st.integers(max_value=0)),
+    "test_sets": st.one_of(NOT_INT, st.integers(max_value=0)),
+    "alpha": st.one_of(NOT_NUMBER, st.floats().filter(lambda v: not 0 < v < 1)),
+    "inlier_ratio": st.one_of(NOT_NUMBER, st.floats().filter(lambda v: not 0 < v < math.inf)),
+    "train_fraction": NOT_NUMBER,
+    "master_seed": st.one_of(NOT_INT, st.integers(max_value=-1)),
+    "atom_seed": st.one_of(NOT_INT, st.integers(max_value=-1)),
+    "out_dir": st.one_of(st.none(), NOT_TEXT),
+    "csv_path": NOT_TEXT,
+    "label_column": NOT_TEXT,
+    "outlier_label": NOT_TEXT,
+}
+
+
+@st.composite
+def malformed_config(draw):
+    """The bytes of an experiment YAML that ``confset experiment`` must reject."""
+    doc = {"scenario": "multi_class", "p": [3], "n_k": [5], "rho": [0.0], "m": 8,
+           "replicates": 1, "test_sets": 1}
+    kind = draw(st.sampled_from(
+        ["syntax", "not utf-8", "not a mapping", "unknown key", "no scenario", "field"]
+    ))
+    if kind == "syntax":
+        tail = draw(st.sampled_from(
+            ["p: [1, 2\n", "\tm: 3\n", "alpha: 0.1: 2\n", "- item\n", "{unclosed\n", "key: 'open\n"]
+        ))
+        return (yaml.safe_dump(doc, sort_keys=False) + tail).encode()
+    if kind == "not utf-8":
+        return b"scenario: multi_\xffclass\n"
+    if kind == "not a mapping":
+        doc = draw(st.one_of(st.none(), st.integers(), TEXT, st.lists(st.integers(), max_size=3)))
+    elif kind == "unknown key":
+        doc[draw(st.one_of(st.integers(), TEXT.filter(lambda k: k not in BAD_FIELDS)))] = 1
+    elif kind == "no scenario":
+        del doc["scenario"]
+    else:
+        name = draw(st.sampled_from(sorted(BAD_FIELDS)))
+        doc[name] = draw(BAD_FIELDS[name])
+    return yaml.safe_dump(doc, sort_keys=False).encode()
+
+
+@given(data=st.data())
+def test_malformed_config_exits_3_with_one_line(tmp_path_factory, data):
+    root = tmp_path_factory.getbasetemp()
+    config = root / "broken_config.yaml"
+    config.write_bytes(data.draw(malformed_config()))
+    # a config that slipped through would write here, not into the repository
+    _exits_3_with_one_line("experiment", "--config", config, "--out-dir", root / "exp_out")

@@ -9,7 +9,6 @@ from confset import conformal, scoring
 from confset import (
     DataError,
     LabeledDataset,
-    PredictionSets,
     TestBatch,
     acceptance_threshold,
     bh_adjust,
@@ -19,7 +18,6 @@ from confset import (
     multi_class_config,
     generate,
     predict,
-    set_size_discrepancy,
 )
 from conftest import (
     naive_bh,
@@ -382,26 +380,3 @@ def test_predict_peak_memory_below_half_a_class(p, n_k, m):
     class_bytes = n_k * p * 8
     assert peak <= 0.5 * class_bytes, peak / class_bytes
 
-
-class TestSetSizeDiscrepancy:
-    def test_hand_values(self):
-        a = PredictionSets.from_sets([{1}, {1, 2}], n_classes=2)
-        b = PredictionSets.from_sets([{1}, {1}], n_classes=2)
-        assert set_size_discrepancy(a, b) == pytest.approx(0.5)
-        assert set_size_discrepancy(a, a) == 0.0
-
-    def test_empty_vs_full(self):
-        a = PredictionSets.from_sets([set()], n_classes=4)
-        b = PredictionSets.from_sets([{1, 2, 3, 4}], n_classes=4)
-        assert set_size_discrepancy(a, b) == pytest.approx(4.0)
-
-    def test_symmetry(self, rng):
-        mk = lambda: PredictionSets(member=rng.random((10, 3)) < 0.5)
-        a, b = mk(), mk()
-        assert set_size_discrepancy(a, b) == set_size_discrepancy(b, a)
-
-    def test_rejects_mismatch(self):
-        a = PredictionSets.from_sets([{1}], n_classes=2)
-        b = PredictionSets.from_sets([{1}, {2}], n_classes=2)
-        with pytest.raises(DataError):
-            set_size_discrepancy(a, b)

@@ -10,12 +10,12 @@ import pytest
 from confset import (
     ClassModel,
     DataError,
-    DeviationBound,
     LabeledDataset,
     PredictionSets,
     PValueMatrix,
     TestBatch,
 )
+from confset.validation import _deviation_bound, check_deviation_trend
 
 
 def small_data(**kw):
@@ -280,16 +280,13 @@ class TestPValueMatrix:
 class TestPredictionSets:
     def test_from_sets_round_trip(self):
         sets = [{1, 3}, set(), {2}]
-        obj = PredictionSets.from_sets(sets, n_classes=3)
+        member = np.zeros((3, 3), dtype=bool)
+        for i, labels in enumerate(sets):
+            member[i, [k - 1 for k in labels]] = True
+        obj = PredictionSets(member)
         assert obj.m == 3 and obj.n_classes == 3
         assert [set(s) for s in obj.sets] == sets
         np.testing.assert_array_equal(obj.sizes, [2, 0, 1])
-
-    def test_rejects_out_of_range_label(self):
-        with pytest.raises(DataError):
-            PredictionSets.from_sets([{4}], n_classes=3)
-        with pytest.raises(DataError):
-            PredictionSets.from_sets([{0}], n_classes=3)
 
     def test_zero_one_numeric_coerces(self):
         obj = PredictionSets(member=np.eye(2))
@@ -305,20 +302,21 @@ class TestPredictionSets:
 
 
 class TestDeviationBound:
+    """The envelope of validate's ``deviation`` check."""
+
     def test_formula(self):
-        b = DeviationBound(a=2.0)
         expected = 4.0 * (math.sqrt(2.0) + 4.0 / 3.0) * math.sqrt(math.log(100) / 100)
-        assert b.bound(100) == pytest.approx(expected, rel=1e-12)
+        assert _deviation_bound(100, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_monotone_decreasing_in_n(self):
-        b = DeviationBound(a=2.0)
-        values = [b.bound(n) for n in (10, 100, 1000, 10000)]
+        values = [_deviation_bound(n, 2.0) for n in (10, 100, 1000, 10000)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
     def test_rejects_small_a(self):
-        with pytest.raises(DataError):
-            DeviationBound(a=1.5)
+        with pytest.raises(DataError, match="a must be >= 2, got 1.5"):
+            check_deviation_trend(a=1.5)
 
     def test_rejects_small_n(self):
-        with pytest.raises(DataError):
-            DeviationBound().bound(2)
+        # a training size below 3 is rejected before any p-value is drawn
+        with pytest.raises(DataError, match="n_k must be >= 3"):
+            check_deviation_trend(n_grid=(2, 100))

@@ -611,6 +611,32 @@ class TestResultsTable:
         with pytest.raises(DataError, match="no reports"):
             write_results([], tmp_path / "r.csv")
 
+    def test_unwritable_text_table(self, tmp_path):
+        # the .txt sibling goes through the same one-line error as the CSV
+        (tmp_path / "r.txt").mkdir()
+        with pytest.raises(DataError, match=r"cannot write .*r\.txt: "):
+            write_results([_report(0.5)], tmp_path / "r.csv")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("metric,mean,std\n", "no data rows"),
+            ("metric,mean,std\npower,0.5,0.1,9\n", "line 2 has 4 cells, header has 3"),
+            ("metric,mean,std,extra\npower,0.5,0.1,9\n", "not a results table"),
+        ],
+        ids=["header only", "extra cell", "extra column"],
+    )
+    def test_read_uses_the_table_policy(self, tmp_path, text, message):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_results(path)
+
+    def test_read_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("metric,mean,std\n\npower,0.5,0.1\n\n")
+        assert read_results(path) == {"power": (0.5, 0.1)}
+
 
 class TestPredictionOutputs:
     @pytest.fixture
@@ -649,7 +675,7 @@ class TestPredictionOutputs:
         np.testing.assert_array_equal(back.member, sets.member)
 
     def test_sets_csv_layout(self, tmp_path):
-        sets = PredictionSets.from_sets([{2, 1}, set()], n_classes=3)
+        sets = PredictionSets(np.array([[1, 1, 0], [0, 0, 0]], dtype=bool))
         path = tmp_path / "s.csv"
         write_sets_csv(path, sets)
         lines = path.read_text().splitlines()
@@ -679,6 +705,35 @@ class TestPredictionOutputs:
         path.write_text("index,size,labels\n0,1\n")
         with pytest.raises(DataError, match="line 2 has 2 cells"):
             read_sets_csv(path, 2)
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("0,1,1\n7,1,2\n", "line 3: index '7', expected 1"),
+            ("1,1,1\n", "line 2: index '1', expected 0"),
+            ("0,1,1\nx,1,2\n", "line 3: index 'x', expected 1"),
+            ("0,1,1\n1,3,2\n", "line 3: size '3', but the set has 1"),
+            ("0,0,\n1,1,\n", "line 3: size '1', but the set has 0"),
+            ("0,2,1;1\n", "line 2: size '2', but the set has 1"),
+            ("0,1,1\n1,1,2,\n", "line 3 has 4 cells, header has 3"),
+            ("", "no data rows"),
+        ],
+        ids=[
+            "wrong index", "first index", "non-integer index", "size too large",
+            "size of empty set", "repeated label", "extra cell", "header only",
+        ],
+    )
+    def test_read_sets_rejects_inconsistent_row(self, tmp_path, rows, message):
+        path = tmp_path / "x.csv"
+        path.write_text("index,size,labels\n" + rows)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}: {message}$"):
+            read_sets_csv(path, 2)
+
+    def test_read_sets_counts_positions_past_blank_lines(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("index,size,labels\n0,2,1;2\n\n1,0,\n")
+        sets = read_sets_csv(path, 2)
+        np.testing.assert_array_equal(sets.member, [[True, True], [False, False]])
 
 
 def _assert_same(a, b):

@@ -23,7 +23,7 @@ from conftest import naive_metrics
 #   point 2: truth 2, set {}       inlier declared outlier
 #   point 3: truth 3, set {1, 2}   outlier given a full set
 #   point 4: truth 3, set {}       outlier caught
-HAND_SETS = PredictionSets.from_sets([{1}, {2}, set(), {1, 2}, set()], n_classes=2)
+HAND_SETS = PredictionSets(np.array([[1, 0], [0, 1], [0, 0], [1, 1], [0, 0]], dtype=bool))
 HAND_TRUTH = np.array([1, 1, 2, 3, 3])
 HAND = evaluate_sets(HAND_SETS, HAND_TRUTH)
 
@@ -93,32 +93,32 @@ class TestHandInstance:
 
 class TestEdgeConventions:
     def test_no_outliers_power_zero(self):
-        sets = PredictionSets.from_sets([{1}, set()], n_classes=1)
+        sets = PredictionSets(np.array([[True], [False]]))
         assert evaluate_sets(sets, np.array([1, 1])).power == 0.0
 
     def test_no_inliers_coverage_and_accuracy_zero(self):
-        sets = PredictionSets.from_sets([{1}, set()], n_classes=1)
+        sets = PredictionSets(np.array([[True], [False]]))
         report = evaluate_sets(sets, np.array([2, 2]))
         assert report.coverage == 0.0
         assert report.accuracy == 0.0
 
     def test_all_empty_ambiguity_zero(self):
-        sets = PredictionSets.from_sets([set(), set()], n_classes=3)
+        sets = PredictionSets(np.zeros((2, 3), dtype=bool))
         assert evaluate_sets(sets, np.array([1, 4])).ambiguity == 0.0
 
     def test_no_empty_sets_fdr_zero(self):
-        sets = PredictionSets.from_sets([{1}, {1}], n_classes=1)
+        sets = PredictionSets(np.ones((2, 1), dtype=bool))
         assert evaluate_sets(sets, np.array([1, 2])).fdr == 0.0
 
     def test_no_rejections_classwise_zero(self):
-        sets = PredictionSets.from_sets([{1, 2}, {1, 2}], n_classes=2)
+        sets = PredictionSets(np.ones((2, 2), dtype=bool))
         report = evaluate_sets(sets, np.array([1, 2]))
         assert report.cw_fdr == (0.0, 0.0)
         assert report.scw_fdr == 0.0
         assert rejection_global_fdp(sets, np.array([1, 2])) == 0.0
 
     def test_perfect_prediction(self):
-        sets = PredictionSets.from_sets([{1}, {2}, set()], n_classes=2)
+        sets = PredictionSets(np.array([[1, 0], [0, 1], [0, 0]], dtype=bool))
         truth = np.array([1, 2, 3])
         report = evaluate_sets(sets, truth)
         assert report.coverage == 1.0

@@ -15,6 +15,7 @@ from confset.validation import (
     check_oneclass_benchmark,
     check_oracle_coverage,
     check_scw_bound,
+    check_set_size_trend,
     check_super_uniformity,
     run_checks,
 )
@@ -96,6 +97,8 @@ def test_in_sample_pvalues_are_anti_conservative():
 # scores. The scw and construction lines were recorded while both checks
 # still called one function per loss; they pin that evaluate_sets gives the
 # same losses and that one vector draw gives the same stream.
+# The set_size line was recorded while the gap still came from a public
+# set_size_discrepancy helper; it pins the inlined mean |size difference|.
 # The cw_fdr, multiclass and oneclass lines were recorded while the
 # benchmark tables still had their own replicate loop; they pin that
 # run_cell draws and scores the same replicates.
@@ -118,6 +121,11 @@ def test_in_sample_pvalues_are_anti_conservative():
             dict(n_grid=(50, 200), draws=100, p=20),
             "n=50: q95=0.2167, q95/bound=0.070; n=200: q95=0.0898, "
             "q95/bound=0.050; strictly decreasing: True",
+        ),
+        (
+            check_set_size_trend,
+            dict(n_grid=(50, 200), n_seeds=5, p=20, m=100),
+            "n=50: median gap 0.5000; n=200: median gap 0.0700",
         ),
         (
             check_scw_bound,
@@ -155,7 +163,7 @@ def test_in_sample_pvalues_are_anti_conservative():
         ),
     ],
     ids=[
-        "super_uniformity", "coverage", "deviation", "scw", "construction",
+        "super_uniformity", "coverage", "deviation", "set_size", "scw", "construction",
         "cw_fdr", "multiclass", "oneclass",
     ],
 )
