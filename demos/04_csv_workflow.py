@@ -35,7 +35,8 @@ with tempfile.TemporaryDirectory() as tmp:
     print(f"wrote {csv_path.name}: {train.n} rows, {train.n_classes} classes")
 
     # --- 2. load it back and split ---
-    data, label_map = load_csv(csv_path, label_column="label")
+    # the middle item is the batch of rows split off by outlier_label=...
+    data, _, label_map = load_csv(csv_path, label_column="label")
     print(f"labels found: {label_map}")
     fit_part, test_part = split_train_test(data, fraction=0.75, seed=9)
     print(f"split: {fit_part.n} rows to calibrate, {test_part.m} rows to score")

@@ -78,6 +78,7 @@ def _checked(parse, ok, need: str):
 _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_finite_positive = _checked(float, lambda v: 0.0 < v < np.inf, "finite and positive")
 
 
 def _add_simulate(sub):
@@ -153,7 +154,7 @@ def _add_predict(sub):
         default=None,
         help="optional truth column in the test CSV, ignored for prediction",
     )
-    p.add_argument("--alpha", type=float, default=0.05)
+    p.add_argument("--alpha", type=_level, default=0.05)
     p.add_argument("--mode", choices=["empirical", "oracle"], default="empirical")
     p.add_argument(
         "--oracle-params",
@@ -162,7 +163,7 @@ def _add_predict(sub):
     )
     p.add_argument(
         "--variance-floor",
-        type=float,
+        type=_finite_positive,
         default=None,
         help="variance floor of each fitted class (not with --mode oracle)",
     )
@@ -181,22 +182,13 @@ def cmd_predict(args) -> int:
         return _usage_error("--oracle-params needs --mode oracle")
     if args.variance_floor is not None and args.mode == "oracle":
         return _usage_error("--variance-floor has no effect with --mode oracle")
-    loaded = load_csv(args.train, args.label_column, outlier_label=args.outlier_label)
-    if args.outlier_label is None:
-        data, label_map = loaded
-    else:
-        data, dropped, label_map = loaded
-        if dropped is not None:
-            print(
-                f"note: {dropped.m} rows labeled {args.outlier_label!r} "
-                "excluded from fitting"
-            )
-    batch = read_batch_csv(
-        args.test,
-        truth_column=args.truth_column,
-        label_map=label_map if args.truth_column else None,
-        outlier_label=args.outlier_label,
-    )
+    data, dropped, label_map = load_csv(args.train, args.label_column, args.outlier_label)
+    if dropped is not None:
+        print(
+            f"note: {dropped.m} rows labeled {args.outlier_label!r} "
+            "excluded from fitting"
+        )
+    batch = read_batch_csv(args.test, args.truth_column)
     oracle = None
     if args.mode == "oracle":
         if not args.oracle_params:
@@ -213,6 +205,7 @@ def cmd_predict(args) -> int:
         f"predicted {sets.m} rows over {sets.n_classes} classes at "
         f"alpha={args.alpha:g} ({args.mode})"
     )
+    print("classes: " + ", ".join(f"{k}={label}" for label, k in label_map.items()))
     print(
         f"sets: {int(np.sum(sizes == 0))} empty (flagged outliers), "
         f"{int(np.sum(sizes == 1))} singletons, mean size {sizes.mean():.3f}"

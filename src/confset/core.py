@@ -67,6 +67,16 @@ def _check_features(features: np.ndarray, name: str = "features") -> np.ndarray:
     return features
 
 
+def _integer_labels(values, name: str) -> np.ndarray:
+    """``values`` as int64; a DataError unless each is a whole number."""
+    labels = np.asarray(values)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to garbage
+        as_int = labels.astype(np.int64) if labels.dtype.kind in "biuf" else None
+    if as_int is None or not np.array_equal(as_int, labels):
+        raise DataError(f"{name} must be integers")
+    return as_int
+
+
 @dataclass(frozen=True, eq=False)
 class LabeledDataset:
     """Training data: feature matrix plus integer class labels 1..K.
@@ -94,12 +104,7 @@ class LabeledDataset:
                 f"labels must be 1-D with one entry per row, got shape {labels.shape} "
                 f"for {features.shape[0]} rows"
             )
-        if labels.size and not np.issubdtype(labels.dtype, np.integer):
-            as_int = labels.astype(np.int64)
-            if not np.array_equal(as_int, labels):
-                raise DataError("labels must be integers")
-            labels = as_int
-        labels = labels.astype(np.int64)
+        labels = _integer_labels(labels, "labels")
         k = int(self.n_classes) if self.n_classes else int(labels.max())
         if k < 1:
             raise DataError(f"n_classes must be >= 1, got {k}")
@@ -175,7 +180,7 @@ class TestBatch:
         features = _check_features(self.features)
         truth = self.truth
         if truth is not None:
-            truth = np.asarray(truth).astype(np.int64)
+            truth = _integer_labels(truth, "truth labels")
             if truth.ndim != 1 or truth.shape[0] != features.shape[0]:
                 raise DataError(
                     f"truth must be 1-D with one entry per row, got shape {truth.shape}"

@@ -180,13 +180,7 @@ def run_cell(
 
 
 def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
-    if exp.outlier_label is None:
-        data, _ = load_csv(exp.csv_path, exp.label_column)
-        outliers = None
-    else:
-        data, outliers, _ = load_csv(
-            exp.csv_path, exp.label_column, outlier_label=exp.outlier_label
-        )
+    data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
     seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
     run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha)
     outputs = _map_jobs(run, seeds, workers)

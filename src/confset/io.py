@@ -22,14 +22,14 @@ first malformed line in file order is the one named.
 A cell held as a Python string costs about ten times its float, so a
 whole-file parse peaked near 12x the returned array. Streamed, the peak is
 the per-block arrays and their join (about twice the array) plus one or
-two blocks of strings: under 3x at 1000x200. ``read_truth_csv`` parses
-only the truth column and keeps no feature cell at all.
+two blocks of strings: under 3x at 1000x200. ``read_batch_csv`` parses
+only the features, never a truth column; ``read_truth_csv`` only the truth.
 
-Writing, each numeric row becomes one line: the shortest reprs of its
-floats, joined by commas, plus any integer cells, ended by ``"\r\n"``.
-That is what ``csv.writer`` wrote for the same cells, without a Python call
-per cell. Rows are streamed to the file one at a time, so no text copy of
-the whole matrix is held in memory.
+Every CSV is written by ``_write_csv``: the header, then one pre-joined line
+per row, ended by ``"\r\n"``. A numeric row is the shortest reprs of its
+floats, joined by commas, plus any integer cells: what ``csv.writer`` writes
+for the same cells, none of which needs quoting, without a Python call per
+cell. Lines are streamed to the file, so no text copy of the matrix is held.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ import math
 import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -169,37 +170,36 @@ def _column(path, header, name: str, role: str) -> int:
     return header.index(name)
 
 
-def _parse_block(path, rows, lines, header, feature_cols, int_col=None):
-    """One block's feature cells as a float array, plus column ``int_col`` as ints.
+def _feature_columns(path, header, name: str | None, role: str) -> list[int]:
+    """Every column but the ``role`` column ``name`` (if named), in file order."""
+    skip = None if name is None else _column(path, header, name, role)
+    feature_cols = [c for c in range(len(header)) if c != skip]
+    if not feature_cols:
+        raise DataError(f"{path}: no feature columns besides the {role}")
+    return feature_cols
 
-    Without ``int_col`` the second item is None. When a cast raises, the
-    cells are checked one by one to name the first bad one in file order.
-    """
+
+def _parse_block(path, rows, lines, header, feature_cols) -> np.ndarray:
+    """One block's feature cells as a float array. When the cast raises, the
+    cells are checked one by one to name the first bad one in file order."""
     try:
         cells = np.array(list(map(itemgetter(*feature_cols), rows)), dtype=np.float64)
-        ints = None if int_col is None else [int(row[int_col].strip()) for row in rows]
     except ValueError:
-        columns = [(c, float) for c in feature_cols]
-        if int_col is not None:
-            columns = sorted(columns + [(int_col, int)])
-        _raise_bad_cell(path, rows, lines, header, columns)
+        _raise_bad_cell(path, rows, lines, header, feature_cols, float)
         raise
-    return cells.reshape(len(rows), len(feature_cols)), ints
+    return cells.reshape(len(rows), len(feature_cols))
 
 
-def _raise_bad_cell(path, rows, lines, header, columns) -> None:
-    """Raise DataError naming the first cell, in file order, its parser rejects.
-
-    ``columns`` lists ``(column, parser)`` pairs in column order; the parser
-    is ``float`` for a feature and ``int`` for an integer truth column.
-    """
+def _raise_bad_cell(path, rows, lines, header, columns, parse) -> None:
+    """Raise DataError naming the first cell of ``columns``, in file order,
+    that ``parse`` rejects: ``float`` for features, ``int`` for truth."""
+    kind = "non-numeric" if parse is float else "non-integer"
     for row, line in zip(rows, lines):
-        for c, parse in columns:
+        for c in columns:
             cell = row[c].strip()
             try:
                 parse(cell)
             except ValueError:
-                kind = "non-numeric" if parse is float else "non-integer"
                 raise DataError(
                     f"{path}: {kind} cell {cell!r} at line {line}, "
                     f"column {header[c]!r}"
@@ -210,7 +210,7 @@ def load_csv(
     path,
     label_column: str,
     outlier_label: str | None = None,
-):
+) -> tuple[LabeledDataset, TestBatch | None, dict[str, int]]:
     """Read a labeled CSV into training containers.
 
     The label column is named in the header; every other column is a float
@@ -221,24 +221,20 @@ def load_csv(
 
     Returns
     -------
-    (LabeledDataset, dict)
-        Without ``outlier_label``: the dataset and the label -> id map.
     (LabeledDataset, TestBatch | None, dict)
-        With ``outlier_label``: inlier dataset, batch of outlier rows
-        (None when no row carries the label), and the map.
+        The inlier dataset, the batch of outlier rows (None when no row
+        carries ``outlier_label``), and the label -> id map.
     """
     table = _read_table(path)
     header = next(table)
-    label_idx = _column(path, header, label_column, "label")
-    feature_cols = [c for c in range(len(header)) if c != label_idx]
-    if not feature_cols:
-        raise DataError(f"{path}: no feature columns besides the label")
+    feature_cols = _feature_columns(path, header, label_column, "label")
+    label_idx = header.index(label_column)
 
     label_map: dict[str, int] = {}
     labels: list[int] = []
     inliers, outliers = [], []
     for rows, lines in table:
-        features, _ = _parse_block(path, rows, lines, header, feature_cols)
+        features = _parse_block(path, rows, lines, header, feature_cols)
         raw = [row[label_idx].strip() for row in rows]
         if outlier_label in raw:
             mask = np.array([r == outlier_label for r in raw])
@@ -255,8 +251,6 @@ def load_csv(
         labels=np.asarray(labels),
         n_classes=len(label_map),
     )
-    if outlier_label is None:
-        return data, label_map
     batch = None
     if outliers:
         out_features = np.concatenate(outliers)
@@ -265,42 +259,17 @@ def load_csv(
     return data, batch, label_map
 
 
-def read_batch_csv(
-    path,
-    truth_column: str | None = None,
-    label_map: dict[str, int] | None = None,
-    outlier_label: str | None = None,
-) -> TestBatch:
-    """Read a test CSV. Without ``truth_column`` the batch is unlabeled.
+def read_batch_csv(path, truth_column: str | None = None) -> TestBatch:
+    """Read the features of a test CSV as an unlabeled batch.
 
-    Truth cells are mapped through ``label_map`` when given (labels missing
-    from the map, or equal to ``outlier_label``, become K+1); otherwise they
-    must already be integers, as written by :func:`write_batch_csv`.
+    A named ``truth_column`` is left out of the features and never parsed;
+    :func:`read_truth_csv` reads it.
     """
     table = _read_table(path)
     header = next(table)
-    t_idx = None
-    if truth_column is not None:
-        t_idx = _column(path, header, truth_column, "truth")
-    feature_cols = [c for c in range(len(header)) if c != t_idx]
-    if not feature_cols:
-        raise DataError(f"{path}: no feature columns besides the truth")
-    int_col = t_idx if label_map is None else None
-    blocks = []
-    truth = None if t_idx is None else []
-    for rows, lines in table:
-        features, ints = _parse_block(path, rows, lines, header, feature_cols, int_col)
-        blocks.append(features)
-        if ints is not None:
-            truth += ints
-        elif t_idx is not None:
-            outlier_id = max(label_map.values()) + 1
-            cells = (row[t_idx].strip() for row in rows)
-            truth += [
-                outlier_id if cell == outlier_label else label_map.get(cell, outlier_id)
-                for cell in cells
-            ]
-    return TestBatch(features=np.concatenate(blocks), truth=truth)
+    feature_cols = _feature_columns(path, header, truth_column, "truth")
+    blocks = [_parse_block(path, rows, lines, header, feature_cols) for rows, lines in table]
+    return TestBatch(features=np.concatenate(blocks))
 
 
 def read_truth_csv(path, truth_column: str) -> np.ndarray:
@@ -319,23 +288,30 @@ def read_truth_csv(path, truth_column: str) -> np.ndarray:
         try:
             truth += [int(row[t_idx].strip()) for row in rows]
         except ValueError:
-            _raise_bad_cell(path, rows, lines, header, [(t_idx, int)])
+            _raise_bad_cell(path, rows, lines, header, [t_idx], int)
             raise
     return np.asarray(truth, dtype=np.int64)
+
+
+def _write_csv(path, header: list[str], lines) -> None:
+    """The comma-joined ``header``, then each pre-joined line, each ended by
+    ``"\r\n"``, as ``csv.writer`` ends them."""
+    with _open_write(path, newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for line in lines:
+            fh.write(line + "\r\n")
 
 
 def _write_features(path, features: np.ndarray, tag: str | None, tags) -> None:
     """Columns x1..xp[,tag] with one integer from ``tags`` per row."""
     head = [f"x{j + 1}" for j in range(features.shape[1])]
-    with _open_write(path, newline="") as fh:
-        if tag is None:
-            fh.write(",".join(head) + "\r\n")
-            for row in features:
-                fh.write(_floats(row.tolist()) + "\r\n")
-        else:
-            fh.write(",".join(head + [tag]) + "\r\n")
-            for row, t in zip(features, tags.tolist()):
-                fh.write(f"{_floats(row.tolist())},{t}\r\n")
+    if tag is None:
+        tails = repeat("")
+    else:
+        head.append(tag)
+        tails = (f",{t}" for t in tags.tolist())
+    lines = (_floats(row.tolist()) + t for row, t in zip(features, tails))
+    _write_csv(path, head, lines)
 
 
 def write_dataset_csv(path, data: LabeledDataset) -> None:
@@ -571,14 +547,10 @@ def write_results(
     three-decimal mean(std) rendering, which is also returned.
     """
     path = Path(path)
-    rows = _aggregate(reports)
-    with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "mean", "std"])
-        for name, mean, std in rows:
-            writer.writerow([name, repr(mean), repr(std)])
-        if time_s is not None:
-            writer.writerow(["time_s", repr(float(time_s)), "0.0"])
+    lines = [f"{name},{mean!r},{std!r}" for name, mean, std in _aggregate(reports)]
+    if time_s is not None:
+        lines.append(f"time_s,{float(time_s)!r},0.0")
+    _write_csv(path, ["metric", "mean", "std"], lines)
     text = render_results(reports, time_s)
     with _open_write(path.with_suffix(".txt")) as fh:
         fh.write(text)
@@ -613,27 +585,20 @@ def write_pvalues_csv(path, pvals: PValueMatrix) -> None:
         + [f"raw_{c + 1}" for c in range(k)]
         + [f"adjusted_{c + 1}" for c in range(k)]
     )
-    with _open_write(path, newline="") as fh:
-        fh.write(",".join(head) + "\r\n")
-        for i, (raw, adj) in enumerate(zip(pvals.raw, pvals.adjusted)):
-            fh.write(f"{i},{_floats(raw.tolist())},{_floats(adj.tolist())}\r\n")
+    rows = np.hstack([pvals.raw, pvals.adjusted])
+    _write_csv(path, head, (f"{i},{_floats(row.tolist())}" for i, row in enumerate(rows)))
 
 
 def write_thresholds_csv(path, pvals: PValueMatrix) -> None:
     alpha = repr(float(pvals.alpha))
-    with _open_write(path, newline="") as fh:
-        fh.write("class,threshold,alpha\r\n")
-        for c, t in enumerate(pvals.thresholds.tolist(), start=1):
-            fh.write(f"{c},{t!r},{alpha}\r\n")
+    lines = (f"{c},{t!r},{alpha}" for c, t in enumerate(pvals.thresholds.tolist(), start=1))
+    _write_csv(path, ["class", "threshold", "alpha"], lines)
 
 
 def write_sets_csv(path, sets: PredictionSets) -> None:
     """Columns index,size,labels with labels ';'-joined, empty for outliers."""
-    with _open_write(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "size", "labels"])
-        for i, labels in enumerate(sets.sets):
-            writer.writerow([i, len(labels), ";".join(str(k) for k in sorted(labels))])
+    lines = (f"{i},{len(s)},{';'.join(map(str, sorted(s)))}" for i, s in enumerate(sets.sets))
+    _write_csv(path, ["index", "size", "labels"], lines)
 
 
 def read_sets_csv(path, n_classes: int) -> PredictionSets:

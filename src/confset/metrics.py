@@ -25,14 +25,14 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import DataError, PredictionSets
+from .core import DataError, PredictionSets, _integer_labels
 
 __all__ = ["MetricsReport", "evaluate_sets", "rejection_global_fdp"]
 
 
 def _checked(sets: PredictionSets, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     member = sets.member
-    truth = np.asarray(truth).astype(np.int64)
+    truth = _integer_labels(truth, "truth labels")
     if truth.ndim != 1 or truth.shape[0] != member.shape[0]:
         raise DataError(
             f"truth must have one entry per test point, got shape {truth.shape} "

@@ -95,10 +95,13 @@ def fit_class_summary(
     class_id : int
         Class in 1..K; the class is guaranteed >= 3 rows by construction.
     variance_floor : float, optional
-        Replace variance entries below this floor by the floor itself.
-        Off by default: a zero-variance column then raises
-        ``DegenerateVarianceError`` naming the class and column.
+        Replace variance entries below this floor, which must be finite and
+        positive, by the floor itself. Off by default: a zero-variance
+        column then raises ``DegenerateVarianceError`` naming the class and
+        column.
     """
+    if variance_floor is not None and not 0.0 < variance_floor < np.inf:
+        raise DataError(f"variance_floor must be finite and positive, got {variance_floor}")
     rows = data.class_rows(class_id)
     n, p = rows.shape
     mean = rows.mean(axis=0)
@@ -117,8 +120,6 @@ def fit_class_summary(
         np.add.reduce(block, axis=0, out=sums)
     var = sums / (n - 1)
     if variance_floor is not None:
-        if variance_floor <= 0:
-            raise DataError(f"variance_floor must be positive, got {variance_floor}")
         var = np.maximum(var, variance_floor)
     elif np.any(var == 0.0):
         col = int(np.flatnonzero(var == 0.0)[0])

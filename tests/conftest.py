@@ -88,6 +88,20 @@ def naive_csv_table(path) -> tuple[list[str], list[list[str]]]:
     return [h.strip() for h in rows[0]], rows[1:]
 
 
+def naive_csv_write(path, header, rows) -> bytes:
+    """The bytes ``csv.writer`` gives ``header`` and ``rows``, one call per row.
+
+    Float cells are passed as ``repr(float(x))``, as the writers format
+    them; integers and strings as they are.
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
 def naive_floats(rows, skip=None) -> np.ndarray:
     """Every cell outside column ``skip``, parsed one at a time by ``float()``."""
     return np.array(

@@ -24,6 +24,7 @@ from confset import (
     read_batch_csv,
     read_results,
     read_sets_csv,
+    read_truth_csv,
 )
 from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from confset.validation import CHECKS, CheckResult, check_oracle_coverage
@@ -45,11 +46,11 @@ class TestSimulate:
         assert "multi_class: 800 training rows over 4 classes, p=200" in out
         assert "test batch: 1000 rows (750 inliers, 250 outliers)" in out
 
-        data, label_map = load_csv(f"{prefix}_train.csv", "label")
+        data, _, _ = load_csv(f"{prefix}_train.csv", "label")
         assert data.n == 800 and data.n_classes == 4 and data.n_features == 200
         batch = read_batch_csv(f"{prefix}_test.csv", truth_column="truth")
-        assert batch.m == 1000
-        assert int(np.sum(batch.truth == 5)) == 250
+        assert batch.m == 1000 and batch.n_features == 200
+        assert int(np.sum(read_truth_csv(f"{prefix}_test.csv", "truth") == 5)) == 250
 
     def test_one_class_scenario(self, tmp_path, capsys):
         prefix = tmp_path / "oc"
@@ -134,7 +135,7 @@ class TestPredict:
 
     def test_single_row_batch_skips_adjustment(self, simulated, tmp_path):
         # carve a one-row test file out of the simulated batch
-        src = open(f"{simulated}_test.csv").read().splitlines()
+        src = Path(f"{simulated}_test.csv").read_text().splitlines()
         one = tmp_path / "one.csv"
         one.write_text("\n".join(src[:2]) + "\n")
         code = run_cli(
@@ -187,6 +188,49 @@ class TestPredict:
         assert code == EXIT_USAGE
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "x_pvalues.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, need",
+        [
+            ("--alpha", "2", "in (0, 1)"),
+            ("--alpha", "nan", "in (0, 1)"),
+            ("--variance-floor", "nan", "finite and positive"),
+            ("--variance-floor", "inf", "finite and positive"),
+            ("--variance-floor", "0", "finite and positive"),
+        ],
+    )
+    def test_bad_level_or_floor_is_usage_error(self, tmp_path, capsys, flag, value, need):
+        # neither file exists, so the usage error comes before any file is read
+        absent = tmp_path / "absent.csv"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("predict", "--train", absent, "--test", absent, flag, value,
+                    "--out", tmp_path / "x")
+        assert exc.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"error: argument {flag}: must be {need}, got {value}" in err
+
+    def test_names_the_label_of_each_class(self, tmp_path, capsys):
+        # ids go by first appearance in the training file; the string truth
+        # column of the test file is left out and never parsed
+        gen = np.random.default_rng(4)
+        labels = ["dog"] * 6 + ["cat"] * 6 + ["odd"] * 2
+        train = tmp_path / "train.csv"
+        points = gen.normal(size=(len(labels), 2)).tolist()
+        train.write_text("x1,species,x2\n" + "".join(
+            f"{x!r},{label},{y!r}\n" for label, (x, y) in zip(labels, points)
+        ))
+        test = tmp_path / "test.csv"
+        test.write_text("x1,x2,kind\n0.1,0.2,cat\n0.3,-0.4,not a label\n")
+        code = run_cli(
+            "predict", "--train", train, "--label-column", "species",
+            "--outlier-label", "odd", "--test", test, "--truth-column", "kind",
+            "--out", tmp_path / "pets",
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "note: 2 rows labeled 'odd' excluded from fitting"
+        assert "classes: 1=dog, 2=cat" in out
+        assert read_sets_csv(tmp_path / "pets_sets.csv", n_classes=2).m == 2
 
     def test_oracle_shape_mismatch(self, simulated, tmp_path, capsys):
         other = tmp_path / "other"
@@ -263,8 +307,7 @@ class TestEvaluate:
         table = read_results(tmp_path / "metrics.csv")
 
         sets = read_sets_csv(tmp_path / "pred_sets.csv", 1)
-        batch = read_batch_csv(f"{simulated}_test.csv", truth_column="truth")
-        want = evaluate_sets(sets, batch.truth)
+        want = evaluate_sets(sets, read_truth_csv(f"{simulated}_test.csv", "truth"))
         assert table["power"][0] == want.power
         assert table["coverage"][0] == want.coverage
         assert table["fdr"][0] == want.fdr

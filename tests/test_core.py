@@ -75,6 +75,11 @@ class TestLabeledDataset:
         with pytest.raises(DataError, match="integer"):
             small_data(labels=np.array([1.5, 1, 1, 2, 2, 2]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "2"])
+    def test_rejects_nan_infinite_or_text_labels(self, bad):
+        with pytest.raises(DataError, match="^labels must be integers$"):
+            small_data(labels=[bad, 1, 1, 2, 2, 2])
+
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(DataError):
             small_data(labels=np.array([1, 1, 1, 3, 3, 3]))
@@ -161,6 +166,17 @@ class TestTestBatch:
     def test_labeled(self):
         batch = TestBatch(features=np.zeros((3, 2)), truth=[1, 2, 3])
         assert batch.truth.dtype == np.int64
+
+    @pytest.mark.parametrize("truth", [[1.5, 2.7], [1.0, np.nan], [np.inf, 1.0], ["1", "2"]])
+    def test_rejects_non_integer_truth(self, truth):
+        # 1.5 and 2.7 were once truncated to 1 and 2
+        with pytest.raises(DataError, match="^truth labels must be integers$"):
+            TestBatch(features=np.zeros((2, 1)), truth=truth)
+
+    def test_integral_float_truth_coerces(self):
+        batch = TestBatch(features=np.zeros((2, 1)), truth=[1.0, 3.0])
+        assert batch.truth.dtype == np.int64
+        assert batch.truth.tolist() == [1, 3]
 
     def test_rejects_truth_below_one(self):
         with pytest.raises(DataError):

@@ -24,8 +24,6 @@ from confset import io as cio
 
 from conftest import naive_csv_table, naive_floats
 
-LABEL_MAP = {"a": 1, "b": 2}
-
 # Finite cells in several spellings float() accepts; |x| stays far enough
 # below the overflow edge that no spelling rounds to infinity.
 CELLS = st.floats(min_value=-1e300, max_value=1e300).flatmap(
@@ -86,13 +84,10 @@ def test_batch_matches_whole_file_parse(workdir, table):
     path = workdir / "batch.csv"
     write_table(path, table)
     _, rows = naive_csv_table(path)
-    truth = [
-        3 if r[table.at].strip() == "out" else LABEL_MAP[r[table.at].strip()] for r in rows
-    ]
     with mock.patch.object(cio, "_BLOCK_CELLS", table.budget):
-        got = read_batch_csv(path, "label", label_map=LABEL_MAP, outlier_label="out")
+        got = read_batch_csv(path, "label")
     assert bits(got.features) == bits(naive_floats(rows, skip=table.at))
-    assert bits(got.truth) == bits(np.asarray(truth).astype(np.int64))
+    assert got.truth is None
 
 
 @given(table=tables())
@@ -152,7 +147,7 @@ def test_first_malformed_line_is_named(workdir, table, data):
     expected = f"^{re.escape(f'{path}: {message}')}$"
     with mock.patch.object(cio, "_BLOCK_CELLS", table.budget):
         with pytest.raises(DataError, match=expected):
-            read_batch_csv(path, "label", label_map=LABEL_MAP, outlier_label="out")
+            read_batch_csv(path, "label")
         with pytest.raises(DataError, match=expected):
             load_csv(path, "label", outlier_label="out")
 
@@ -168,10 +163,38 @@ def test_first_malformed_line_is_named(workdir, table, data):
     ],
 )
 def test_integer_truth_and_features_report_in_file_order(tmp_path, text, message):
+    # Each file has a bad truth cell, a bad feature cell or a short row.
+    # read_truth_csv parses only the truth and read_batch_csv only the
+    # features, so each names the first bad cell of its own columns.
     path = tmp_path / "t.csv"
     path.write_text(text)
+    reader = read_truth_csv if message.endswith("column 'truth'") else read_batch_csv
     with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
-        read_batch_csv(path, truth_column="truth")
+        reader(path, "truth")
+
+
+@pytest.mark.parametrize(
+    "text, reader, message",
+    [
+        ("x1,truth\n1.0,1\n2.0,two\nbad,1\n", read_batch_csv,
+         "non-numeric cell 'bad' at line 4, column 'x1'"),
+        ("truth,x1\n1.5,bad\n", read_batch_csv, "non-numeric cell 'bad' at line 2, column 'x1'"),
+        ("x1,truth\nbad,1\n2.0,two\n", read_truth_csv,
+         "non-integer cell 'two' at line 3, column 'truth'"),
+        ("x1,truth\nbad,1\n2.0\n", read_truth_csv, "line 3 has 1 cells, header has 2"),
+        ("truth,x1\n1,bad\n", read_truth_csv, None),
+    ],
+    ids=["batch past bad truth", "batch beside bad truth", "truth past bad feature",
+         "truth past bad feature to short row", "truth beside bad feature"],
+)
+def test_each_reader_skips_the_cells_it_does_not_parse(tmp_path, text, reader, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    if message is None:
+        np.testing.assert_array_equal(reader(path, "truth"), [1])
+        return
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        reader(path, "truth")
 
 
 @pytest.mark.parametrize("p", [1, 2, 7])
@@ -184,7 +207,6 @@ def test_block_edges_at_the_shipped_budget(tmp_path, p):
         write_batch_csv(path, batch)
         back = read_batch_csv(path, truth_column="truth")
         assert bits(back.features) == bits(batch.features)
-        assert bits(back.truth) == bits(batch.truth)
         assert bits(read_truth_csv(path, "truth")) == bits(batch.truth)
 
 

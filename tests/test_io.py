@@ -1,6 +1,5 @@
 """File formats: CSV round-trips, config YAML, result tables, class-moment JSON."""
 
-import csv
 import json
 import math
 import re
@@ -15,6 +14,7 @@ from confset import (
     LabeledDataset,
     MetricsReport,
     PredictionSets,
+    PValueMatrix,
     TestBatch,
     fit_model,
     generate,
@@ -27,6 +27,7 @@ from confset import (
     read_batch_csv,
     read_results,
     read_sets_csv,
+    read_truth_csv,
     render_results,
     save_config,
     save_json,
@@ -38,6 +39,8 @@ from confset import (
     write_sets_csv,
     write_thresholds_csv,
 )
+
+from conftest import naive_csv_write
 
 TRICKY = [0.1, 1 / 3, math.pi, 1e-300, 1e300, -0.0, 123456789.123456789]
 
@@ -55,11 +58,12 @@ class TestDatasetCsvRoundTrip:
         data = _tricky_dataset()
         path = tmp_path / "train.csv"
         write_dataset_csv(path, data)
-        back, label_map = load_csv(path, label_column="label")
+        back, outliers, label_map = load_csv(path, label_column="label")
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.labels, data.labels)
         assert back.n_classes == 3
         assert label_map == {"1": 1, "2": 2, "3": 3}
+        assert outliers is None
 
     def test_header_layout(self, tmp_path):
         path = tmp_path / "train.csv"
@@ -73,7 +77,7 @@ class TestDatasetCsvRoundTrip:
             "a,cls,b\n1.0,red,2.0\n3.0,blue,4.0\n5.0,red,6.0\n"
             "7.0,blue,8.0\n9.0,red,10.0\n11.0,blue,12.0\n"
         )
-        data, label_map = load_csv(path, label_column="cls")
+        data, _, label_map = load_csv(path, label_column="cls")
         assert label_map == {"red": 1, "blue": 2}
         np.testing.assert_array_equal(data.labels, [1, 2, 1, 2, 1, 2])
         # feature order preserved: a then b
@@ -87,7 +91,7 @@ class TestDatasetCsvRoundTrip:
             "x1,animal\n0.0,cat\n1.0,dog\n2.0,cat\n3.0,bird\n4.0,dog\n"
             "5.0,cat\n6.0,bird\n7.0,cat\n8.0,dog\n9.0,bird\n"
         )
-        _, label_map = load_csv(path, label_column="animal")
+        _, _, label_map = load_csv(path, label_column="animal")
         assert label_map == {"cat": 1, "dog": 2, "bird": 3}
 
 
@@ -265,19 +269,21 @@ SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
            3.0, -7.0, 1e16, 2.0**53 + 2, 0.1, 1 / 3]
 
 
-def _csv_writer_reference(path, head, features, tags=None):
-    """What the writers produced through csv.writer, one call per cell."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(head)
-        for i, row in enumerate(features):
-            cells = [repr(float(x)) for x in row]
-            if tags is not None:
-                cells.append(int(tags[i]))
-            writer.writerow(cells)
+def _float_cells(row) -> list[str]:
+    return [repr(float(x)) for x in row]
+
+
+def _tagged_rows(features, tags=None) -> list[list]:
+    """Rows of float cells, each followed by its integer tag if given."""
+    rows = [_float_cells(row) for row in features]
+    if tags is not None:
+        rows = [row + [int(t)] for row, t in zip(rows, tags)]
+    return rows
 
 
 class TestWriterBytes:
+    """Every writer gives the bytes ``csv.writer`` gives for the same cells."""
+
     @pytest.fixture
     def features(self):
         gen = np.random.default_rng(8)
@@ -291,17 +297,74 @@ class TestWriterBytes:
         data = LabeledDataset(features=features, labels=labels, n_classes=3)
         write_dataset_csv(tmp_path / "new.csv", data)
         head = [f"x{j + 1}" for j in range(features.shape[1])] + ["label"]
-        _csv_writer_reference(tmp_path / "ref.csv", head, features, labels)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        ref = naive_csv_write(tmp_path / "ref.csv", head, _tagged_rows(features, labels))
+        assert (tmp_path / "new.csv").read_bytes() == ref
 
     @pytest.mark.parametrize("with_truth", [True, False])
     def test_batch_matches_csv_writer(self, tmp_path, features, with_truth):
-        truth = np.arange(len(features)) % 4 + 1 if with_truth else None
+        # truth 5 is the outlier label K+1 of a four-class training set
+        truth = np.arange(len(features)) % 5 + 1 if with_truth else None
         write_batch_csv(tmp_path / "new.csv", TestBatch(features=features, truth=truth))
         head = [f"x{j + 1}" for j in range(features.shape[1])]
         head += ["truth"] if with_truth else []
-        _csv_writer_reference(tmp_path / "ref.csv", head, features, truth)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+        ref = naive_csv_write(tmp_path / "ref.csv", head, _tagged_rows(features, truth))
+        assert (tmp_path / "new.csv").read_bytes() == ref
+
+    @pytest.mark.parametrize("m", [1, 5])
+    def test_pvalues_and_thresholds_match_csv_writer(self, tmp_path, m):
+        gen = np.random.default_rng(m)
+        raw = gen.uniform(size=(m, 3))
+        raw[0] = [1.0, 1 / 3, 5e-324]
+        adjusted = np.minimum(raw * 2, 1.0)
+        pvals = PValueMatrix(raw, adjusted, thresholds=[0.1, 1 / 7, 0.0], alpha=0.1)
+        write_pvalues_csv(tmp_path / "p.csv", pvals)
+        head = ["index", "raw_1", "raw_2", "raw_3", "adjusted_1", "adjusted_2", "adjusted_3"]
+        rows = [[i] + _float_cells(raw[i]) + _float_cells(adjusted[i]) for i in range(m)]
+        assert (tmp_path / "p.csv").read_bytes() == naive_csv_write(
+            tmp_path / "ref.csv", head, rows
+        )
+        write_thresholds_csv(tmp_path / "t.csv", pvals)
+        rows = [[c + 1, repr(t), "0.1"] for c, t in enumerate([0.1, 1 / 7, 0.0])]
+        assert (tmp_path / "t.csv").read_bytes() == naive_csv_write(
+            tmp_path / "ref.csv", ["class", "threshold", "alpha"], rows
+        )
+
+    @pytest.mark.parametrize(
+        "member",
+        [
+            [[False, False, False]],
+            [[True, False, True]],
+            [[False, False, False], [False, False, False]],
+            [[True, True, True], [False, False, False], [False, True, False]],
+            np.zeros((0, 3), dtype=bool),
+        ],
+        ids=["one empty set", "one row", "all empty", "mixed", "no rows"],
+    )
+    def test_sets_match_csv_writer(self, tmp_path, member):
+        write_sets_csv(tmp_path / "s.csv", PredictionSets(np.array(member, dtype=bool)))
+        rows = []
+        for i, row in enumerate(member):
+            labels = [k + 1 for k, accepted in enumerate(row) if accepted]
+            rows.append([i, len(labels), ";".join(map(str, labels))])
+        assert (tmp_path / "s.csv").read_bytes() == naive_csv_write(
+            tmp_path / "ref.csv", ["index", "size", "labels"], rows
+        )
+
+    @pytest.mark.parametrize("time_s", [None, 0.1 + 0.2])
+    def test_results_match_csv_writer(self, tmp_path, time_s):
+        reports = [_report(0.0), _report(1 / 3)]
+        write_results(reports, tmp_path / "r.csv", time_s=time_s)
+        names = [name for name, _ in reports[0].rows()]
+        columns = np.array([[v for _, v in r.rows()] for r in reports]).T
+        rows = [
+            [name, repr(float(c.mean())), repr(float(c.std(ddof=1)))]
+            for name, c in zip(names, columns)
+        ]
+        if time_s is not None:
+            rows.append(["time_s", repr(time_s), "0.0"])
+        assert (tmp_path / "r.csv").read_bytes() == naive_csv_write(
+            tmp_path / "ref.csv", ["metric", "mean", "std"], rows
+        )
 
     def test_non_finite_cells_format_as_repr(self):
         # containers reject non-finite features, so only the row formatter
@@ -317,13 +380,14 @@ class TestWriterBytes:
         train, test = generate(config)
         write_dataset_csv(tmp_path / "train.csv", train)
         write_batch_csv(tmp_path / "test.csv", test)
-        back, label_map = load_csv(tmp_path / "train.csv", "label")
+        back, _, label_map = load_csv(tmp_path / "train.csv", "label")
         batch = read_batch_csv(tmp_path / "test.csv", truth_column="truth")
+        truth = read_truth_csv(tmp_path / "test.csv", "truth")
         assert label_map == {str(k): k for k in range(1, train.n_classes + 1)}
         assert back.features.view(np.int64).tobytes() == train.features.view(np.int64).tobytes()
         np.testing.assert_array_equal(back.labels, train.labels)
         assert batch.features.view(np.int64).tobytes() == test.features.view(np.int64).tobytes()
-        np.testing.assert_array_equal(batch.truth, test.truth)
+        np.testing.assert_array_equal(truth, test.truth)
 
 
 class TestBatchCsvRoundTrip:
@@ -337,7 +401,8 @@ class TestBatchCsvRoundTrip:
         assert path.read_text().splitlines()[0] == "x1,x2,x3,x4,truth"
         back = read_batch_csv(path, truth_column="truth")
         np.testing.assert_array_equal(back.features, batch.features)
-        np.testing.assert_array_equal(back.truth, batch.truth)
+        assert back.truth is None
+        np.testing.assert_array_equal(read_truth_csv(path, "truth"), batch.truth)
 
     def test_without_truth(self, tmp_path):
         batch = TestBatch(features=np.array([[1.5, 2.5]]))
@@ -348,21 +413,14 @@ class TestBatchCsvRoundTrip:
         assert back.truth is None
         np.testing.assert_array_equal(back.features, batch.features)
 
-    def test_truth_via_label_map(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("x1,kind\n1.0,cat\n2.0,dog\n3.0,unseen\n4.0,weird\n")
-        batch = read_batch_csv(
-            path, truth_column="kind", label_map={"cat": 1, "dog": 2},
-            outlier_label="weird",
-        )
-        # unseen labels and the declared outlier label both map to K+1
-        np.testing.assert_array_equal(batch.truth, [1, 2, 3, 3])
-
     def test_string_truth_without_map_rejected(self, tmp_path):
+        # the batch reader never parses the truth column; the truth reader
+        # rejects a cell that is not an integer
         path = tmp_path / "t.csv"
         path.write_text("x1,truth\n1.0,cat\n")
+        np.testing.assert_array_equal(read_batch_csv(path, "truth").features, [[1.0]])
         with pytest.raises(DataError, match=r"non-integer cell 'cat' at line 2, column 'truth'$"):
-            read_batch_csv(path, truth_column="truth")
+            read_truth_csv(path, "truth")
 
     def test_missing_truth_column(self, tmp_path):
         path = tmp_path / "t.csv"

@@ -147,6 +147,13 @@ class TestValidation:
         self.raises_in_both(np.array([1, 1, 2, 3, 4]), "1..3")
         self.raises_in_both(np.array([0, 1, 2, 3, 3]), "1..3")
 
+    @pytest.mark.parametrize(
+        "truth", [[1.9, 2.2, 2.0, 3.0, 3.0], [1.0, 1.0, np.nan, 3.0, 3.0]]
+    )
+    def test_truth_must_be_integers(self, truth):
+        # 1.9 and 2.2 were once scored as 1 and 2
+        self.raises_in_both(np.array(truth), "^truth labels must be integers$")
+
     def test_truth_must_be_one_dimensional(self):
         self.raises_in_both(HAND_TRUTH.reshape(5, 1))
 

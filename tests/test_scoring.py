@@ -67,6 +67,15 @@ class TestFitClassSummary:
         with pytest.raises(DataError):
             fit_class_summary(data, 1, variance_floor=0.0)
 
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_floor(self, floor):
+        data = one_class([[0.0], [1.0], [2.0]])
+        message = rf"^variance_floor must be finite and positive, got {floor}$"
+        with pytest.raises(DataError, match=message):
+            fit_class_summary(data, 1, variance_floor=floor)
+        with pytest.raises(DataError, match=message):
+            fit_model(data, variance_floor=floor)
+
     def test_uses_requested_class_only(self):
         features = np.vstack([np.zeros((3, 1)), np.full((3, 1), 9.0)])
         features[:3, 0] = [0.0, 1.0, 2.0]
