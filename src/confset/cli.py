@@ -177,9 +177,11 @@ def _add_predict(sub):
 
 
 def cmd_predict(args) -> int:
-    # each flag below works in one mode only; in the other it would be ignored
+    # each flag below works in one mode only, and --mode oracle needs its file
     if args.oracle_params and args.mode != "oracle":
         return _usage_error("--oracle-params needs --mode oracle")
+    if args.mode == "oracle" and not args.oracle_params:
+        return _usage_error("--mode oracle needs --oracle-params")
     if args.variance_floor is not None and args.mode == "oracle":
         return _usage_error("--variance-floor has no effect with --mode oracle")
     data, dropped, label_map = load_csv(args.train, args.label_column, args.outlier_label)
@@ -189,11 +191,7 @@ def cmd_predict(args) -> int:
             "excluded from fitting"
         )
     batch = read_batch_csv(args.test, args.truth_column)
-    oracle = None
-    if args.mode == "oracle":
-        if not args.oracle_params:
-            raise DataError("--mode oracle requires --oracle-params")
-        oracle = load_json(args.oracle_params)
+    oracle = load_json(args.oracle_params) if args.oracle_params else None
     pvals, sets = predict(
         data, batch, args.alpha, oracle=oracle, variance_floor=args.variance_floor
     )

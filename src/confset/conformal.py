@@ -117,10 +117,8 @@ def predict(
     Parameters
     ----------
     data : LabeledDataset
-        Training data; per-class scores are calibrated within each class.
-        Rows whose labels are not grouped by class are stably sorted by
-        label once per call (:meth:`LabeledDataset.grouped`), so the fit and
-        the scoring read every class as a view.
+        Training data; per-class scores are calibrated within each class,
+        whose rows the fit and the scoring read as one view.
     test : TestBatch
         Points to classify; feature count must match ``data``.
     alpha : float
@@ -139,7 +137,6 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``.
     """
-    data = data.grouped()
     model = oracle if oracle is not None else fit_model(data, variance_floor)
     if model.means.shape != (data.n_classes, data.n_features):
         raise DataError(

@@ -9,9 +9,10 @@ between fitted and known-moment p-values lives with its one check, in
 
 Label conventions
 -----------------
-Training labels are integers 1..K. Test truth labels, when present, live in
-1..K+1 where K+1 marks a true outlier (a point from none of the K training
-classes).
+Training labels are integers 1..K, K the largest label, and a training
+set stores each class's rows as one contiguous run, in label order. Test
+truth labels, when present, live in 1..K+1 where K+1 marks a true outlier
+(a point from none of the K training classes).
 """
 
 from __future__ import annotations
@@ -81,20 +82,22 @@ def _integer_labels(values, name: str) -> np.ndarray:
 class LabeledDataset:
     """Training data: feature matrix plus integer class labels 1..K.
 
+    K is the largest label. The rows are stored as K contiguous runs in
+    label order: rows given in any other order are stably sorted by label
+    once, here, so each class keeps its rows in the given order and
+    :meth:`class_rows` copies nothing.
+
     Parameters
     ----------
     features : ndarray of shape (n, p)
         Finite float features.
     labels : ndarray of shape (n,)
-        Integer labels in 1..n_classes. Every class must appear at least
-        3 times (class summaries need a usable sample variance).
-    n_classes : int, optional
-        K. Defaults to ``labels.max()``.
+        Integer labels in 1..K. Every class must appear at least 3 times
+        (class summaries need a usable sample variance).
     """
 
     features: np.ndarray
     labels: np.ndarray
-    n_classes: int = 0
 
     def __post_init__(self):
         features = _check_features(self.features)
@@ -105,21 +108,26 @@ class LabeledDataset:
                 f"for {features.shape[0]} rows"
             )
         labels = _integer_labels(labels, "labels")
-        k = int(self.n_classes) if self.n_classes else int(labels.max())
-        if k < 1:
-            raise DataError(f"n_classes must be >= 1, got {k}")
-        if labels.min() < 1 or labels.max() > k:
-            bad = labels[(labels < 1) | (labels > k)][0]
-            raise DataError(f"label {bad} outside 1..{k}")
-        counts = np.bincount(labels, minlength=k + 1)[1:]
+        k = int(labels.max())
+        if labels.min() < 1:
+            raise DataError(f"label {labels[labels < 1][0]} outside 1..{k}")
+        # checked before counting, so a huge label cannot size the count array
+        if k > labels.size // 3:
+            raise DataError(
+                f"largest label {k} needs >= {3 * k} rows, got {labels.size}; "
+                f"every class needs >= 3"
+            )
+        counts = np.bincount(labels)[1:]
         if counts.min() < 3:
             short = int(np.argmin(counts)) + 1
             raise DataError(
                 f"class {short} has {counts[short - 1]} rows; every class needs >= 3"
             )
+        if np.any(labels[1:] < labels[:-1]):
+            order = np.argsort(labels, kind="stable")
+            features, labels = features[order], labels[order]
         object.__setattr__(self, "features", _readonly(features))
         object.__setattr__(self, "labels", _readonly(labels))
-        object.__setattr__(self, "n_classes", k)
 
     @property
     def n(self) -> int:
@@ -130,39 +138,22 @@ class LabeledDataset:
         return self.features.shape[1]
 
     @property
+    def n_classes(self) -> int:
+        """K, the largest label."""
+        return int(self.labels[-1])
+
+    @property
     def class_counts(self) -> np.ndarray:
         """Rows per class, shape (n_classes,)."""
-        return np.bincount(self.labels, minlength=self.n_classes + 1)[1:]
-
-    def grouped(self) -> "LabeledDataset":
-        """This dataset with each class's rows in one contiguous run.
-
-        Returns ``self`` when the rows are already grouped. Otherwise the
-        rows are stably sorted by label, so every class keeps its rows in
-        dataset order and :meth:`class_rows` returns views of the result.
-        """
-        labels = self.labels
-        if np.count_nonzero(labels[1:] != labels[:-1]) == self.n_classes - 1:
-            return self
-        order = np.argsort(labels, kind="stable")
-        return LabeledDataset(self.features[order], labels[order], self.n_classes)
+        return np.bincount(self.labels)[1:]
 
     def class_rows(self, class_id: int) -> np.ndarray:
-        """Feature rows belonging to one class, in dataset order.
-
-        When the class's rows form one contiguous run, as in every generated
-        training set and every CSV that ``simulate`` writes, this is a
-        read-only view of ``features`` and copies nothing. Otherwise it is a
-        copy made by boolean-mask selection.
-        """
+        """Feature rows of one class, in the order given: a read-only view
+        of ``features``."""
         if not 1 <= class_id <= self.n_classes:
             raise DataError(f"class_id {class_id} outside 1..{self.n_classes}")
-        mask = self.labels == class_id
-        start = int(mask.argmax())
-        stop = start + int(np.count_nonzero(mask))
-        if mask[start:stop].all():
-            return self.features[start:stop]
-        return self.features[mask]
+        start, stop = np.searchsorted(self.labels, (class_id, class_id + 1))
+        return self.features[start:stop]
 
 
 @dataclass(frozen=True, eq=False)

@@ -315,7 +315,7 @@ def generate_training(
     )
     labels = np.repeat(np.arange(1, config.n_classes + 1), config.n_k)
     return LabeledDataset(
-        features=features, labels=labels, n_classes=config.n_classes
+        features=features, labels=labels
     )
 
 

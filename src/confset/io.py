@@ -215,9 +215,10 @@ def load_csv(
 
     The label column is named in the header; every other column is a float
     feature, kept in file order. Distinct labels map to 1..K by first
-    appearance. With ``outlier_label`` given, rows carrying that label are
-    excluded from the map and split off into a test batch with truth K+1
-    (they can never be trained on).
+    appearance, and the dataset holds its rows sorted by class id, each
+    class in file order. With ``outlier_label`` given, rows carrying that
+    label are excluded from the map and split off into a test batch with
+    truth K+1 (they can never be trained on).
 
     Returns
     -------
@@ -249,7 +250,6 @@ def load_csv(
     data = LabeledDataset(
         features=np.concatenate(inliers),
         labels=np.asarray(labels),
-        n_classes=len(label_map),
     )
     batch = None
     if outliers:
@@ -358,7 +358,6 @@ def split_train_test(
     train = LabeledDataset(
         features=data.features[train_idx],
         labels=data.labels[train_idx],
-        n_classes=data.n_classes,
     )
     test = TestBatch(
         features=data.features[test_idx], truth=data.labels[test_idx]

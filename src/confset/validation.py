@@ -125,15 +125,19 @@ def _draw_pvalues(
     return pvals
 
 
+# Levels a at which check_super_uniformity bounds P(p <= a).
+UNIFORMITY_LEVELS = (0.01, 0.05, 0.1, 0.2)
+
+
 def check_super_uniformity(
     seed: int = 0,
     draws: int = 2000,
     p: int = 50,
     n_k: int = 200,
     rho: float = 0.8,
-    alphas: tuple[float, ...] = (0.01, 0.05, 0.1, 0.2),
 ) -> CheckResult:
-    """Known-parameter p-values are super-uniform: P(p <= a) <= a + MC slack.
+    """Known-parameter p-values are super-uniform: P(p <= a) <= a + MC slack,
+    at each level a of ``UNIFORMITY_LEVELS``.
 
     With class parameters known, training and test scores of a true inlier
     are exchangeable, so the p-value's exceedance rate sits at or below
@@ -142,12 +146,12 @@ def check_super_uniformity(
     inlier, ranked through ``predict``.
     """
     started = time.perf_counter()
-    config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=min(alphas))
+    config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=min(UNIFORMITY_LEVELS))
     rng = np.random.default_rng(seed)
     pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
     parts = []
     passed = True
-    for a in alphas:
+    for a in UNIFORMITY_LEVELS:
         rate = float(np.mean(pvals <= a))
         bound = a + 3.0 * np.sqrt(a * (1.0 - a) / draws)
         ok = rate <= bound
@@ -261,11 +265,11 @@ def check_set_size_trend(
     return _timed("set_size", started, monotone, details)
 
 
-def check_scw_bound(
-    seed: int = 4,
-    trials: int = 10000,
-    max_classes: int = 6,
-) -> CheckResult:
+# check_scw_bound draws instances of 1..SCW_MAX_CLASSES classes.
+SCW_MAX_CLASSES = 6
+
+
+def check_scw_bound(seed: int = 4, trials: int = 10000) -> CheckResult:
     """Set-wise class loss never exceeds the rejection-level false discovery
     proportion, on random prediction sets and truths. Exact, zero tolerance."""
     started = time.perf_counter()
@@ -273,7 +277,7 @@ def check_scw_bound(
     violations = 0
     worst = -np.inf
     for _ in range(trials):
-        k = int(rng.integers(1, max_classes + 1))
+        k = int(rng.integers(1, SCW_MAX_CLASSES + 1))
         n_points = int(rng.integers(1, 30))
         member = rng.random((n_points, k)) < rng.random()
         truth = rng.integers(1, k + 2, size=n_points)
@@ -289,24 +293,23 @@ def check_scw_bound(
     return _timed("scw", started, violations == 0, details)
 
 
-def check_loss_construction(
-    seed: int = 5,
-    trials: int = 100000,
-    beta: float = 0.15,
-    scw_target: float = 0.075,
-    scw_tol: float = 0.005,
-    fdr_target: float = 0.15,
-    fdr_tol: float = 0.01,
-) -> CheckResult:
+# the constants of check_loss_construction, described in its docstring
+CONSTRUCTION_BETA = 0.15
+CONSTRUCTION_SCW_TOL = 0.005
+CONSTRUCTION_FDR_TOL = 0.01
+
+
+def check_loss_construction(seed: int = 5, trials: int = 100000) -> CheckResult:
     """A two-class, two-point configuration with one rejected label.
 
     Point 0 predicts {2} (rejects class 1), point 1 predicts {1, 2}. Point 0
-    is truly class 1 with probability beta, otherwise an outlier. The single
-    rejection is false with probability beta, counted against one rejection
-    globally but against two class denominators set-wise, so the means over
-    trials must approach beta and beta/2. Each trial's losses depend only
-    on point 0's truth, so both outcomes are evaluated once and weighted by
-    the share of trials that drew each.
+    is truly class 1 with probability beta = ``CONSTRUCTION_BETA``, otherwise
+    an outlier. The single rejection is false with probability beta, counted
+    against one rejection globally but against two class denominators
+    set-wise, so the means over trials must approach beta and beta/2, within
+    ``CONSTRUCTION_FDR_TOL`` and ``CONSTRUCTION_SCW_TOL``. Each trial's
+    losses depend only on point 0's truth, so both outcomes are evaluated
+    once and weighted by the share of trials that drew each.
     """
     started = time.perf_counter()
     sets = PredictionSets(member=np.array([[False, True], [True, True]]))
@@ -317,12 +320,13 @@ def check_loss_construction(
 
     hit, miss = losses(1), losses(3)  # point 0 truly class 1, or an outlier
     rng = np.random.default_rng(seed)
+    beta, scw_tol, fdr_tol = CONSTRUCTION_BETA, CONSTRUCTION_SCW_TOL, CONSTRUCTION_FDR_TOL
     share = np.count_nonzero(rng.random(trials) < beta) / trials
     scw_mean, fdp_mean = (share * h + (1.0 - share) * o for h, o in zip(hit, miss))
-    ok = abs(scw_mean - scw_target) <= scw_tol and abs(fdp_mean - fdr_target) <= fdr_tol
+    ok = abs(scw_mean - beta / 2) <= scw_tol and abs(fdp_mean - beta) <= fdr_tol
     details = (
-        f"mean scw {scw_mean:.4f} (target {scw_target:g}+-{scw_tol:g}); "
-        f"mean global fdp {fdp_mean:.4f} (target {fdr_target:g}+-{fdr_tol:g})"
+        f"mean scw {scw_mean:.4f} (target {beta / 2:g}+-{scw_tol:g}); "
+        f"mean global fdp {fdp_mean:.4f} (target {beta:g}+-{fdr_tol:g})"
     )
     return _timed("construction", started, ok, details)
 
@@ -339,39 +343,40 @@ def _classic_step_up(pvalues: np.ndarray, alpha: float) -> np.ndarray:
     return reject
 
 
-def check_bh_procedure(
-    seed: int = 6,
-    n_vectors: int = 1000,
-    alphas: tuple[float, ...] = (
-        0.01, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5,
-    ),
-    null_trials: int = 5000,
-    null_m: int = 20,
-    null_alpha: float = 0.1,
-    null_bound: float = 0.11,
-) -> CheckResult:
+# check_bh_procedure: random p-value vectors and the levels each is
+# rejected at, then global-null trials of NULL_M p-values at NULL_ALPHA,
+# whose rate of any rejection must stay within NULL_BOUND.
+BH_VECTORS = 1000
+BH_LEVELS = (0.01, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5)
+NULL_TRIALS = 5000
+NULL_M = 20
+NULL_ALPHA = 0.1
+NULL_BOUND = 0.11
+
+
+def check_bh_procedure(seed: int = 6) -> CheckResult:
     """Adjusted p-values reproduce the classic step-up rejection set exactly,
     and under a global null the rejection rate stays near the target level."""
     started = time.perf_counter()
     rng = np.random.default_rng(seed)
     mismatches = 0
-    for _ in range(n_vectors):
+    for _ in range(BH_VECTORS):
         m = int(rng.integers(1, 40))
         pvec = rng.random(m)
         adjusted = bh_adjust(pvec)
-        for alpha in alphas:
+        for alpha in BH_LEVELS:
             if not np.array_equal(adjusted <= alpha, _classic_step_up(pvec, alpha)):
                 mismatches += 1
     any_reject = 0
-    for _ in range(null_trials):
-        pvec = rng.random(null_m)
-        any_reject += bool(np.any(bh_adjust(pvec) <= null_alpha))
-    null_rate = any_reject / null_trials
-    ok = mismatches == 0 and null_rate <= null_bound
+    for _ in range(NULL_TRIALS):
+        pvec = rng.random(NULL_M)
+        any_reject += bool(np.any(bh_adjust(pvec) <= NULL_ALPHA))
+    null_rate = any_reject / NULL_TRIALS
+    ok = mismatches == 0 and null_rate <= NULL_BOUND
     details = (
-        f"{n_vectors} vectors x {len(alphas)} levels: {mismatches} mismatches; "
-        f"global-null rejection rate {null_rate:.4f} (bound {null_bound:g} "
-        f"at level {null_alpha:g})"
+        f"{BH_VECTORS} vectors x {len(BH_LEVELS)} levels: {mismatches} mismatches; "
+        f"global-null rejection rate {null_rate:.4f} (bound {NULL_BOUND:g} "
+        f"at level {NULL_ALPHA:g})"
     )
     return _timed("bh", started, ok, details)
 
@@ -621,7 +626,8 @@ def run_checks(
     """Run named checks (default: all of ``DEFAULT_CHECKS``) in order.
 
     Keyword overrides (seed, alpha, n_k, ...) are forwarded to each check
-    that accepts the parameter and ignored by the rest.
+    that accepts the parameter and ignored by the rest; an override that
+    none of the named checks accepts is a DataError.
     """
     if names is None:
         names = DEFAULT_CHECKS
@@ -630,12 +636,19 @@ def run_checks(
         raise DataError(
             f"unknown checks {unknown}; available: {sorted(CHECKS)}"
         )
+    signatures = {name: inspect.signature(CHECKS[name]) for name in names}
+    unused = [
+        k for k in overrides
+        if not any(k in sig.parameters for sig in signatures.values())
+    ]
+    if unused:
+        raise DataError(f"no check of {list(names)} takes {unused}")
     # A table that several checks hold bounds on runs once, in every mode
     # one of them needs: equal tables draw equal data, and a mode's reports
     # do not depend on the modes run beside it.
     kwargs, tables, modes = {}, {}, {}
     for name in names:
-        signature = inspect.signature(CHECKS[name])
+        signature = signatures[name]
         kwargs[name] = {k: v for k, v in overrides.items() if k in signature.parameters}
         if name in _TABLE_CHECKS:
             args = signature.bind(**kwargs[name])

@@ -200,7 +200,7 @@ def random_instance(rng, n_classes=None, p=None, n_k=None, m=None):
         [centers[k] + rng.normal(size=(n_k, p)) for k in range(n_classes)]
     )
     labels = np.repeat(np.arange(1, n_classes + 1), n_k)
-    data = LabeledDataset(features=features, labels=labels, n_classes=n_classes)
+    data = LabeledDataset(features=features, labels=labels)
     pick = rng.integers(0, n_classes, size=m)
     test_rows = centers[pick] + rng.normal(size=(m, p)) * rng.uniform(0.5, 3.0)
     truth = rng.integers(1, n_classes + 2, size=m)
@@ -228,7 +228,7 @@ def two_class_data():
     b = gen.normal(loc=10.0, size=(50, 2))
     features = np.vstack([a, b])
     labels = np.repeat([1, 2], 50)
-    return LabeledDataset(features=features, labels=labels, n_classes=2)
+    return LabeledDataset(features=features, labels=labels)
 
 
 

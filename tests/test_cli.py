@@ -160,25 +160,31 @@ class TestPredict:
         assert "(oracle)" in capsys.readouterr().out
 
     def test_oracle_mode_needs_params(self, simulated, tmp_path, capsys):
+        # a usage error found before any file is read: the training file is missing
         code = run_cli(
-            "predict", "--train", f"{simulated}_train.csv",
+            "predict", "--train", tmp_path / "missing.csv",
             "--test", f"{simulated}_test.csv", "--mode", "oracle",
             "--out", tmp_path / "x",
         )
-        assert code == EXIT_DATA
-        assert "--oracle-params" in capsys.readouterr().err
+        assert code == EXIT_USAGE
+        assert capsys.readouterr().err == "error: --mode oracle needs --oracle-params\n"
 
     @pytest.mark.parametrize(
         "flags, message",
         [
             (["--oracle-params", "o.json"], "--oracle-params needs --mode oracle"),
+            (["--mode", "oracle"], "--mode oracle needs --oracle-params"),
             (
                 ["--mode", "oracle", "--oracle-params", "o.json",
                  "--variance-floor", "0.1"],
                 "--variance-floor has no effect with --mode oracle",
             ),
         ],
-        ids=["params_without_oracle_mode", "floor_with_oracle_mode"],
+        ids=[
+            "params_without_oracle_mode",
+            "oracle_mode_without_params",
+            "floor_with_oracle_mode",
+        ],
     )
     def test_ignored_flag_is_usage_error(self, simulated, tmp_path, capsys, flags, message):
         code = run_cli(
@@ -668,6 +674,13 @@ class TestValidate:
     def test_unknown_check_is_data_error(self, capsys):
         assert run_cli("validate", "--check", "bogus") == EXIT_DATA
         assert "bogus" in capsys.readouterr().err
+
+    def test_flag_no_named_check_takes_is_data_error(self, capsys):
+        code = run_cli("validate", "--check", "scw", "--alpha", 0.3, "--draws", 5)
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no check of ['scw'] takes ['alpha', 'draws']\n"
 
     def test_failing_check_is_exit_4(self, capsys):
         # inject a stub check; cli and validation share the registry object

@@ -229,7 +229,7 @@ class TestPredict:
     def test_variance_floor_path(self):
         features = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
         data = LabeledDataset(
-            features=features, labels=np.array([1, 1, 1]), n_classes=1
+            features=features, labels=np.array([1, 1, 1])
         )
         batch = TestBatch(features=np.array([[1.0, 5.0]]))
         pvals, _ = predict(data, batch, 0.05, variance_floor=0.5)
@@ -246,14 +246,10 @@ class TestPredict:
         # p=200, n_k=300 crosses a block edge of the fit and the scoring kernel
         data, batch = random_instance(rng, n_classes=3, p=200, n_k=300, m=50)
         perm = rng.permutation(data.n)
-        shuffled = LabeledDataset(
-            features=data.features[perm], labels=data.labels[perm], n_classes=3
-        )
-        order = np.argsort(shuffled.labels, kind="stable")
-        grouped = LabeledDataset(
-            features=shuffled.features[order], labels=shuffled.labels[order],
-            n_classes=3,
-        )
+        shuffled = LabeledDataset(features=data.features[perm], labels=data.labels[perm])
+        order = perm[np.argsort(data.labels[perm], kind="stable")]
+        grouped = LabeledDataset(features=data.features[order], labels=data.labels[order])
+        np.testing.assert_array_equal(shuffled.features, grouped.features)
         p1, s1 = predict(shuffled, batch, 0.1)
         p2, s2 = predict(grouped, batch, 0.1)
         for a, b in (
@@ -317,12 +313,12 @@ class TestPredictCalls:
 
 
 def test_interleaved_labels_are_grouped_once(rng, monkeypatch):
-    # predict sorts the rows by label once, so neither the fit nor the
-    # scoring loop copies a class's rows out by a boolean mask
+    # the dataset sorts its rows by label once, when it is built, so
+    # neither the fit nor the scoring loop copies a class's rows out
     data, batch = random_instance(rng, n_classes=3, p=20, n_k=40, m=10)
     perm = rng.permutation(data.n)
     shuffled = LabeledDataset(
-        features=data.features[perm], labels=data.labels[perm], n_classes=3
+        features=data.features[perm], labels=data.labels[perm]
     )
     owns = []
     class_rows = LabeledDataset.class_rows

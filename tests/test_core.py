@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from confset import (
     ClassModel,
@@ -22,7 +24,6 @@ def small_data(**kw):
     defaults = dict(
         features=np.arange(12.0).reshape(6, 2),
         labels=np.array([1, 1, 1, 2, 2, 2]),
-        n_classes=2,
     )
     defaults.update(kw)
     return LabeledDataset(**defaults)
@@ -57,9 +58,7 @@ class TestLabeledDataset:
 
     def test_rejects_empty(self):
         with pytest.raises(DataError):
-            LabeledDataset(
-                features=np.empty((0, 2)), labels=np.empty(0, dtype=int), n_classes=1
-            )
+            LabeledDataset(features=np.empty((0, 2)), labels=np.empty(0, dtype=int))
 
     def test_rejects_nonfinite_naming_position(self):
         features = np.arange(12.0).reshape(6, 2)
@@ -82,9 +81,7 @@ class TestLabeledDataset:
 
     def test_rejects_out_of_range_labels(self):
         with pytest.raises(DataError):
-            small_data(labels=np.array([1, 1, 1, 3, 3, 3]))
-        with pytest.raises(DataError):
-            small_data(labels=np.array([0, 0, 0, 1, 1, 1]), n_classes=1)
+            small_data(labels=np.array([0, 0, 0, 1, 1, 1]))
 
     def test_rejects_label_length_mismatch(self):
         with pytest.raises(DataError):
@@ -94,13 +91,25 @@ class TestLabeledDataset:
         with pytest.raises(DataError, match="3"):
             small_data(labels=np.array([1, 1, 1, 1, 2, 2]))
 
-    def test_zero_n_classes_infers_from_labels(self):
-        data = small_data(n_classes=0)
-        assert data.n_classes == 2
+    def test_rejects_a_missing_class(self):
+        with pytest.raises(DataError, match="^class 2 has 0 rows; every class needs >= 3$"):
+            LabeledDataset(features=np.zeros((9, 1)), labels=[1] * 6 + [3] * 3)
 
-    def test_rejects_negative_n_classes(self):
-        with pytest.raises(DataError):
-            small_data(n_classes=-1)
+    @pytest.mark.parametrize("label", [10**7, 10**12])
+    def test_rejects_a_label_beyond_a_third_of_the_rows_before_counting(self, label):
+        # counting would size an array by the label: 80 MB at 10**7, 7 TiB at 10**12
+        tracemalloc.start()
+        try:
+            with pytest.raises(
+                DataError,
+                match=f"^largest label {label} needs >= {3 * label} rows, got 3; "
+                "every class needs >= 3$",
+            ):
+                LabeledDataset(features=np.zeros((3, 1)), labels=[label] * 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_class_rows_bounds(self):
         with pytest.raises(DataError):
@@ -130,28 +139,45 @@ class TestLabeledDataset:
             np.testing.assert_array_equal(data.class_rows(k), features[labels == k])
 
     def test_grouped_keeps_a_grouped_dataset(self):
-        data = LabeledDataset(
-            features=np.arange(12.0).reshape(6, 2), labels=[2, 2, 2, 1, 1, 1]
-        )
-        assert data.grouped() is data
+        # rows already in label order are kept as given, not copied
+        features = np.arange(12.0).reshape(6, 2)
+        data = LabeledDataset(features=features, labels=[1, 1, 1, 2, 2, 2])
+        assert np.shares_memory(data.features, features)
 
     @pytest.mark.parametrize(
         "labels", [[1, 2, 1, 2, 1, 2], [1, 1, 2, 2, 2, 1], [2, 1, 1, 1, 2, 2]]
     )
     def test_grouped_sorts_interleaved_labels_stably(self, labels):
+        # the dataset is grouped once, when it is built
         labels = np.array(labels)
         features = np.arange(12.0).reshape(6, 2)
-        grouped = LabeledDataset(features=features, labels=labels).grouped()
+        grouped = LabeledDataset(features=features, labels=labels)
         np.testing.assert_array_equal(grouped.labels, np.sort(labels))
         for k in (1, 2):
             rows = grouped.class_rows(k)
             assert np.shares_memory(rows, grouped.features)
             np.testing.assert_array_equal(rows, features[labels == k])
 
+    @given(data=st.data(), k=st.integers(1, 5), p=st.integers(1, 3))
+    def test_any_row_order_is_the_stable_sort_by_label(self, data, k, p):
+        counts = data.draw(st.lists(st.integers(3, 8), min_size=k, max_size=k))
+        labels = np.repeat(np.arange(1, k + 1), counts)
+        perm = np.array(data.draw(st.permutations(range(labels.size))))
+        features = np.arange(labels.size * p, dtype=float).reshape(-1, p)
+        built = LabeledDataset(features=features[perm], labels=labels[perm])
+        order = np.argsort(labels[perm], kind="stable")
+        np.testing.assert_array_equal(built.features, features[perm][order])
+        np.testing.assert_array_equal(built.labels, labels[perm][order])
+        assert built.n_classes == k
+        assert list(built.class_counts) == counts
+        for c in range(1, k + 1):
+            rows = built.class_rows(c)
+            assert np.shares_memory(rows, built.features)
+            assert not rows.flags.writeable
+            np.testing.assert_array_equal(rows, features[perm][labels[perm] == c])
+
     def test_coerces_lists_to_float64(self):
-        data = LabeledDataset(
-            features=[[0, 1], [2, 3], [4, 5]], labels=[1, 1, 1], n_classes=1
-        )
+        data = LabeledDataset(features=[[0, 1], [2, 3], [4, 5]], labels=[1, 1, 1])
         assert data.features.dtype == np.float64
         assert data.labels.dtype == np.int64
 

@@ -50,7 +50,7 @@ def _tricky_dataset():
     features = gen.normal(size=(12, len(TRICKY)))
     features[0] = TRICKY  # exercise shortest-repr round-tripping
     labels = np.repeat([1, 2, 3], 4)
-    return LabeledDataset(features=features, labels=labels, n_classes=3)
+    return LabeledDataset(features=features, labels=labels)
 
 
 class TestDatasetCsvRoundTrip:
@@ -79,10 +79,12 @@ class TestDatasetCsvRoundTrip:
         )
         data, _, label_map = load_csv(path, label_column="cls")
         assert label_map == {"red": 1, "blue": 2}
-        np.testing.assert_array_equal(data.labels, [1, 2, 1, 2, 1, 2])
-        # feature order preserved: a then b
+        # rows stably sorted by class id from file order; feature order a then b
+        order = np.argsort([1, 2, 1, 2, 1, 2], kind="stable")
+        np.testing.assert_array_equal(data.labels, np.array([1, 2, 1, 2, 1, 2])[order])
         np.testing.assert_array_equal(
-            data.features, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]]
+            data.features,
+            np.array([[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [11, 12]])[order],
         )
 
     def test_first_appearance_label_order(self, tmp_path):
@@ -93,6 +95,22 @@ class TestDatasetCsvRoundTrip:
         )
         _, _, label_map = load_csv(path, label_column="animal")
         assert label_map == {"cat": 1, "dog": 2, "bird": 3}
+
+
+    def test_interleaved_rows_come_back_grouped(self, tmp_path):
+        path = tmp_path / "pets.csv"
+        path.write_text(
+            "x1,animal\n0.0,dog\n1.0,eel\n2.0,cat\n3.0,dog\n4.0,cat\n"
+            "5.0,eel\n6.0,cat\n7.0,dog\n"
+        )
+        data, outliers, label_map = load_csv(path, "animal", outlier_label="eel")
+        assert label_map == {"dog": 1, "cat": 2}
+        np.testing.assert_array_equal(data.labels, [1, 1, 1, 2, 2, 2])
+        # each class keeps its rows in file order, and so do the outliers
+        np.testing.assert_array_equal(data.class_rows(1)[:, 0], [0.0, 3.0, 7.0])
+        np.testing.assert_array_equal(data.class_rows(2)[:, 0], [2.0, 4.0, 6.0])
+        np.testing.assert_array_equal(outliers.features[:, 0], [1.0, 5.0])
+        np.testing.assert_array_equal(outliers.truth, [3, 3])
 
 
 class TestOutlierSegregation:
@@ -294,10 +312,13 @@ class TestWriterBytes:
 
     def test_dataset_matches_csv_writer(self, tmp_path, features):
         labels = np.arange(len(features)) % 3 + 1
-        data = LabeledDataset(features=features, labels=labels, n_classes=3)
+        data = LabeledDataset(features=features, labels=labels)
         write_dataset_csv(tmp_path / "new.csv", data)
+        # the dataset holds the rows stably sorted by label
+        order = np.argsort(labels, kind="stable")
         head = [f"x{j + 1}" for j in range(features.shape[1])] + ["label"]
-        ref = naive_csv_write(tmp_path / "ref.csv", head, _tagged_rows(features, labels))
+        rows = _tagged_rows(features[order], labels[order])
+        ref = naive_csv_write(tmp_path / "ref.csv", head, rows)
         assert (tmp_path / "new.csv").read_bytes() == ref
 
     @pytest.mark.parametrize("with_truth", [True, False])
@@ -446,7 +467,7 @@ class TestSplitTrainTest:
             rows.append(block)
             labels.extend([k] * per_class)
         return LabeledDataset(
-            features=np.vstack(rows), labels=np.array(labels), n_classes=n_classes
+            features=np.vstack(rows), labels=np.array(labels)
         )
 
     def test_stratified_counts(self):
@@ -475,6 +496,20 @@ class TestSplitTrainTest:
         # sort by the within-class counter per class and compare content
         key = lambda a: a[np.lexsort((a[:, 1], a[:, 0]))]
         np.testing.assert_array_equal(key(merged), key(data.features))
+
+    def test_shuffled_rows_split_as_their_grouped_order(self):
+        data = self._coded_data()
+        perm = np.random.default_rng(3).permutation(data.n)
+        features, labels = data.features[perm], data.labels[perm]
+        order = np.argsort(labels, kind="stable")
+        shuffled = LabeledDataset(features=features, labels=labels)
+        grouped = LabeledDataset(features=features[order], labels=labels[order])
+        train1, test1 = split_train_test(shuffled, fraction=0.6, seed=4)
+        train2, test2 = split_train_test(grouped, fraction=0.6, seed=4)
+        np.testing.assert_array_equal(train1.features, train2.features)
+        np.testing.assert_array_equal(train1.labels, train2.labels)
+        np.testing.assert_array_equal(test1.features, test2.features)
+        np.testing.assert_array_equal(test1.truth, test2.truth)
 
     def test_half_up_rounding(self):
         # 10 rows at 0.75 -> floor(8.0) = 8 train (7.5 + 0.5)
@@ -809,7 +844,6 @@ class TestJsonSnapshots:
         tame = LabeledDataset(
             features=gen.normal(size=(12, 7)),
             labels=np.repeat([1, 2, 3], 4),
-            n_classes=3,
         )
         big = np.finfo(np.float64).max  # about 1.8e308
         extreme = np.array([[-0.0, 5e-324, big, -big, *TRICKY]])

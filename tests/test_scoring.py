@@ -19,7 +19,7 @@ from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _block_rows
 def one_class(features):
     features = np.asarray(features, dtype=np.float64)
     return LabeledDataset(
-        features=features, labels=np.ones(len(features), dtype=int), n_classes=1
+        features=features, labels=np.ones(len(features), dtype=int)
     )
 
 
@@ -81,7 +81,7 @@ class TestFitClassSummary:
         features[:3, 0] = [0.0, 1.0, 2.0]
         features[3:, 0] = [9.0, 10.0, 11.0]
         data = LabeledDataset(
-            features=features, labels=np.repeat([1, 2], 3), n_classes=2
+            features=features, labels=np.repeat([1, 2], 3)
         )
         mean, _ = fit_class_summary(data, 2)
         assert mean[0] == pytest.approx(10.0)
@@ -92,7 +92,6 @@ class TestFitModel:
         data = LabeledDataset(
             features=rng.normal(size=(15, 4)) * [1.0, 10.0, 0.1, 3.0],
             labels=np.repeat([2, 1, 3], 5),
-            n_classes=3,
         )
         model = fit_model(data)
         assert model.means.shape == model.variances.shape == (3, 4)
@@ -105,7 +104,7 @@ class TestFitModel:
     def test_variance_floor_applies_to_every_class(self):
         features = np.array([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]] * 2)
         data = LabeledDataset(
-            features=features, labels=np.repeat([1, 2], 3), n_classes=2
+            features=features, labels=np.repeat([1, 2], 3)
         )
         with pytest.raises(DegenerateVarianceError):
             fit_model(data)

@@ -4,7 +4,7 @@ benchmark checks on one simulation table sharing one run."""
 import numpy as np
 import pytest
 
-from confset import experiment
+from confset import DataError, experiment, validation
 from confset.datagen import one_class_config, oracle_params
 from confset.validation import (
     _draw_pvalues,
@@ -171,3 +171,20 @@ def test_check_lines_are_pinned(check, kwargs, details):
     result = check(**kwargs)
     assert result.passed
     assert result.details == details
+
+
+def test_construction_targets_follow_beta(monkeypatch):
+    monkeypatch.setattr(validation, "CONSTRUCTION_BETA", 0.3)
+    result = check_loss_construction(trials=20000)
+    assert result.passed
+    assert "(target 0.15+-0.005)" in result.details
+    assert "(target 0.3+-0.01)" in result.details
+
+
+def test_overrides_no_named_check_takes_are_a_data_error():
+    # scw takes seed and trials; coverage takes alpha but is not named
+    with pytest.raises(DataError, match=r"^no check of \['scw'\] takes \['alpha', 'draws'\]$"):
+        run_checks(["scw"], seed=1, alpha=0.3, draws=5)
+    # an override that one named check takes is fine for the others
+    results = run_checks(["scw", "construction"], trials=500)
+    assert [r.name for r in results] == ["scw", "construction"]
