@@ -83,10 +83,8 @@ from .experiment import (
     run_replicate,
 )
 from .validation import (
-    BENCHMARK_CHECKS,
     CHECKS,
     DEFAULT_CHECKS,
-    EXTRA_CHECKS,
     CheckResult,
     run_checks,
 )
@@ -157,10 +155,8 @@ __all__ = [
     "run_experiment",
     "run_replicate",
     # validation
-    "BENCHMARK_CHECKS",
     "CHECKS",
     "DEFAULT_CHECKS",
-    "EXTRA_CHECKS",
     "CheckResult",
     "run_checks",
 ]

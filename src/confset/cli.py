@@ -36,6 +36,7 @@ from .io import (
     load_csv,
     load_json,
     read_batch_csv,
+    read_header,
     read_sets_csv,
     read_truth_csv,
     render_results,
@@ -190,6 +191,7 @@ def cmd_predict(args) -> int:
             f"note: {dropped.m} rows labeled {args.outlier_label!r} "
             "excluded from fitting"
         )
+    _check_test_columns(args)
     batch = read_batch_csv(args.test, args.truth_column)
     oracle = load_json(args.oracle_params) if args.oracle_params else None
     pvals, sets = predict(
@@ -210,6 +212,26 @@ def cmd_predict(args) -> int:
     )
     print(f"wrote {args.out}_pvalues.csv, {args.out}_sets.csv, {args.out}_thresholds.csv")
     return EXIT_OK
+
+
+def _check_test_columns(args) -> None:
+    """The test header, less its truth column, must name the training
+    features in order: ``predict`` pairs the columns by position."""
+    features = [h for h in read_header(args.train) if h != args.label_column]
+    given = [h for h in read_header(args.test) if h != args.truth_column]
+    for i, name in enumerate(given):
+        if name not in features:
+            raise DataError(
+                f"{args.test}: column {name!r} is not a training feature "
+                "(if it holds the truth, name it with --truth-column)"
+            )
+        if name != features[i]:
+            raise DataError(
+                f"{args.test}: column {i + 1} is {name!r}, "
+                f"training feature {i + 1} is {features[i]!r}"
+            )
+    if len(given) < len(features):
+        raise DataError(f"{args.test}: missing training feature {features[len(given)]!r}")
 
 
 def _add_evaluate(sub):

@@ -3,6 +3,9 @@
 Everything downstream (scoring, conformal p-values, metrics) operates on the
 types defined here. Containers are frozen dataclasses holding read-only numpy
 arrays: once constructed they are safe to share across worker processes.
+An input that is already a C-contiguous array of the stored dtype (float64
+features and moments) is not copied: the container holds a read-only view
+of it, so it shares memory with the caller's array, which stays writable.
 The module holds containers and errors only; the envelope on the gap
 between fitted and known-moment p-values lives with its one check, in
 ``validation``.
@@ -49,7 +52,7 @@ class DegenerateVarianceError(DataError):
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+    a = np.ascontiguousarray(a).view()
     a.flags.writeable = False
     return a
 

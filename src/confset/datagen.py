@@ -90,7 +90,6 @@ class ScenarioConfig:
     ``inlier_ratio`` is inliers-per-outlier in the test batch (3.0 = 3:1).
     """
 
-    scenario: str
     p: int
     n_k: int
     m: int = 1000
@@ -103,8 +102,6 @@ class ScenarioConfig:
     run_seed: int = 0
 
     def __post_init__(self):
-        if self.scenario not in ("one_class", "multi_class"):
-            raise DataError(f"unknown scenario {self.scenario!r}")
         if self.p < 1:
             raise DataError(f"p must be >= 1, got {self.p}")
         if self.n_k < 3:
@@ -124,8 +121,6 @@ class ScenarioConfig:
         specs = tuple(ComponentSpec(*s) for s in self.class_specs)
         if not specs:
             raise DataError("class_specs must not be empty")
-        if self.scenario == "one_class" and len(specs) != 1:
-            raise DataError("one_class scenario takes exactly one class spec")
         for s in specs + (ComponentSpec(*self.outlier_spec),):
             if not s.scale >= 1.0:
                 raise DataError(f"component scale must be >= 1, got {s.scale}")
@@ -145,7 +140,6 @@ def one_class_config(
 ) -> ScenarioConfig:
     """Single inlier class at the origin; outliers overdispersed by 2.5."""
     return ScenarioConfig(
-        scenario="one_class",
         p=p,
         n_k=n_k,
         rho=rho,
@@ -163,7 +157,6 @@ def multi_class_config(
 ) -> ScenarioConfig:
     """Four shifted inlier classes; outliers at the origin, overdispersed by 3.5."""
     return ScenarioConfig(
-        scenario="multi_class",
         p=p,
         n_k=n_k,
         rho=rho,

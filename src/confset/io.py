@@ -38,7 +38,7 @@ import csv
 import json
 import math
 import numbers
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import itemgetter
@@ -64,6 +64,7 @@ from .datagen import (
 from .metrics import MetricsReport
 
 __all__ = [
+    "read_header",
     "load_csv",
     "read_batch_csv",
     "read_truth_csv",
@@ -162,6 +163,12 @@ def _read_table(path):
         yield rows, lines
     elif not yielded:
         raise DataError(f"{path}: no data rows")
+
+
+def read_header(path) -> list[str]:
+    """The header of a CSV, checked as every reader checks it; no row is read."""
+    with closing(_read_table(path)) as table:
+        return next(table)
 
 
 def _column(path, header, name: str, role: str) -> int:

@@ -2,22 +2,18 @@
 
 Each check draws fresh data from seeded generators, measures an empirical
 frequency or trend, and compares it against what the theory promises plus
-explicit Monte Carlo slack. Checks come in two groups:
+explicit Monte Carlo slack. The guarantee checks (p-value
+super-uniformity, known-parameter coverage, loss orderings, step-up
+behaviour, convergence trends) hold by construction and pass at the
+default seeds; ``DEFAULT_CHECKS`` runs when no check is named.
 
-* ``DEFAULT_CHECKS`` and ``EXTRA_CHECKS`` validate distributional
-  guarantees (p-value super-uniformity, known-parameter coverage,
-  error-rate control, loss orderings, step-up behaviour, convergence
-  trends). These hold by construction and pass at the default seeds.
-* ``BENCHMARK_CHECKS`` rerun the two simulation benchmarks at pinned
-  designs. Error-control lines are held to targets set by alpha;
-  efficiency lines (power, false label rate, set size) to the known-parameter
-  procedure run on the same data, within Monte Carlo slack. They are
-  costly, so they run only when named explicitly.
-
-``cw_fdr`` and the two benchmarks read simulation tables. A table is the
-one-cell ``ExperimentConfig`` of its design and seed, run by
-:func:`confset.experiment.run_cell` like any experiment cell; checks on
-an equal table share one run.
+``cw_fdr``, ``multiclass`` and ``oneclass`` are the rows of ``_TABLES``,
+each a scenario, a default seed and bounds as a function of alpha, all
+read by :func:`check_table`. A table is the one-cell ``ExperimentConfig``
+of its design and seed, run by :func:`confset.experiment.run_cell`;
+checks on an equal table share one run. Error-control lines are held to
+targets set by alpha, efficiency lines to the known-parameter procedure
+on the same data, within Monte Carlo slack.
 """
 
 from __future__ import annotations
@@ -26,6 +22,7 @@ import inspect
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -50,16 +47,12 @@ __all__ = [
     "check_oracle_coverage",
     "check_deviation_trend",
     "check_set_size_trend",
-    "check_cw_fdr_control",
     "check_scw_bound",
     "check_loss_construction",
     "check_bh_procedure",
-    "check_multiclass_benchmark",
-    "check_oneclass_benchmark",
+    "check_table",
     "CHECKS",
     "DEFAULT_CHECKS",
-    "EXTRA_CHECKS",
-    "BENCHMARK_CHECKS",
     "run_checks",
 ]
 
@@ -477,123 +470,62 @@ def _oneclass_bounds(alpha: float) -> tuple[Bound, ...]:
     )
 
 
-# The checks that hold bounds, a function of alpha, on one simulation table.
-_TABLE_CHECKS = {
-    "cw_fdr": ("multi_class", _cw_fdr_bounds),
-    "multiclass": ("multi_class", _multiclass_bounds),
-    "oneclass": ("one_class", _oneclass_bounds),
+# The simulation tables: each table check's scenario, its default seed and
+# its bounds, a function of alpha.
+_TABLES = {
+    "cw_fdr": ("multi_class", 7, _cw_fdr_bounds),
+    "multiclass": ("multi_class", 7, _multiclass_bounds),
+    "oneclass": ("one_class", 8, _oneclass_bounds),
 }
 
 
-def _table(name, seed, replicates, test_sets, p, n_k, rho, alpha, m) -> ExperimentConfig:
-    """The one-cell experiment that check ``name`` reads, from its arguments."""
-    return ExperimentConfig(
-        _TABLE_CHECKS[name][0], p, n_k, rho, m, alpha,
-        replicates=replicates, test_sets=test_sets, master_seed=seed,
-    )
-
-
-def _table_mode(name: str, alpha: float) -> str:
-    """The known-parameter procedure runs only when a bound of check
-    ``name`` is measured against it."""
-    bounds = _TABLE_CHECKS[name][1](alpha)
-    return "both" if any(bound.limit is None for bound in bounds) else "empirical"
-
-
-def _benchmark(
+def check_table(
     name: str,
-    table: ExperimentConfig,
-    mode: str | None = None,
-    shared: dict[ExperimentConfig, dict[str, list]] | None = None,
+    seed: int | None = None,
+    replicates: int = 20,
+    test_sets: int = 10,
+    p: int = 200,
+    n_k: int = 200,
+    rho: float = 0.8,
+    alpha: float = 0.05,
+    m: int = 1000,
+    *,
+    runs: dict[ExperimentConfig, dict[str, list]] | None = None,
+    readers: tuple[str, ...] = (),
 ) -> CheckResult:
-    """Hold the means of ``table`` to the bounds of check ``name``.
+    """Hold the means of the simulation table of check ``name`` to its bounds.
 
-    ``shared`` holds the reports of tables that earlier checks ran; a table
-    found there is not run again. Otherwise the table runs in ``mode``,
-    by default the mode this check needs, and is added to ``shared``.
+    The table is the one-cell experiment of the check's scenario and design
+    at ``seed`` (default: the check's own), run by :func:`run_cell`. The
+    known-parameter procedure runs only when a bound is measured against it.
+
+    ``runs`` maps each table that an earlier check ran to its reports; a
+    table found there is not run again. Otherwise the table runs in every
+    mode that this check or one of ``readers``, the checks that read the
+    same table, needs, and is added to ``runs``.
     """
     started = time.perf_counter()
-    needed = _table_mode(name, table.alpha)
-    shared = {} if shared is None else shared
-    if table not in shared:
-        (cell,) = table.cells()
-        shared[table] = run_cell(replace(table, mode=mode or needed), *cell).reports
+    scenario, default_seed, bounds_of = _TABLES[name]
+    table = ExperimentConfig(
+        scenario, p, n_k, rho, m, alpha, replicates=replicates, test_sets=test_sets,
+        master_seed=default_seed if seed is None else seed,
+    )
+    needs = {c: any(b.limit is None for b in _TABLES[c][2](alpha)) for c in {name, *readers}}
+    runs = {} if runs is None else runs
+    if table not in runs:
+        mode = "both" if any(needs.values()) else "empirical"
+        runs[table] = run_cell(replace(table, mode=mode), p, n_k, rho).reports
     # only the modes this check needs, so its line is the same either way
-    empirical = _table_means(shared[table]["empirical"])
-    oracle = _table_means(shared[table]["oracle"]) if needed == "both" else None
-    bounds = _TABLE_CHECKS[name][1](table.alpha)
-    lines = tuple(bound.evaluate(empirical, oracle) for bound in bounds)
+    empirical = _table_means(runs[table]["empirical"])
+    oracle = _table_means(runs[table]["oracle"]) if needs[name] else None
+    lines = tuple(bound.evaluate(empirical, oracle) for bound in bounds_of(alpha))
     details = "; ".join(line.text() for line in lines)
     passed = all(line.passed for line in lines)
     return _timed(name, started, passed, details, lines)
 
 
-def check_cw_fdr_control(
-    seed: int = 7,
-    replicates: int = 20,
-    test_sets: int = 10,
-    p: int = 200,
-    n_k: int = 200,
-    rho: float = 0.8,
-    alpha: float = 0.05,
-    m: int = 1000,
-) -> CheckResult:
-    """Per-class false discovery control holds on the four-class benchmark.
-
-    Runs the pinned multi-class design and asserts only the error-control
-    bounds: every class-wise FDR mean <= alpha + 0.02 and the summarized
-    class-wise FDR mean <= alpha. Power and set-size lines are checked
-    separately by the full benchmark.
-    """
-    table = _table("cw_fdr", seed, replicates, test_sets, p, n_k, rho, alpha, m)
-    return _benchmark("cw_fdr", table)
-
-
-def check_multiclass_benchmark(
-    seed: int = 7,
-    replicates: int = 20,
-    test_sets: int = 10,
-    p: int = 200,
-    n_k: int = 200,
-    rho: float = 0.8,
-    alpha: float = 0.05,
-    m: int = 1000,
-) -> CheckResult:
-    """Four-class benchmark at the pinned design.
-
-    Power and false label rate are held to fixed targets; class-wise FDR
-    to alpha + ``MC_SLACK``, summarized FDR to alpha and coverage to
-    1 - alpha - ``MC_SLACK``; the mean non-empty set size to the
-    known-parameter procedure's plus ``MC_SLACK``.
-    """
-    table = _table("multiclass", seed, replicates, test_sets, p, n_k, rho, alpha, m)
-    return _benchmark("multiclass", table)
-
-
-def check_oneclass_benchmark(
-    seed: int = 8,
-    replicates: int = 20,
-    test_sets: int = 10,
-    p: int = 200,
-    n_k: int = 200,
-    rho: float = 0.8,
-    alpha: float = 0.05,
-    m: int = 1000,
-) -> CheckResult:
-    """Single-class benchmark at the pinned design.
-
-    FDR is held to alpha + 0.03 and coverage to 1 - alpha; power and false
-    label rate to the known-parameter procedure's, less or plus ``MC_SLACK``.
-    """
-    table = _table("oneclass", seed, replicates, test_sets, p, n_k, rho, alpha, m)
-    return _benchmark("oneclass", table)
-
-
-# The default suite covers the distributional guarantees; all of them hold
-# by construction and pass at the default seeds. The extra checks are
-# further guarantee checks run by the test suite (and on request); the
-# benchmark checks rerun the pinned simulation tables and are costly, so
-# they run only when named.
+# The default suite; the other checks run when named: set_size, construction
+# and bh check further guarantees, multiclass and oneclass are costly tables.
 DEFAULT_CHECKS = (
     "super_uniformity",
     "coverage",
@@ -601,20 +533,18 @@ DEFAULT_CHECKS = (
     "cw_fdr",
     "scw",
 )
-EXTRA_CHECKS = ("set_size", "construction", "bh")
-BENCHMARK_CHECKS = ("multiclass", "oneclass")
 
 CHECKS = {
     "super_uniformity": check_super_uniformity,
     "coverage": check_oracle_coverage,
     "deviation": check_deviation_trend,
     "set_size": check_set_size_trend,
-    "cw_fdr": check_cw_fdr_control,
+    "cw_fdr": partial(check_table, "cw_fdr"),
     "scw": check_scw_bound,
     "construction": check_loss_construction,
     "bh": check_bh_procedure,
-    "multiclass": check_multiclass_benchmark,
-    "oneclass": check_oneclass_benchmark,
+    "multiclass": partial(check_table, "multiclass"),
+    "oneclass": partial(check_table, "oneclass"),
 }
 
 
@@ -627,7 +557,9 @@ def run_checks(
 
     Keyword overrides (seed, alpha, n_k, ...) are forwarded to each check
     that accepts the parameter and ignored by the rest; an override that
-    none of the named checks accepts is a DataError.
+    none of the named checks accepts is a DataError. Keyword-only
+    parameters are not overrides: :func:`check_table` takes its shared
+    runs from here.
     """
     if names is None:
         names = DEFAULT_CHECKS
@@ -636,33 +568,30 @@ def run_checks(
         raise DataError(
             f"unknown checks {unknown}; available: {sorted(CHECKS)}"
         )
-    signatures = {name: inspect.signature(CHECKS[name]) for name in names}
-    unused = [
-        k for k in overrides
-        if not any(k in sig.parameters for sig in signatures.values())
-    ]
+    kwargs = {}
+    for name in names:
+        parameters = inspect.signature(CHECKS[name]).parameters.values()
+        takes = {p.name for p in parameters if p.kind is not p.KEYWORD_ONLY}
+        kwargs[name] = {k: v for k, v in overrides.items() if k in takes}
+    unused = [k for k in overrides if not any(k in kw for kw in kwargs.values())]
     if unused:
         raise DataError(f"no check of {list(names)} takes {unused}")
-    # A table that several checks hold bounds on runs once, in every mode
-    # one of them needs: equal tables draw equal data, and a mode's reports
-    # do not depend on the modes run beside it.
-    kwargs, tables, modes = {}, {}, {}
-    for name in names:
-        signature = signatures[name]
-        kwargs[name] = {k: v for k, v in overrides.items() if k in signature.parameters}
-        if name in _TABLE_CHECKS:
-            args = signature.bind(**kwargs[name])
-            args.apply_defaults()
-            table = tables[name] = _table(name, **args.arguments)
-            if modes.get(table) != "both":
-                modes[table] = _table_mode(name, table.alpha)
-    shared = {}
+
+    # Table checks take the same overrides, so two of them read one table
+    # when their scenarios and seeds agree. That table runs once, in every
+    # mode one of them needs: equal tables draw equal data, and a mode's
+    # reports do not depend on the modes run beside it.
+    tables = {
+        name: (scenario, overrides.get("seed", seed))
+        for name, (scenario, seed, _) in _TABLES.items()
+    }
+    runs = {}
     results = []
     for name in names:
         if name in tables:
-            result = _benchmark(name, tables[name], modes[tables[name]], shared)
-        else:
-            result = CHECKS[name](**kwargs[name])
+            readers = tuple(other for other in names if tables.get(other) == tables[name])
+            kwargs[name].update(runs=runs, readers=readers)
+        result = CHECKS[name](**kwargs[name])
         if echo is not None:
             echo(result.line())
         results.append(result)

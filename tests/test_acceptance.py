@@ -50,12 +50,11 @@ from confset.validation import (
     check_bh_procedure,
     check_deviation_trend,
     check_loss_construction,
-    check_multiclass_benchmark,
-    check_oneclass_benchmark,
     check_oracle_coverage,
     check_scw_bound,
     check_set_size_trend,
     check_super_uniformity,
+    check_table,
 )
 
 # ---------------------------------------------------------------------------
@@ -87,16 +86,16 @@ def test_c02_oracle_coverage_within_002():
 
 @pytest.fixture(scope="module")
 def multiclass():
-    return check_multiclass_benchmark(
-        seed=7, replicates=20, test_sets=10,
+    return check_table(
+        "multiclass", seed=7, replicates=20, test_sets=10,
         p=200, n_k=200, rho=0.8, alpha=0.05, m=1000,
     )
 
 
 @pytest.fixture(scope="module")
 def oneclass():
-    return check_oneclass_benchmark(
-        seed=8, replicates=20, test_sets=10,
+    return check_table(
+        "oneclass", seed=8, replicates=20, test_sets=10,
         p=200, n_k=200, rho=0.8, alpha=0.05, m=1000,
     )
 

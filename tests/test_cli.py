@@ -246,8 +246,9 @@ class TestPredict:
         )
         code = run_cli(
             "predict", "--train", f"{simulated}_train.csv",
-            "--test", f"{simulated}_test.csv", "--mode", "oracle",
-            "--oracle-params", f"{other}_oracle.json", "--out", tmp_path / "x",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--mode", "oracle", "--oracle-params", f"{other}_oracle.json",
+            "--out", tmp_path / "x",
         )
         assert code == EXIT_DATA
         assert "4 classes" in capsys.readouterr().err
@@ -267,8 +268,8 @@ class TestPredict:
         params.write_text(text)
         code = run_cli(
             "predict", "--train", f"{simulated}_train.csv",
-            "--test", f"{simulated}_test.csv", "--mode", "oracle",
-            "--oracle-params", params, "--out", tmp_path / "x",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--mode", "oracle", "--oracle-params", params, "--out", tmp_path / "x",
         )
         assert code == EXIT_DATA
         err = capsys.readouterr().err
@@ -281,6 +282,36 @@ class TestPredict:
             "--test", tmp_path / "nope.csv", "--out", tmp_path / "x",
         )
         assert code == EXIT_DATA
+
+    @pytest.mark.parametrize(
+        "header, truth, message",
+        [
+            ("b,a", None, "column 1 is 'b', training feature 1 is 'a'"),
+            (
+                "a,b,truth", None,
+                "column 'truth' is not a training feature "
+                "(if it holds the truth, name it with --truth-column)",
+            ),
+            ("a", None, "missing training feature 'b'"),
+            ("a,kind", "kind", "missing training feature 'b'"),
+        ],
+        ids=["swapped", "extra", "missing", "missing_beside_truth"],
+    )
+    def test_test_columns_must_name_the_training_features(
+        self, tmp_path, capsys, header, truth, message
+    ):
+        # the label sits between the features; the test columns go by name
+        train = tmp_path / "train.csv"
+        train.write_text("a,label,b\n0,x,1\n1,x,0\n2,x,2\n")
+        test = tmp_path / "test.csv"
+        test.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        argv = ["--truth-column", truth] if truth else []
+        code = run_cli(
+            "predict", "--train", train, "--test", test, *argv, "--out", tmp_path / "x",
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {test}: {message}\n"
+        assert not (tmp_path / "x_pvalues.csv").exists()
 
     def test_zero_variance_column_is_data_error(self, tmp_path, capsys):
         train = tmp_path / "train.csv"

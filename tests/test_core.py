@@ -287,6 +287,30 @@ class TestOracleParams:
             params.means[0, 0] = 1.0
 
 
+class TestCallerArrays:
+    """A container shares memory with a C-contiguous float64 input, through a
+    read-only view: the caller's own array stays writable."""
+
+    @pytest.mark.parametrize(
+        "build, field",
+        [
+            (lambda f: LabeledDataset(f, [1, 1, 1]), "features"),
+            (lambda f: TestBatch(f), "features"),
+            (lambda f: ClassModel(np.zeros_like(f), f), "variances"),
+        ],
+        ids=["dataset", "batch", "moments"],
+    )
+    def test_input_stays_writable(self, build, field):
+        given = np.ones((3, 2))
+        held = getattr(build(given), field)
+        assert np.shares_memory(held, given)
+        assert given.flags.writeable and not held.flags.writeable
+        given[0, 0] = 5.0  # raised "assignment destination is read-only"
+        assert held[0, 0] == 5.0
+        with pytest.raises(ValueError):
+            held[0, 0] = 1.0
+
+
 class TestPValueMatrix:
     def good(self, **kw):
         defaults = dict(

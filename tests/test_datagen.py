@@ -85,7 +85,6 @@ class TestApportion:
 class TestScenarioConfig:
     def test_one_class_defaults(self):
         c = one_class_config()
-        assert c.scenario == "one_class"
         assert c.p == 500 and c.n_k == 500 and c.m == 1000
         assert c.class_specs == (ComponentSpec(0.0, 1.0),)
         assert c.outlier_spec == ComponentSpec(0.0, 2.5)
@@ -94,7 +93,6 @@ class TestScenarioConfig:
 
     def test_multi_class_defaults(self):
         c = multi_class_config()
-        assert c.scenario == "multi_class"
         assert [s.shift for s in c.class_specs] == [0.0, 1.3, -1.3, 2.5]
         assert all(s.scale == 1.0 for s in c.class_specs)
         assert c.outlier_spec == ComponentSpec(0.0, 3.5)
@@ -114,30 +112,24 @@ class TestScenarioConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            dict(scenario="bogus", p=5, n_k=5),
-            dict(scenario="one_class", p=0, n_k=5),
-            dict(scenario="one_class", p=5, n_k=2),
-            dict(scenario="one_class", p=5, n_k=5, m=0),
-            dict(scenario="one_class", p=5, n_k=5, rho=1.0),
-            dict(scenario="one_class", p=5, n_k=5, rho=-0.1),
-            dict(scenario="one_class", p=5, n_k=5, alpha=0.0),
-            dict(scenario="one_class", p=5, n_k=5, alpha=1.0),
-            dict(scenario="one_class", p=5, n_k=5, inlier_ratio=0.0),
-            dict(scenario="one_class", p=5, n_k=5, class_specs=()),
-            dict(
-                scenario="one_class", p=5, n_k=5,
-                class_specs=(ComponentSpec(0.0), ComponentSpec(1.0)),
-            ),
-            dict(
-                scenario="multi_class", p=5, n_k=5,
-                class_specs=(ComponentSpec(0.0, 0.5),),
-            ),
-            dict(scenario="one_class", p=5, n_k=5, inlier_ratio=float("inf")),
-            dict(scenario="one_class", p=5, n_k=5, inlier_ratio=float("nan")),
-            dict(scenario="one_class", p=5, n_k=5, run_seed=-1),
-            dict(scenario="one_class", p=5, n_k=5, atom_seed=-1),
-            dict(scenario="one_class", p=5, n_k=5, run_seed=1.5),
-            dict(scenario="one_class", p=5, n_k=5, run_seed=True),
+            dict(p=5, n_k=5, outlier_spec=ComponentSpec(0.0, 0.5)),
+            dict(p=0, n_k=5),
+            dict(p=5, n_k=2),
+            dict(p=5, n_k=5, m=0),
+            dict(p=5, n_k=5, rho=1.0),
+            dict(p=5, n_k=5, rho=-0.1),
+            dict(p=5, n_k=5, alpha=0.0),
+            dict(p=5, n_k=5, alpha=1.0),
+            dict(p=5, n_k=5, inlier_ratio=0.0),
+            dict(p=5, n_k=5, class_specs=()),
+            dict(p=5, n_k=5, rho=float("nan")),
+            dict(p=5, n_k=5, class_specs=(ComponentSpec(0.0, 0.5),)),
+            dict(p=5, n_k=5, inlier_ratio=float("inf")),
+            dict(p=5, n_k=5, inlier_ratio=float("nan")),
+            dict(p=5, n_k=5, run_seed=-1),
+            dict(p=5, n_k=5, atom_seed=-1),
+            dict(p=5, n_k=5, run_seed=1.5),
+            dict(p=5, n_k=5, run_seed=True),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -146,7 +138,7 @@ class TestScenarioConfig:
 
     def test_specs_coerced_from_tuples(self):
         c = ScenarioConfig(
-            scenario="multi_class", p=3, n_k=4,
+            p=3, n_k=4,
             class_specs=((0.0, 1.0), (2.0, 1.0)), outlier_spec=(0.0, 2.0),
         )
         assert isinstance(c.class_specs[0], ComponentSpec)
@@ -266,7 +258,7 @@ class TestNaiveReference:
         # the built-in designs never shift and scale the same component, so
         # they cannot tell sqrt(scale) * (z + shift) from other roundings
         config = ScenarioConfig(
-            scenario="multi_class", p=7, n_k=6, m=13, rho=0.3, run_seed=3,
+            p=7, n_k=6, m=13, rho=0.3, run_seed=3,
             class_specs=((1.3, 2.0), (-0.7, 1.5)), outlier_spec=(0.4, 3.0),
         )
         self.assert_matches_naive(config)
@@ -407,7 +399,7 @@ class TestGenerate:
         base = one_class_config(p=4, n_k=6, m=8, run_seed=9)
         other = ScenarioConfig(**{
             **{f: getattr(base, f) for f in (
-                "scenario", "p", "n_k", "m", "rho", "alpha", "inlier_ratio",
+                "p", "n_k", "m", "rho", "alpha", "inlier_ratio",
                 "class_specs", "outlier_spec", "run_seed",
             )},
             "atom_seed": 100,

@@ -1,22 +1,23 @@
 """validate's checks: the p-value draw loop, pinned check lines, and
 benchmark checks on one simulation table sharing one run."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from confset import DataError, experiment, validation
+from confset.cli import main
 from confset.datagen import one_class_config, oracle_params
 from confset.validation import (
     _draw_pvalues,
-    check_cw_fdr_control,
     check_deviation_trend,
     check_loss_construction,
-    check_multiclass_benchmark,
-    check_oneclass_benchmark,
     check_oracle_coverage,
     check_scw_bound,
     check_set_size_trend,
     check_super_uniformity,
+    check_table,
     run_checks,
 )
 
@@ -37,35 +38,63 @@ def replicate_modes(monkeypatch):
     return calls
 
 
-def test_cw_fdr_and_multiclass_share_one_table(replicate_modes):
-    shared = run_checks(["cw_fdr", "multiclass"], **SMALL)
+def _assert_one_shared_run(replicate_modes, names):
+    shared = run_checks(names, **SMALL)
     # one run of the seed-7 table, in the union of the two checks' modes
     assert replicate_modes == [("empirical", "oracle")] * 2
     replicate_modes.clear()
-    alone = [check_cw_fdr_control(**SMALL), check_multiclass_benchmark(**SMALL)]
-    assert replicate_modes == [("empirical",)] * 2 + [("empirical", "oracle")] * 2
+    alone = [check_table(name, **SMALL) for name in names]
+    modes = {"cw_fdr": [("empirical",)] * 2, "multiclass": [("empirical", "oracle")] * 2}
+    assert replicate_modes == modes[names[0]] + modes[names[1]]
     assert [(r.name, r.passed, r.details) for r in shared] == [
         (r.name, r.passed, r.details) for r in alone
     ]
+
+
+def test_cw_fdr_and_multiclass_share_one_table(replicate_modes):
+    _assert_one_shared_run(replicate_modes, ["cw_fdr", "multiclass"])
+
+
+def test_multiclass_and_cw_fdr_share_one_table(replicate_modes):
+    _assert_one_shared_run(replicate_modes, ["multiclass", "cw_fdr"])
 
 
 def test_different_tables_run_apart(replicate_modes):
     # same seed, but one-class and multi-class designs draw different data
     shared = run_checks(["cw_fdr", "oneclass"], seed=7, **SMALL)
     assert replicate_modes == [("empirical",)] * 2 + [("empirical", "oracle")] * 2
-    alone = [check_cw_fdr_control(seed=7, **SMALL), check_oneclass_benchmark(seed=7, **SMALL)]
+    alone = [check_table("cw_fdr", seed=7, **SMALL), check_table("oneclass", seed=7, **SMALL)]
     assert [r.details for r in shared] == [r.details for r in alone]
 
 
+@pytest.mark.parametrize(
+    "argv, seed",
+    [(["--check", "multiclass", "--seed", "3"], 3), (["--check", "oneclass"], 8)],
+)
+def test_validate_flags_pick_the_table_seed(monkeypatch, argv, seed):
+    seeds = []
+    real = validation.run_cell
+
+    def spy(table, *cell):
+        seeds.append(table.master_seed)
+        return real(table, *cell)
+
+    monkeypatch.setattr(validation, "run_cell", spy)
+    # a table this small may fail its bounds; only the seed it ran at counts
+    small = ["--replicates", "2", "--test-sets", "2", "--p", "6", "--nk", "20"]
+    main(["validate", *argv, *small])
+    assert seeds == [seed]
+
+
 def test_multiclass_error_bounds_follow_alpha():
-    result = check_multiclass_benchmark(alpha=0.1, **SMALL)
+    result = check_table("multiclass", alpha=0.1, **SMALL)
     assert result.bound("max_cw_fdr").bound.rule == "<= 0.12"
     assert result.bound("scw_fdr").bound.rule == "<= 0.1"
     assert result.bound("coverage").bound.rule == ">= 0.88"
 
 
 def test_oneclass_bounds_follow_alpha():
-    result = check_oneclass_benchmark(alpha=0.2, replicates=2, test_sets=2)
+    result = check_table("oneclass", alpha=0.2, replicates=2, test_sets=2)
     assert result.bound("fdr").bound.rule == "<= 0.23"
     coverage = result.bound("coverage")
     assert coverage.bound.rule == ">= 0.8"
@@ -139,12 +168,12 @@ def test_in_sample_pvalues_are_anti_conservative():
             "mean global fdp 0.1512 (target 0.15+-0.01)",
         ),
         (
-            check_cw_fdr_control,
+            partial(check_table, "cw_fdr"),
             dict(replicates=2, test_sets=2),
             "max_cw_fdr=0.0181 (ok <= 0.07); scw_fdr=0.0134 (ok <= 0.05)",
         ),
         (
-            check_multiclass_benchmark,
+            partial(check_table, "multiclass"),
             dict(replicates=2, test_sets=2),
             "power=0.9960, oracle 0.9930 (ok >= 0.95); "
             "flr=0.0010, oracle 0.0018 (ok <= 0.01); "
@@ -154,7 +183,7 @@ def test_in_sample_pvalues_are_anti_conservative():
             "ambiguity=1.1019, oracle 1.1286 (ok <= oracle + 0.02 = 1.1486)",
         ),
         (
-            check_oneclass_benchmark,
+            partial(check_table, "oneclass"),
             dict(replicates=2, test_sets=2),
             "power=0.8330, oracle 0.8020 (ok >= oracle - 0.02 = 0.7820); "
             "fdr=0.0506, oracle 0.0303 (ok <= 0.08); "
@@ -188,3 +217,11 @@ def test_overrides_no_named_check_takes_are_a_data_error():
     # an override that one named check takes is fine for the others
     results = run_checks(["scw", "construction"], trials=500)
     assert [r.name for r in results] == ["scw", "construction"]
+
+
+@pytest.mark.parametrize("plumbing", ["runs", "readers"])
+def test_shared_runs_are_not_overrides(plumbing):
+    # check_table's keyword-only parameters come from run_checks alone
+    message = rf"^no check of \['cw_fdr'\] takes \['{plumbing}'\]$"
+    with pytest.raises(DataError, match=message):
+        run_checks(["cw_fdr"], **{plumbing: {}})
