@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 usage error, 3 data/validation error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -49,6 +48,7 @@ from .io import (
     write_thresholds_csv,
 )
 from .metrics import evaluate_sets
+from .scoring import fit_model
 from .validation import CHECKS, run_checks
 
 __all__ = ["main", "build_parser"]
@@ -193,10 +193,11 @@ def cmd_predict(args) -> int:
         )
     _check_test_columns(args)
     batch = read_batch_csv(args.test, args.truth_column)
-    oracle = load_json(args.oracle_params) if args.oracle_params else None
-    pvals, sets = predict(
-        data, batch, args.alpha, oracle=oracle, variance_floor=args.variance_floor
-    )
+    if args.oracle_params:
+        oracle = load_json(args.oracle_params)
+    else:
+        oracle = fit_model(data, args.variance_floor)
+    pvals, sets = predict(data, batch, args.alpha, oracle=oracle)
     write_pvalues_csv(f"{args.out}_pvalues.csv", pvals)
     write_sets_csv(f"{args.out}_sets.csv", sets)
     write_thresholds_csv(f"{args.out}_thresholds.csv", pvals)
@@ -272,39 +273,16 @@ def _add_experiment(sub):
         "experiment", help="run a replicated grid experiment from a YAML config"
     )
     p.add_argument("--config", required=True, help="YAML experiment config")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes (default: $CONFSET_WORKERS, else 1)",
-    )
+    p.add_argument("--workers", type=_positive_int, default=1, help="worker processes")
     p.add_argument("--out-dir", default=None, help="override the config out_dir")
-    p.add_argument(
-        "--mode",
-        choices=["empirical", "oracle", "both"],
-        default=None,
-        help="override the config mode",
-    )
     p.set_defaults(func=cmd_experiment)
 
 
 def cmd_experiment(args) -> int:
-    workers, source = args.workers, "--workers"
-    if workers is None:
-        source = "CONFSET_WORKERS"
-        env = os.environ.get(source, "1")
-        try:
-            workers = int(env)
-        except ValueError:
-            return _usage_error(f"CONFSET_WORKERS must be an integer, got {env!r}")
-    if workers < 1:
-        return _usage_error(f"{source} must be a positive integer, got {workers}")
     config = load_config(args.config)
     if args.out_dir:
         config = replace(config, out_dir=args.out_dir)
-    if args.mode:
-        config = replace(config, mode=args.mode)
-    run_experiment(config, workers=workers, echo=print)
+    run_experiment(config, workers=args.workers, echo=print)
     return EXIT_OK
 
 
@@ -335,11 +313,13 @@ def _add_validate(sub):
 
 def cmd_validate(args) -> int:
     names = None
-    if args.check:
+    if args.check is not None:
         names = [n for chunk in args.check for n in chunk.split(",") if n]
-    # each flag sets the check parameter named by its dest
-    keys = "seed alpha n_k p rho draws trials replicates test_sets".split()
-    overrides = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
+        if not names:
+            return _usage_error("--check names no check")
+    # every other flag sets the check parameter named by its dest
+    skip = ("command", "func", "check")
+    overrides = {k: v for k, v in vars(args).items() if k not in skip and v is not None}
     results = run_checks(names, echo=print, **overrides)
     failed = [r.name for r in results if not r.passed]
     if failed:

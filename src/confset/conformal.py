@@ -110,7 +110,6 @@ def predict(
     test: TestBatch,
     alpha: float,
     oracle: ClassModel | None = None,
-    variance_floor: float | None = None,
 ) -> tuple[PValueMatrix, PredictionSets]:
     """Set-valued prediction for a test batch.
 
@@ -124,12 +123,10 @@ def predict(
     alpha : float
         Nominal per-class error level in (0, 1).
     oracle : ClassModel, optional
-        True class moments. When given, scores use them instead of the
-        moments fitted by :func:`fit_model` (the calibration still ranks
-        against the training rows).
-    variance_floor : float, optional
-        Variance floor of each class fit when ``oracle`` is not given, as in
-        :func:`fit_class_summary`.
+        Class moments to score with; by default those that
+        :func:`fit_model` fits on ``data``. The calibration ranks against
+        the training rows either way, so a variance floor is
+        ``oracle=fit_model(data, variance_floor=...)``.
 
     Returns
     -------
@@ -137,7 +134,7 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``.
     """
-    model = oracle if oracle is not None else fit_model(data, variance_floor)
+    model = oracle if oracle is not None else fit_model(data)
     if model.means.shape != (data.n_classes, data.n_features):
         raise DataError(
             f"class moments are for {model.n_classes} classes x "

@@ -138,15 +138,9 @@ def one_class_config(
     rho: float = 0.0,
     **overrides,
 ) -> ScenarioConfig:
-    """Single inlier class at the origin; outliers overdispersed by 2.5."""
-    return ScenarioConfig(
-        p=p,
-        n_k=n_k,
-        rho=rho,
-        class_specs=(ComponentSpec(0.0, 1.0),),
-        outlier_spec=ComponentSpec(0.0, ONE_CLASS_OUTLIER_SCALE),
-        **overrides,
-    )
+    """Single inlier class at the origin; outliers overdispersed by 2.5
+    (the ``ScenarioConfig`` defaults)."""
+    return ScenarioConfig(p=p, n_k=n_k, rho=rho, **overrides)
 
 
 def multi_class_config(
@@ -285,11 +279,12 @@ def apportion_test_counts(m: int, inlier_ratio: float, n_classes: int) -> tuple[
 
     The inlier total is round(m * ratio / (ratio + 1)) (half up), spread over
     classes by largest remainder; equal quotas tie, and ties go to the lower
-    class index. The outliers take the rest.
+    class index. The outliers take the rest, none if m * ratio overflows.
     """
     if m < 1:
         raise DataError(f"m must be >= 1, got {m}")
-    n_inliers = int(math.floor(m * inlier_ratio / (inlier_ratio + 1.0) + 0.5))
+    share = m * inlier_ratio / (inlier_ratio + 1.0)
+    n_inliers = m if math.isinf(share) else int(math.floor(share + 0.5))
     base, extra = divmod(n_inliers, n_classes)
     counts = [base + (1 if k < extra else 0) for k in range(n_classes)]
     return counts, m - n_inliers

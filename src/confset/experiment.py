@@ -36,7 +36,7 @@ from .datagen import (
     with_run_seed,
 )
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
-from .io import _os_errors
+from .io import _cell_name, _os_errors
 from .metrics import MetricsReport, evaluate_sets
 from .scoring import fit_model
 
@@ -147,7 +147,7 @@ class CellResult:
     predict_seconds: dict[str, float]
 
     def tag(self, mode: str) -> str:
-        return f"{self.scenario}_p{self.p}_nk{self.n_k}_rho{self.rho:g}_{mode}"
+        return f"{_cell_name(self.scenario, self.p, self.n_k, self.rho)}_{mode}"
 
 
 def _pool_cell(scenario: str, p: int, n_k: int, rho: float, outputs) -> CellResult:
@@ -160,15 +160,9 @@ def _pool_cell(scenario: str, p: int, n_k: int, rho: float, outputs) -> CellResu
     return CellResult(scenario, p, n_k, rho, reports, seconds)
 
 
-def run_cell(
-    exp: ExperimentConfig,
-    p: int,
-    n_k: int,
-    rho: float,
-    cell_index: int = 0,
-    workers: int = 1,
-) -> CellResult:
-    """All replicates of one simulated grid cell."""
+def run_cell(exp: ExperimentConfig, cell_index: int = 0, workers: int = 1) -> CellResult:
+    """All replicates of the simulated grid cell ``exp.cells()[cell_index]``."""
+    p, n_k, rho = exp.cells()[cell_index]
     modes = ("empirical", "oracle") if exp.mode == "both" else (exp.mode,)
     base = exp.cell_scenario(p, n_k, rho)
     configs = [
@@ -205,10 +199,7 @@ def run_experiment(
     if exp.scenario == "csv":
         cells = [_run_csv_experiment(exp, workers)]
     else:
-        cells = [
-            run_cell(exp, p, n_k, rho, cell_index=i, workers=workers)
-            for i, (p, n_k, rho) in enumerate(exp.cells())
-        ]
+        cells = [run_cell(exp, i, workers) for i in range(len(exp.cells()))]
     for cell in cells:
         for mode, reports in cell.reports.items():
             tag = cell.tag(mode)

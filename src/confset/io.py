@@ -100,14 +100,15 @@ def _os_errors(verb: str, path):
         raise DataError(f"cannot {verb} {path}: {e.strerror or e}") from None
 
 
+# Text is UTF-8 whatever the locale; everything written is ASCII.
 def _open_read(path, **kwargs):
     with _os_errors("read", path):
-        return open(path, **kwargs)
+        return open(path, encoding="utf-8", **kwargs)
 
 
 def _open_write(path, **kwargs):
     with _os_errors("write", path):
-        return open(path, "w", **kwargs)
+        return open(path, "w", encoding="utf-8", **kwargs)
 
 
 # Cells per block of parsed rows. Until its one cast, a block holds each
@@ -127,38 +128,43 @@ def _read_table(path):
     at most ``_BLOCK_CELLS`` cells, and at least one row. A row whose cell
     count differs from the header's raises only after the rows before it
     have been yielded, so the caller checks those first and the first
-    malformed line in file order is the one reported.
+    malformed line in file order is the one reported. Bytes that are not
+    UTF-8, or a cell over ``csv``'s field size limit, are one DataError too.
     """
     with _open_read(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
-        header = [h.strip() for h in header]
-        if len(set(header)) != len(header):
-            dup = next(h for h in header if header.count(h) > 1)
-            raise DataError(f"{path}: duplicate column name {dup!r}")
-        yield header
-        block_rows = max(1, _BLOCK_CELLS // max(1, len(header)))
-        rows, lines = [], []
-        yielded = False
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != len(header):
-                if rows:
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"{path}: empty file")
+            header = [h.strip() for h in header]
+            if len(set(header)) != len(header):
+                dup = next(h for h in header if header.count(h) > 1)
+                raise DataError(f"{path}: duplicate column name {dup!r}")
+            yield header
+            block_rows = max(1, _BLOCK_CELLS // max(1, len(header)))
+            rows, lines = [], []
+            yielded = False
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    if rows:
+                        yield rows, lines
+                    raise DataError(
+                        f"{path}: line {reader.line_num} has {len(row)} cells, "
+                        f"header has {len(header)}"
+                    )
+                rows.append(row)
+                lines.append(reader.line_num)
+                if len(rows) == block_rows:
                     yield rows, lines
-                raise DataError(
-                    f"{path}: line {reader.line_num} has {len(row)} cells, "
-                    f"header has {len(header)}"
-                )
-            rows.append(row)
-            lines.append(reader.line_num)
-            if len(rows) == block_rows:
-                yield rows, lines
-                rows, lines = [], []
-                yielded = True
+                    rows, lines = [], []
+                    yielded = True
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text: {e.reason}") from None
+        except csv.Error as e:
+            raise DataError(f"{path}: line {reader.line_num}: {e}") from None
     if rows:
         yield rows, lines
     elif not yielded:
@@ -430,9 +436,17 @@ class ExperimentConfig:
             raise DataError("replicates and test_sets must be >= 1")
         check_seed("master_seed", self.master_seed)
         if self.scenario != "csv":
-            # ScenarioConfig checks the ranges of the simulated fields
+            # ScenarioConfig checks the ranges of the simulated fields, and
+            # two cells of one results name would write over each other
+            named = {}
             for cell in self.cells():
                 self.cell_scenario(*cell)
+                name = _cell_name(self.scenario, *cell)
+                if name in named:
+                    raise DataError(
+                        f"grid cells {named[name]} and {cell} share the results name {name!r}"
+                    )
+                named[name] = cell
             return
         if not self.csv_path or not self.label_column:
             raise DataError("csv scenario needs csv_path and label_column")
@@ -458,6 +472,11 @@ class ExperimentConfig:
             inlier_ratio=self.inlier_ratio,
             atom_seed=self.atom_seed,
         )
+
+
+def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:
+    """The results name of a grid cell, less its mode."""
+    return f"{scenario}_p{p}_nk{n_k}_rho{rho:g}"
 
 
 def _check_number(name: str, value, integer: bool = False) -> None:

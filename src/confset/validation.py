@@ -183,23 +183,24 @@ def _deviation_bound(n: int, a: float) -> float:
     return 4.0 * (math.sqrt(a) + 2.0 * a / 3.0) * math.sqrt(math.log(n) / n)
 
 
+# The exponent a of check_deviation_trend's envelope; the envelope holds for a >= 2.
+DEVIATION_A = 2.0
+
+
 def check_deviation_trend(
     seed: int = 2,
     n_grid: tuple[int, ...] = (100, 400, 1600),
     draws: int = 200,
     p: int = 100,
     rho: float = 0.8,
-    a: float = 2.0,
 ) -> CheckResult:
     """|estimated p-value - known-parameter p-value| shrinks with n.
 
     For each training size the 95th percentile of the gap (same training
     set, same test point, estimated vs known parameters) must decrease
     strictly along the grid and sit below the theoretical envelope
-    4(sqrt(a) + 2a/3) sqrt(log n / n), which holds for a >= 2.
+    4(sqrt(a) + 2a/3) sqrt(log n / n) at a = ``DEVIATION_A``.
     """
-    if not a >= 2:
-        raise DataError(f"a must be >= 2, got {a}")
     started = time.perf_counter()
     q95 = []
     for idx, n_k in enumerate(n_grid):
@@ -208,7 +209,7 @@ def check_deviation_trend(
         pvals = _draw_pvalues(config, draws, rng, (None, oracle_params(config)))
         q95.append(float(np.quantile(np.abs(pvals[:, 0] - pvals[:, 1]), 0.95)))
     decreasing = all(q95[i + 1] < q95[i] for i in range(len(q95) - 1))
-    ratios = [q / _deviation_bound(n, a) for q, n in zip(q95, n_grid)]
+    ratios = [q / _deviation_bound(n, DEVIATION_A) for q, n in zip(q95, n_grid)]
     below = all(r < 1.0 for r in ratios)
     details = "; ".join(
         f"n={n}: q95={q:.4f}, q95/bound={r:.3f}"
@@ -514,7 +515,7 @@ def check_table(
     runs = {} if runs is None else runs
     if table not in runs:
         mode = "both" if any(needs.values()) else "empirical"
-        runs[table] = run_cell(replace(table, mode=mode), p, n_k, rho).reports
+        runs[table] = run_cell(replace(table, mode=mode)).reports
     # only the modes this check needs, so its line is the same either way
     empirical = _table_means(runs[table]["empirical"])
     oracle = _table_means(runs[table]["oracle"]) if needs[name] else None

@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -97,6 +98,15 @@ class TestSimulate:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err == "error: inlier_ratio must be finite and positive, got inf\n"
+
+    def test_overflowing_inlier_ratio_leaves_no_outlier(self, tmp_path, capsys):
+        # m * 1e308 overflows to inf; every test slot is then an inlier
+        code = run_cli(
+            "simulate", "--p", 3, "--nk", 5, "--m", 4, "--inlier-ratio", "1e308",
+            "--out", tmp_path / "s",
+        )
+        assert code == EXIT_OK
+        assert "test batch: 4 rows (4 inliers, 0 outliers)" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -313,6 +323,17 @@ class TestPredict:
         assert capsys.readouterr().err == f"error: {test}: {message}\n"
         assert not (tmp_path / "x_pvalues.csv").exists()
 
+    def test_latin1_training_file_is_data_error(self, tmp_path, capsys):
+        # the label 'b\xe9' as a spreadsheet saves it in latin-1, one byte 0xe9
+        train = tmp_path / "train.csv"
+        train.write_bytes(b"x1,label\n0.0,b\xe9\n1.0,b\xe9\n2.0,b\xe9\n")
+        test = tmp_path / "test.csv"
+        test.write_text("x1\n1.0\n")
+        code = run_cli("predict", "--train", train, "--test", test, "--out", tmp_path / "x")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == f"error: {train}: not UTF-8 text: invalid continuation byte\n"
+
     def test_zero_variance_column_is_data_error(self, tmp_path, capsys):
         train = tmp_path / "train.csv"
         train.write_text("x1,x2,label\n0.0,5.0,a\n1.0,5.0,a\n2.0,5.0,a\n")
@@ -528,17 +549,22 @@ class TestExperiment:
         table = read_results(out_dir / "multi_class_p6_nk12_rho0_empirical.csv")
         assert "time_s" in table
 
-    def test_mode_override(self, tmp_path, capsys):
+    def test_mode_is_read_from_the_config(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
         config.write_text(
             "scenario: one_class\np: [5]\nn_k: [10]\nm: 8\n"
-            "replicates: 2\ntest_sets: 1\n"
+            "replicates: 2\ntest_sets: 1\nmode: both\n"
             f"out_dir: {tmp_path / 'out'}\n"
         )
-        code = run_cli("experiment", "--config", config, "--mode", "both")
+        code = run_cli("experiment", "--config", config)
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "_empirical ==" in out and "_oracle ==" in out
+        # the config's mode: key is the one source; no flag overrides it
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--config", config, "--mode", "both")
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --mode both" in capsys.readouterr().err
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -585,6 +611,17 @@ class TestExperiment:
             ("rho: [0.0, 1.5]", "rho must be in [0, 1), got 1.5"),
             ("p: [0]", "p must be >= 1, got 0"),
             ("m: 0", "m must be >= 1, got 0"),
+            # two cells of one results name, which gives rho with :g
+            (
+                "p: [5, 5]",
+                "grid cells (5, 500, 0.0) and (5, 500, 0.0) share the results name "
+                "'multi_class_p5_nk500_rho0'",
+            ),
+            (
+                "rho: [0.3, 0.3000001]",
+                "grid cells (500, 500, 0.3) and (500, 500, 0.3000001) share the "
+                "results name 'multi_class_p500_nk500_rho0.3'",
+            ),
         ],
     )
     def test_out_of_range_grid_is_data_error_before_output(
@@ -630,40 +667,27 @@ class TestExperiment:
         assert captured.err.startswith(f"error: cannot create {blocker / 'out'}: ")
         assert len(captured.err.splitlines()) == 1
 
-    def test_bad_workers_variable_is_usage_error(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("CONFSET_WORKERS", "abc")
-        # only experiment reads the variable; every other command ignores it
-        code = run_cli(
-            "simulate", "--scenario", "one", "--p", 3, "--nk", 5, "--m", 4,
-            "--out", tmp_path / "s",
-        )
-        assert code == EXIT_OK
-        capsys.readouterr()
+    def test_overflowing_inlier_ratio_runs_without_outliers(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
-        config.write_text("scenario: one_class\n")
-        assert run_cli("experiment", "--config", config) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == "error: CONFSET_WORKERS must be an integer, got 'abc'\n"
+        config.write_text(
+            "scenario: one_class\np: [3]\nn_k: [5]\nm: 4\ninlier_ratio: 1.0e+308\n"
+            f"replicates: 1\ntest_sets: 1\nout_dir: {tmp_path / 'out'}\n"
+        )
+        assert run_cli("experiment", "--config", config) == EXIT_OK
+        table = read_results(tmp_path / "out" / "one_class_p3_nk5_rho0_empirical.csv")
+        assert table["power"] == (0.0, 0.0)  # no outlier to catch
 
-    @pytest.mark.parametrize(
-        "flag, env, message",
-        [
-            (("--workers", 0), None, "--workers must be a positive integer, got 0"),
-            (("--workers", -2), None, "--workers must be a positive integer, got -2"),
-            ((), "0", "CONFSET_WORKERS must be a positive integer, got 0"),
-        ],
-    )
-    def test_nonpositive_workers_is_usage_error(
-        self, tmp_path, capsys, monkeypatch, flag, env, message
-    ):
-        if env is not None:
-            monkeypatch.setenv("CONFSET_WORKERS", env)
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_is_usage_error(self, tmp_path, capsys, workers):
         config = tmp_path / "config.yaml"
         config.write_text(f"scenario: one_class\nout_dir: {tmp_path / 'out'}\n")
-        assert run_cli("experiment", "--config", config, *flag) == EXIT_USAGE
+        with pytest.raises(SystemExit) as exc:
+            run_cli("experiment", "--config", config, "--workers", workers)
+        assert exc.value.code == EXIT_USAGE
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        message = f"error: argument --workers: must be a positive integer, got {workers}\n"
+        assert captured.err.endswith(message)
         assert not (tmp_path / "out").exists()
 
 
@@ -755,6 +779,14 @@ class TestValidate:
         assert f"error: argument {flag}: " in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("names", ["", ",", ",,"])
+    def test_empty_check_list_is_usage_error(self, capsys, names):
+        # an empty CI variable must not pass as "all 0 checks passed"
+        assert run_cli("validate", "--check", names) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --check names no check\n"
+
     def test_no_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             run_cli()
@@ -793,9 +825,10 @@ TARGETS = [("predict", "train", "label"), ("predict", "test", "truth"), ("evalua
 
 @st.composite
 def malformed(draw, lines, command, target):
-    """The lines of a CSV broken in a way its reader must report."""
+    """The bytes of a CSV broken in a way its reader must report."""
     header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
-    kinds = ["empty", "header only", "duplicate header", "missing column", "short row", "long row"]
+    kinds = ["empty", "header only", "duplicate header", "missing column", "short row",
+             "long row", "not utf-8", "oversized cell"]
     if command == "predict":
         kinds.append("feature cell")
     if command == "evaluate" or target == "train":
@@ -805,9 +838,9 @@ def malformed(draw, lines, command, target):
     kind = draw(st.sampled_from(kinds))
     i = draw(st.integers(0, len(rows) - 1))
     if kind == "empty":
-        return []
+        return b""
     if kind == "header only":
-        return lines[:1]
+        return f"{lines[0]}\n".encode()
     if kind == "duplicate header":
         header[0] = header[1]
     elif kind == "missing column":
@@ -816,6 +849,11 @@ def malformed(draw, lines, command, target):
         del rows[i][draw(st.integers(0, len(header) - 1))]
     elif kind == "long row":
         rows[i].append("0")
+    elif kind == "not utf-8":
+        # a cell as latin-1 writes it: 0xe9 is no UTF-8 sequence
+        rows[i][draw(st.integers(0, len(header) - 1))] = "b\xe9"
+    elif kind == "oversized cell":
+        rows[i][draw(st.integers(0, len(header) - 1))] = "1" * (csv.field_size_limit() + 1)
     elif kind == "feature cell":
         rows[i][draw(st.integers(0, len(header) - 2))] = draw(
             st.sampled_from(["bad", "", "0x1", "nan", "-inf", "1e999"])
@@ -827,7 +865,8 @@ def malformed(draw, lines, command, target):
         rows.append(rows[i])
     else:
         del rows[i]
-    return [",".join(header)] + [",".join(row) for row in rows]
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    return "".join(f"{line}\n" for line in lines).encode("latin-1")
 
 
 @given(data=st.data(), target=st.sampled_from(TARGETS))
@@ -836,7 +875,7 @@ def test_malformed_csv_exits_3_with_one_line(clean_files, data, target):
     root = clean_files
     lines = (root / f"sim_{which}.csv").read_text().splitlines()
     broken = root / "broken.csv"
-    broken.write_text("".join(f"{line}\n" for line in data.draw(malformed(lines, command, which))))
+    broken.write_bytes(data.draw(malformed(lines, command, which)))
     files = {"train": root / "sim_train.csv", "test": root / "sim_test.csv", which: broken}
     if command == "predict":
         argv = ["predict", "--train", files["train"], "--test", files["test"],
@@ -960,9 +999,14 @@ NOT_INT = st.one_of(NOT_NUMBER, st.floats())
 NOT_TEXT = st.one_of(st.booleans(), st.integers(), st.floats(), st.lists(st.integers(), max_size=2))
 
 
-def _bad_grid(entry, good):
-    """A grid value holding a bad entry: the entry alone, or after a good one."""
-    return st.one_of(entry, st.lists(entry, min_size=1, max_size=2).map(lambda bad: [good] + bad))
+def _bad_grid(entry, good, *twins):
+    """A grid value holding a bad entry, alone or after a good one, or two
+    values that name one results table: the good one twice, or ``twins``."""
+    return st.one_of(
+        entry,
+        st.lists(entry, min_size=1, max_size=2).map(lambda bad: [good] + bad),
+        st.sampled_from([[good, good], *twins]),
+    )
 
 
 def _not_choice(*names):
@@ -978,6 +1022,7 @@ BAD_FIELDS = {
     "rho": _bad_grid(
         st.one_of(st.none(), st.booleans(), TEXT, st.floats().filter(lambda v: not 0 <= v < 1)),
         0.0,
+        [0.3, 0.3000001],
     ),
     "m": st.one_of(NOT_INT, st.integers(max_value=0)),
     "replicates": st.one_of(NOT_INT, st.integers(max_value=0)),

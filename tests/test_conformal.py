@@ -7,6 +7,7 @@ import pytest
 
 from confset import conformal, scoring
 from confset import (
+    ClassModel,
     DataError,
     LabeledDataset,
     TestBatch,
@@ -232,7 +233,7 @@ class TestPredict:
             features=features, labels=np.array([1, 1, 1])
         )
         batch = TestBatch(features=np.array([[1.0, 5.0]]))
-        pvals, _ = predict(data, batch, 0.05, variance_floor=0.5)
+        pvals, _ = predict(data, batch, 0.05, oracle=fit_model(data, variance_floor=0.5))
         assert pvals.raw.shape == (1, 1)
 
     def test_grid_property_through_predict(self, rng):
@@ -335,7 +336,8 @@ def test_interleaved_labels_are_grouped_once(rng, monkeypatch):
 
 class TestSinglePath:
     """The default mode is the known-moments mode with the fitted model
-    plugged in: one scoring path, bit for bit."""
+    plugged in: one scoring path, bit for bit. A floored fit is the fitted
+    variances clipped at the floor."""
 
     @pytest.mark.parametrize("floored", [False, True])
     @pytest.mark.parametrize("p", [1, 200])
@@ -344,15 +346,16 @@ class TestSinglePath:
         # the scores moves them too
         config = multi_class_config(p=p, n_k=40, m=60, rho=0.5, run_seed=2)
         data, batch = generate(config)
-        variance_floor = None
+        fitted = fit_model(data)
+        alpha = 0.1
         if floored:
             # the median variance: the floor lifts the classes below it
-            variance_floor = float(np.median(fit_model(data).variances))
-        alpha = 0.1
-        p1, s1 = predict(data, batch, alpha, variance_floor=variance_floor)
-        p2, s2 = predict(
-            data, batch, alpha, oracle=fit_model(data, variance_floor)
-        )
+            floor = float(np.median(fitted.variances))
+            p1, s1 = predict(data, batch, alpha, oracle=fit_model(data, floor))
+            fitted = ClassModel(fitted.means, np.maximum(fitted.variances, floor))
+        else:
+            p1, s1 = predict(data, batch, alpha)
+        p2, s2 = predict(data, batch, alpha, oracle=fitted)
         for a, b in (
             (p1.raw, p2.raw),
             (p1.adjusted, p2.adjusted),

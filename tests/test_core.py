@@ -378,10 +378,6 @@ class TestDeviationBound:
         values = [_deviation_bound(n, 2.0) for n in (10, 100, 1000, 10000)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
-    def test_rejects_small_a(self):
-        with pytest.raises(DataError, match="a must be >= 2, got 1.5"):
-            check_deviation_trend(a=1.5)
-
     def test_rejects_small_n(self):
         # a training size below 3 is rejected before any p-value is drawn
         with pytest.raises(DataError, match="n_k must be >= 3"):

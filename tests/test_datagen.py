@@ -81,6 +81,15 @@ class TestApportion:
         with pytest.raises(DataError):
             apportion_test_counts(0, 3.0, 2)
 
+    def test_hand_value(self):
+        # 10 * 3 / 4 = 7.5 inliers, half up to 8, four per class
+        assert apportion_test_counts(10, 3.0, 2) == ([4, 4], 2)
+
+    def test_overflowing_ratio_leaves_no_outlier(self):
+        # 1000 * 1e308 is inf; with m = 1 the product stays finite
+        assert apportion_test_counts(1000, 1e308, 4) == ([250] * 4, 0)
+        assert apportion_test_counts(1, 1e308, 1) == ([1], 0)
+
 
 class TestScenarioConfig:
     def test_one_class_defaults(self):

@@ -1,6 +1,7 @@
 """Experiment runner: seeding, replicates, cells, parallelism, file outputs."""
 
 import concurrent.futures
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -132,13 +133,13 @@ class TestRunCell:
     )
 
     def test_counts_and_tag(self):
-        cell = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0)
+        cell = run_cell(self.CONFIG, cell_index=0)
         assert len(cell.reports["empirical"]) == 3 * 2
         assert cell.tag("empirical") == "multi_class_p8_nk30_rho0.2_empirical"
 
     def test_worker_count_invisible_in_results(self):
-        serial = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0, workers=1)
-        parallel = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0, workers=2)
+        serial = run_cell(self.CONFIG, cell_index=0, workers=1)
+        parallel = run_cell(self.CONFIG, cell_index=0, workers=2)
         assert serial.reports == parallel.reports
 
     def test_pool_never_larger_than_job_count(self, monkeypatch):
@@ -160,23 +161,25 @@ class TestRunCell:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-        pooled = run_cell(self.CONFIG, 8, 30, 0.2, workers=64)
+        pooled = run_cell(self.CONFIG, workers=64)
         assert sizes == [self.CONFIG.replicates]
-        assert pooled.reports == run_cell(self.CONFIG, 8, 30, 0.2).reports
+        assert pooled.reports == run_cell(self.CONFIG).reports
 
     def test_both_mode_collects_two_tables(self):
         exp = ExperimentConfig(
             scenario="one_class", p=(5,), n_k=(12,), rho=(0.0,),
             m=10, replicates=2, test_sets=2, mode="both",
         )
-        cell = run_cell(exp, 5, 12, 0.0, cell_index=0)
+        cell = run_cell(exp, cell_index=0)
         assert set(cell.reports) == {"empirical", "oracle"}
         assert len(cell.reports["oracle"]) == 4
 
     def test_cell_index_separates_streams(self):
-        a = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=0)
-        b = run_cell(self.CONFIG, 8, 30, 0.2, cell_index=1)
-        assert a.reports != b.reports
+        # cell 1 of a two-cell grid has the design of the one-cell grid's
+        # cell 0, but its own replicate streams
+        two = replace(self.CONFIG, rho=(0.5, 0.2))
+        assert two.cells()[1] == self.CONFIG.cells()[0]
+        assert run_cell(two, cell_index=1).reports != run_cell(self.CONFIG).reports
 
 
 class TestRunExperiment:

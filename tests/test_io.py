@@ -1,5 +1,6 @@
 """File formats: CSV round-trips, config YAML, result tables, class-moment JSON."""
 
+import csv
 import json
 import math
 import re
@@ -40,6 +41,7 @@ from confset import (
     write_thresholds_csv,
 )
 
+from confset.io import read_header
 from conftest import naive_csv_write
 
 TRICKY = [0.1, 1 / 3, math.pi, 1e-300, 1e300, -0.0, 123456789.123456789]
@@ -173,6 +175,12 @@ class TestLoadCsvErrors:
         with pytest.raises(DataError, match="no data rows"):
             load_csv(path, "label")
 
+    def test_oversized_cell_names_its_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text(f"x1,label\n1.0,a\n{'1' * (csv.field_size_limit() + 1)},a\n")
+        with pytest.raises(DataError, match="f.csv: line 3: field larger than field limit"):
+            load_csv(path, "label")
+
     def test_ragged_row(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("x1,x2,label\n1.0,2.0,a\n1.0,a\n")
@@ -197,6 +205,38 @@ class TestLoadCsvErrors:
         target = tmp_path / "no_such_dir" / "out.csv"
         with pytest.raises(DataError, match="cannot write"):
             write_dataset_csv(target, _tricky_dataset())
+
+
+# Every CSV reader, as each is called on a file whose header is "a,b".
+READERS = {
+    "load_csv": lambda path: load_csv(path, "b"),
+    "read_batch_csv": read_batch_csv,
+    "read_truth_csv": lambda path: read_truth_csv(path, "b"),
+    "read_header": read_header,
+    "read_sets_csv": lambda path: read_sets_csv(path, 1),
+    "read_results": read_results,
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+class TestUndecodableCsv:
+    """Bytes that are not UTF-8, and a cell over the csv module's field size
+    limit, are one DataError naming the file, in every reader."""
+
+    def test_latin1_byte(self, tmp_path, reader):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"a,b\n1.0,b\xe9\n")
+        message = f"{path}: not UTF-8 text: invalid continuation byte"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            READERS[reader](path)
+
+    def test_oversized_cell(self, tmp_path, reader):
+        # in the header, which every reader splits before it looks at a name
+        path = tmp_path / "f.csv"
+        path.write_text(f"a,b{'b' * csv.field_size_limit()}\n1.0,1\n")
+        message = f"{path}: line 1: field larger than field limit"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}"):
+            READERS[reader](path)
 
 
 class TestFeatureCellParsing:
@@ -575,6 +615,14 @@ class TestExperimentConfig:
             (dict(scenario="one_class", master_seed=-1), "master_seed"),
             (dict(scenario="one_class", atom_seed=-1), "atom_seed"),
             (dict(scenario="one_class", master_seed="7"), "master_seed"),
+            (dict(scenario="one_class", p=(5, 5)), "share the results name"),
+            (
+                dict(scenario="one_class", rho=(0.3, 0.3000001)),
+                re.escape(
+                    "grid cells (500, 500, 0.3) and (500, 500, 0.3000001) share the "
+                    "results name 'one_class_p500_nk500_rho0.3'"
+                ),
+            ),
         ],
     )
     def test_rejects_invalid(self, kwargs, msg):
