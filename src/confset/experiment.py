@@ -173,8 +173,9 @@ def run_cell(exp: ExperimentConfig, cell_index: int = 0, workers: int = 1) -> Ce
     return _pool_cell(exp.scenario, p, n_k, rho, _map_jobs(run, configs, workers))
 
 
-def _run_csv_experiment(exp: ExperimentConfig, workers: int) -> CellResult:
-    data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
+def _run_csv_experiment(
+    exp: ExperimentConfig, data: LabeledDataset, outliers: TestBatch | None, workers: int
+) -> CellResult:
     seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
     run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha)
     outputs = _map_jobs(run, seeds, workers)
@@ -192,12 +193,14 @@ def run_experiment(
     of the resolved config. ``echo`` (e.g. ``print``) receives progress lines
     and rendered tables.
     """
+    if exp.scenario == "csv":  # an unreadable file leaves no out_dir behind
+        data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
     out_dir = Path(exp.out_dir)
     with _os_errors("create", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)
     save_config(exp, out_dir / "config.yaml")
     if exp.scenario == "csv":
-        cells = [_run_csv_experiment(exp, workers)]
+        cells = [_run_csv_experiment(exp, data, outliers, workers)]
     else:
         cells = [run_cell(exp, i, workers) for i in range(len(exp.cells()))]
     for cell in cells:

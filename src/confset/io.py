@@ -38,6 +38,7 @@ import csv
 import json
 import math
 import numbers
+import re
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
 from itertools import repeat
@@ -490,8 +491,31 @@ def _check_number(name: str, value, integer: bool = False) -> None:
 _CONFIG_LIST_KEYS = {"p", "n_k", "rho"}
 
 
+# YAML 1.2 floats that YAML 1.1, the version PyYAML reads, leaves as
+# strings: an exponent without a dot before it or a sign in it (5e-2, 1e5).
+_YAML12_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
+
+
 # save_config and load_config import yaml when called, so the CLI commands
 # that never touch a config do not pay for loading it.
+def _yaml12():
+    """yaml, and a SafeLoader and a SafeDumper that also resolve
+    ``_YAML12_FLOAT``; the dumper quotes a string of that form."""
+    import yaml
+
+    class Loader(yaml.SafeLoader):
+        pass
+
+    class Dumper(yaml.SafeDumper):
+        pass
+
+    for cls in (Loader, Dumper):
+        cls.add_implicit_resolver(
+            "tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789")
+        )
+    return yaml, Loader, Dumper
+
+
 def save_config(config: ExperimentConfig, path) -> None:
     doc = {}
     for f in fields(config):
@@ -499,18 +523,16 @@ def save_config(config: ExperimentConfig, path) -> None:
         if value is None:
             continue
         doc[f.name] = list(value) if f.name in _CONFIG_LIST_KEYS else value
-    import yaml
-
+    yaml, _, dumper = _yaml12()
     with _open_write(path) as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        yaml.dump(doc, fh, Dumper=dumper, sort_keys=False)
 
 
 def load_config(path) -> ExperimentConfig:
-    import yaml
-
+    yaml, loader, _ = _yaml12()
     with _open_read(path) as fh:
         try:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=loader)
         except (yaml.YAMLError, UnicodeDecodeError) as e:
             mark = getattr(e, "problem_mark", None)
             where = f" line {mark.line + 1}:" if mark is not None else ""
@@ -539,9 +561,10 @@ def _aggregate(reports: list[MetricsReport]) -> list[tuple[str, float, float]]:
     if not reports:
         raise DataError("no reports to aggregate")
     names = [name for name, _ in reports[0].rows()]
-    table = np.asarray([[v for _, v in r.rows()] for r in reports], dtype=np.float64)
-    if table.shape[1] != len(names):
+    rows = [[v for _, v in r.rows()] for r in reports]
+    if any(len(row) != len(names) for row in rows):
         raise DataError("reports have inconsistent class counts")
+    table = np.asarray(rows, dtype=np.float64)
     means = table.mean(axis=0)
     stds = table.std(axis=0, ddof=1) if len(reports) > 1 else np.zeros(len(names))
     return list(zip(names, means.tolist(), stds.tolist()))

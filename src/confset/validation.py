@@ -9,11 +9,12 @@ default seeds; ``DEFAULT_CHECKS`` runs when no check is named.
 
 ``cw_fdr``, ``multiclass`` and ``oneclass`` are the rows of ``_TABLES``,
 each a scenario, a default seed and bounds as a function of alpha, all
-read by :func:`check_table`. A table is the one-cell ``ExperimentConfig``
-of its design and seed, run by :func:`confset.experiment.run_cell`;
-checks on an equal table share one run. Error-control lines are held to
+read by :func:`check_table`. Each table check runs its own one-cell
+``ExperimentConfig`` of its design and seed through
+:func:`confset.experiment.run_cell`. Error-control lines are held to
 targets set by alpha, efficiency lines to the known-parameter procedure
-on the same data, within Monte Carlo slack.
+on the same data, within Monte Carlo slack. Every check parameter is a
+``confset validate`` flag; the other settings are module constants.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -38,7 +39,7 @@ from .datagen import (
     oracle_params,
 )
 from .experiment import run_cell
-from .io import ExperimentConfig
+from .io import ExperimentConfig, _aggregate
 from .metrics import evaluate_sets, rejection_global_fdp
 
 __all__ = [
@@ -160,13 +161,11 @@ def check_oracle_coverage(
     n_k: int = 200,
     rho: float = 0.8,
     alpha: float = 0.05,
-    slack: float | None = None,
 ) -> CheckResult:
     """With known parameters, a fresh inlier keeps its class in the set
-    at rate >= 1 - alpha - slack (default slack: 3-sigma Monte Carlo)."""
+    at rate >= 1 - alpha - 3 sqrt(alpha(1-alpha)/draws), 3-sigma slack."""
     started = time.perf_counter()
-    if slack is None:
-        slack = 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / draws))
+    slack = 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / draws))
     config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=alpha)
     rng = np.random.default_rng(seed)
     pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
@@ -185,35 +184,39 @@ def _deviation_bound(n: int, a: float) -> float:
 
 # The exponent a of check_deviation_trend's envelope; the envelope holds for a >= 2.
 DEVIATION_A = 2.0
+# The training sizes of both trend checks, and check_set_size_trend's
+# training seeds per size and test batch size.
+TREND_N_GRID = (100, 400, 1600)
+SET_SIZE_SEEDS = 50
+SET_SIZE_M = 200
 
 
 def check_deviation_trend(
     seed: int = 2,
-    n_grid: tuple[int, ...] = (100, 400, 1600),
     draws: int = 200,
     p: int = 100,
     rho: float = 0.8,
 ) -> CheckResult:
     """|estimated p-value - known-parameter p-value| shrinks with n.
 
-    For each training size the 95th percentile of the gap (same training
-    set, same test point, estimated vs known parameters) must decrease
-    strictly along the grid and sit below the theoretical envelope
-    4(sqrt(a) + 2a/3) sqrt(log n / n) at a = ``DEVIATION_A``.
+    For each training size of ``TREND_N_GRID`` the 95th percentile of the
+    gap (same training set, same test point, estimated vs known parameters)
+    must decrease strictly along the grid and sit below the theoretical
+    envelope 4(sqrt(a) + 2a/3) sqrt(log n / n) at a = ``DEVIATION_A``.
     """
     started = time.perf_counter()
     q95 = []
-    for idx, n_k in enumerate(n_grid):
+    for idx, n_k in enumerate(TREND_N_GRID):
         config = one_class_config(p=p, n_k=n_k, rho=rho, m=1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         pvals = _draw_pvalues(config, draws, rng, (None, oracle_params(config)))
         q95.append(float(np.quantile(np.abs(pvals[:, 0] - pvals[:, 1]), 0.95)))
     decreasing = all(q95[i + 1] < q95[i] for i in range(len(q95) - 1))
-    ratios = [q / _deviation_bound(n, DEVIATION_A) for q, n in zip(q95, n_grid)]
+    ratios = [q / _deviation_bound(n, DEVIATION_A) for q, n in zip(q95, TREND_N_GRID)]
     below = all(r < 1.0 for r in ratios)
     details = "; ".join(
         f"n={n}: q95={q:.4f}, q95/bound={r:.3f}"
-        for n, q, r in zip(n_grid, q95, ratios)
+        for n, q, r in zip(TREND_N_GRID, q95, ratios)
     )
     details += f"; strictly decreasing: {decreasing}"
     return _timed("deviation", started, decreasing and below, details)
@@ -221,31 +224,29 @@ def check_deviation_trend(
 
 def check_set_size_trend(
     seed: int = 3,
-    n_grid: tuple[int, ...] = (100, 400, 1600),
-    n_seeds: int = 50,
     p: int = 50,
     rho: float = 0.8,
-    m: int = 200,
     alpha: float = 0.05,
 ) -> CheckResult:
     """Estimated-parameter sets approach known-parameter sets as n grows.
 
-    One fixed test batch; for each training size, the median (over seeds)
-    mean absolute set-size gap between the two predictors must not increase
+    One fixed test batch of ``SET_SIZE_M`` points; for each training size of
+    ``TREND_N_GRID``, the median over ``SET_SIZE_SEEDS`` seeds of the mean
+    absolute set-size gap between the two predictors must not increase
     along the grid.
     """
     started = time.perf_counter()
-    base = multi_class_config(p=p, n_k=n_grid[0], rho=rho, m=m, alpha=alpha)
+    base = multi_class_config(p=p, n_k=TREND_N_GRID[0], rho=rho, m=SET_SIZE_M, alpha=alpha)
     atoms = make_atoms(base.atom_seed, p)
     batch = generate_test_batch(
         base, np.random.default_rng(np.random.SeedSequence([seed, 10**6])), atoms
     )
     oracle = oracle_params(base)
     medians = []
-    for idx, n_k in enumerate(n_grid):
-        config = multi_class_config(p=p, n_k=n_k, rho=rho, m=m, alpha=alpha)
-        gaps = np.empty(n_seeds)
-        for s in range(n_seeds):
+    for idx, n_k in enumerate(TREND_N_GRID):
+        config = multi_class_config(p=p, n_k=n_k, rho=rho, m=SET_SIZE_M, alpha=alpha)
+        gaps = np.empty(SET_SIZE_SEEDS)
+        for s in range(SET_SIZE_SEEDS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, s]))
             train = generate_training(config, rng, atoms)
             _, est_sets = predict(train, batch, alpha)
@@ -254,7 +255,7 @@ def check_set_size_trend(
         medians.append(float(np.median(gaps)))
     monotone = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
     details = "; ".join(
-        f"n={n}: median gap {g:.4f}" for n, g in zip(n_grid, medians)
+        f"n={n}: median gap {g:.4f}" for n, g in zip(TREND_N_GRID, medians)
     )
     return _timed("set_size", started, monotone, details)
 
@@ -375,8 +376,10 @@ def check_bh_procedure(seed: int = 6) -> CheckResult:
     return _timed("bh", started, ok, details)
 
 
+# The test batch size of the benchmark tables.
+TABLE_M = 1000
 # Monte Carlo slack of the benchmark tables: a mean over 20 x 10 batches of
-# m = 1000 points may sit this far on the wrong side of what it estimates.
+# TABLE_M points may sit this far on the wrong side of what it estimates.
 MC_SLACK = 0.02
 
 
@@ -437,11 +440,10 @@ class BoundResult:
 
 
 def _table_means(reports) -> dict[str, float]:
-    means = {
-        metric: float(np.mean([getattr(r, metric) for r in reports]))
-        for metric in ("power", "coverage", "flr", "fdr", "scw_fdr", "ambiguity")
-    }
-    means["max_cw_fdr"] = float(np.max(np.mean([r.cw_fdr for r in reports], axis=0)))
+    """The metric means of ``confset experiment``'s results table, plus the
+    largest class-wise FDR mean as ``max_cw_fdr``."""
+    means = {name: mean for name, mean, _ in _aggregate(reports)}
+    means["max_cw_fdr"] = max(v for k, v in means.items() if k.startswith("cw_fdr_"))
     return means
 
 
@@ -489,37 +491,26 @@ def check_table(
     n_k: int = 200,
     rho: float = 0.8,
     alpha: float = 0.05,
-    m: int = 1000,
-    *,
-    runs: dict[ExperimentConfig, dict[str, list]] | None = None,
-    readers: tuple[str, ...] = (),
 ) -> CheckResult:
     """Hold the means of the simulation table of check ``name`` to its bounds.
 
     The table is the one-cell experiment of the check's scenario and design
-    at ``seed`` (default: the check's own), run by :func:`run_cell`. The
-    known-parameter procedure runs only when a bound is measured against it.
-
-    ``runs`` maps each table that an earlier check ran to its reports; a
-    table found there is not run again. Otherwise the table runs in every
-    mode that this check or one of ``readers``, the checks that read the
-    same table, needs, and is added to ``runs``.
+    at ``seed`` (default: the check's own) with test batches of ``TABLE_M``
+    points, run by :func:`run_cell`. The known-parameter procedure runs only
+    when a bound is measured against it.
     """
     started = time.perf_counter()
     scenario, default_seed, bounds_of = _TABLES[name]
-    table = ExperimentConfig(
-        scenario, p, n_k, rho, m, alpha, replicates=replicates, test_sets=test_sets,
+    bounds = bounds_of(alpha)
+    relative = any(bound.limit is None for bound in bounds)
+    reports = run_cell(ExperimentConfig(
+        scenario, p, n_k, rho, TABLE_M, alpha, replicates=replicates, test_sets=test_sets,
+        mode="both" if relative else "empirical",
         master_seed=default_seed if seed is None else seed,
-    )
-    needs = {c: any(b.limit is None for b in _TABLES[c][2](alpha)) for c in {name, *readers}}
-    runs = {} if runs is None else runs
-    if table not in runs:
-        mode = "both" if any(needs.values()) else "empirical"
-        runs[table] = run_cell(replace(table, mode=mode)).reports
-    # only the modes this check needs, so its line is the same either way
-    empirical = _table_means(runs[table]["empirical"])
-    oracle = _table_means(runs[table]["oracle"]) if needs[name] else None
-    lines = tuple(bound.evaluate(empirical, oracle) for bound in bounds_of(alpha))
+    )).reports
+    empirical = _table_means(reports["empirical"])
+    oracle = _table_means(reports["oracle"]) if relative else None
+    lines = tuple(bound.evaluate(empirical, oracle) for bound in bounds)
     details = "; ".join(line.text() for line in lines)
     passed = all(line.passed for line in lines)
     return _timed(name, started, passed, details, lines)
@@ -558,9 +549,7 @@ def run_checks(
 
     Keyword overrides (seed, alpha, n_k, ...) are forwarded to each check
     that accepts the parameter and ignored by the rest; an override that
-    none of the named checks accepts is a DataError. Keyword-only
-    parameters are not overrides: :func:`check_table` takes its shared
-    runs from here.
+    none of the named checks accepts is a DataError.
     """
     if names is None:
         names = DEFAULT_CHECKS
@@ -571,27 +560,13 @@ def run_checks(
         )
     kwargs = {}
     for name in names:
-        parameters = inspect.signature(CHECKS[name]).parameters.values()
-        takes = {p.name for p in parameters if p.kind is not p.KEYWORD_ONLY}
+        takes = inspect.signature(CHECKS[name]).parameters
         kwargs[name] = {k: v for k, v in overrides.items() if k in takes}
     unused = [k for k in overrides if not any(k in kw for kw in kwargs.values())]
     if unused:
         raise DataError(f"no check of {list(names)} takes {unused}")
-
-    # Table checks take the same overrides, so two of them read one table
-    # when their scenarios and seeds agree. That table runs once, in every
-    # mode one of them needs: equal tables draw equal data, and a mode's
-    # reports do not depend on the modes run beside it.
-    tables = {
-        name: (scenario, overrides.get("seed", seed))
-        for name, (scenario, seed, _) in _TABLES.items()
-    }
-    runs = {}
     results = []
     for name in names:
-        if name in tables:
-            readers = tuple(other for other in names if tables.get(other) == tables[name])
-            kwargs[name].update(runs=runs, readers=readers)
         result = CHECKS[name](**kwargs[name])
         if echo is not None:
             echo(result.line())

@@ -22,7 +22,8 @@ not a flake. Do not loosen a tolerance or reseed to force a line green.
 
 Targets covered, in order:
  1. known-parameter p-values are super-uniform (and the check is fast)
- 2. known-parameter coverage at alpha = 0.05 within 0.02
+ 2. known-parameter coverage at alpha = 0.05 within 3-sigma Monte Carlo
+    slack: at least 0.95 - 3 sqrt(0.05 * 0.95 / 2000) = 0.9354
  3. four-class benchmark table at p=200, n_k=200, rho=0.8: fixed power,
     FLR, class-wise FDR, summarized FDR and coverage targets; set size
     against the known-parameter procedure
@@ -76,7 +77,8 @@ def test_c01_runtime_under_30s(super_uniformity):
 
 
 def test_c02_oracle_coverage_within_002():
-    result = check_oracle_coverage(alpha=0.05, slack=0.02)
+    result = check_oracle_coverage(alpha=0.05)
+    assert ">= 0.9354 " in result.details
     assert result.passed, result.details
 
 
@@ -86,9 +88,10 @@ def test_c02_oracle_coverage_within_002():
 
 @pytest.fixture(scope="module")
 def multiclass():
+    # test batches of validation.TABLE_M = 1000 points
     return check_table(
         "multiclass", seed=7, replicates=20, test_sets=10,
-        p=200, n_k=200, rho=0.8, alpha=0.05, m=1000,
+        p=200, n_k=200, rho=0.8, alpha=0.05,
     )
 
 
@@ -96,7 +99,7 @@ def multiclass():
 def oneclass():
     return check_table(
         "oneclass", seed=8, replicates=20, test_sets=10,
-        p=200, n_k=200, rho=0.8, alpha=0.05, m=1000,
+        p=200, n_k=200, rho=0.8, alpha=0.05,
     )
 
 

@@ -16,6 +16,7 @@ from confset import (
     PredictionSets,
     PValueMatrix,
     TestBatch,
+    validation,
 )
 from confset.validation import _deviation_bound, check_deviation_trend
 
@@ -378,7 +379,8 @@ class TestDeviationBound:
         values = [_deviation_bound(n, 2.0) for n in (10, 100, 1000, 10000)]
         assert all(x > y for x, y in zip(values, values[1:]))
 
-    def test_rejects_small_n(self):
+    def test_rejects_small_n(self, monkeypatch):
         # a training size below 3 is rejected before any p-value is drawn
+        monkeypatch.setattr(validation, "TREND_N_GRID", (2, 100))
         with pytest.raises(DataError, match="n_k must be >= 3"):
-            check_deviation_trend(n_grid=(2, 100))
+            check_deviation_trend()

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from confset import (
+    DataError,
     ExperimentConfig,
     TestBatch,
     evaluate_sets,
@@ -255,6 +256,16 @@ class TestRunExperiment:
             caught = report.power * 10
             leaked = report.flr * m_total
             assert caught + leaked == pytest.approx(10.0)
+
+    def test_csv_scenario_missing_file_writes_nothing(self, tmp_path):
+        # the file is read before out_dir and its config.yaml are made
+        exp = ExperimentConfig(
+            scenario="csv", csv_path=str(tmp_path / "missing.csv"), label_column="y",
+            out_dir=str(tmp_path / "out"),
+        )
+        with pytest.raises(DataError, match="missing.csv"):
+            run_experiment(exp)
+        assert not (tmp_path / "out").exists()
 
     def test_csv_replicates_match_manual_pipeline(self, tmp_path):
         gen = np.random.default_rng(15)

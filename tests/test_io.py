@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -663,6 +664,28 @@ class TestConfigYaml:
         assert config.p == (20, 40) and config.alpha == 0.1
         assert config.n_k == (500,)  # default
 
+    @pytest.mark.parametrize(
+        "line, field, value",
+        [("alpha: 5e-2", "alpha", 0.05), ("inlier_ratio: 1.0e308", "inlier_ratio", 1e308)],
+    )
+    def test_yaml12_floats_load_as_numbers(self, tmp_path, line, field, value):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"scenario: one_class\n{line}\n")
+        assert getattr(load_config(path), field) == value
+
+    def test_exponent_grid_entry_is_not_an_integer(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("scenario: one_class\np: [1e3]\n")
+        with pytest.raises(DataError, match=r"each p value must be an integer, got 1000\.0"):
+            load_config(path)
+
+    def test_float_like_string_round_trips(self, tmp_path):
+        # saved quoted, so it reads back as the string it was
+        config = ExperimentConfig(scenario="one_class", out_dir="1e5")
+        path = tmp_path / "config.yaml"
+        save_config(config, path)
+        assert load_config(path) == config
+
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("scenario: one_class\nbanana: 1\n")
@@ -747,6 +770,13 @@ class TestResultsTable:
         path.write_text("metric,mean,std\npower,0.5,0.1\nfdr,high,0.0\n")
         with pytest.raises(DataError, match="line 3: non-numeric"):
             read_results(path)
+
+    def test_reports_of_different_class_counts_rejected(self, tmp_path):
+        two_class = replace(_report(0.5), cw_fdr=(0.5, 0.5))
+        with pytest.raises(DataError, match="inconsistent class counts"):
+            render_results([two_class, _report(0.5)])
+        with pytest.raises(DataError, match="inconsistent class counts"):
+            write_results([_report(0.5), two_class], tmp_path / "r.csv")
 
     def test_empty_reports_rejected(self, tmp_path):
         with pytest.raises(DataError, match="no reports"):

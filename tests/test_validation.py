@@ -1,15 +1,19 @@
-"""validate's checks: the p-value draw loop, pinned check lines, and
-benchmark checks on one simulation table sharing one run."""
+"""validate's checks: the p-value draw loop, pinned check lines, the
+benchmark tables each check runs, and the flags that set check parameters."""
 
+import inspect
 from functools import partial
 
 import numpy as np
 import pytest
 
-from confset import DataError, experiment, validation
-from confset.cli import main
+from confset import DataError, experiment, read_results, validation
+from confset.cli import build_parser, main
 from confset.datagen import one_class_config, oracle_params
+from confset.experiment import run_experiment
+from confset.io import ExperimentConfig
 from confset.validation import (
+    CHECKS,
     _draw_pvalues,
     check_deviation_trend,
     check_loss_construction,
@@ -21,7 +25,13 @@ from confset.validation import (
     run_checks,
 )
 
-SMALL = dict(replicates=2, test_sets=2, p=6, n_k=20, m=40)
+SMALL = dict(replicates=2, test_sets=2, p=6, n_k=20)
+
+
+@pytest.fixture
+def small_tables(monkeypatch):
+    """Benchmark tables of 40-point test batches, for the SMALL design."""
+    monkeypatch.setattr(validation, "TABLE_M", 40)
 
 
 @pytest.fixture
@@ -38,27 +48,18 @@ def replicate_modes(monkeypatch):
     return calls
 
 
-def _assert_one_shared_run(replicate_modes, names):
-    shared = run_checks(names, **SMALL)
-    # one run of the seed-7 table, in the union of the two checks' modes
-    assert replicate_modes == [("empirical", "oracle")] * 2
-    replicate_modes.clear()
-    alone = [check_table(name, **SMALL) for name in names]
-    modes = {"cw_fdr": [("empirical",)] * 2, "multiclass": [("empirical", "oracle")] * 2}
-    assert replicate_modes == modes[names[0]] + modes[names[1]]
-    assert [(r.name, r.passed, r.details) for r in shared] == [
+@pytest.mark.usefixtures("small_tables")
+def test_each_table_check_runs_its_own_table(replicate_modes):
+    # cw_fdr and multiclass read the same seed-7 table, each in its own modes
+    together = run_checks(["cw_fdr", "multiclass"], **SMALL)
+    assert replicate_modes == [("empirical",)] * 2 + [("empirical", "oracle")] * 2
+    alone = [check_table("cw_fdr", **SMALL), check_table("multiclass", **SMALL)]
+    assert [(r.name, r.passed, r.details) for r in together] == [
         (r.name, r.passed, r.details) for r in alone
     ]
 
 
-def test_cw_fdr_and_multiclass_share_one_table(replicate_modes):
-    _assert_one_shared_run(replicate_modes, ["cw_fdr", "multiclass"])
-
-
-def test_multiclass_and_cw_fdr_share_one_table(replicate_modes):
-    _assert_one_shared_run(replicate_modes, ["multiclass", "cw_fdr"])
-
-
+@pytest.mark.usefixtures("small_tables")
 def test_different_tables_run_apart(replicate_modes):
     # same seed, but one-class and multi-class designs draw different data
     shared = run_checks(["cw_fdr", "oneclass"], seed=7, **SMALL)
@@ -86,6 +87,7 @@ def test_validate_flags_pick_the_table_seed(monkeypatch, argv, seed):
     assert seeds == [seed]
 
 
+@pytest.mark.usefixtures("small_tables")
 def test_multiclass_error_bounds_follow_alpha():
     result = check_table("multiclass", alpha=0.1, **SMALL)
     assert result.bound("max_cw_fdr").bound.rule == "<= 0.12"
@@ -147,13 +149,13 @@ def test_in_sample_pvalues_are_anti_conservative():
         ),
         (
             check_deviation_trend,
-            dict(n_grid=(50, 200), draws=100, p=20),
+            dict(draws=100, p=20),
             "n=50: q95=0.2167, q95/bound=0.070; n=200: q95=0.0898, "
             "q95/bound=0.050; strictly decreasing: True",
         ),
         (
             check_set_size_trend,
-            dict(n_grid=(50, 200), n_seeds=5, p=20, m=100),
+            dict(p=20),
             "n=50: median gap 0.5000; n=200: median gap 0.0700",
         ),
         (
@@ -196,7 +198,12 @@ def test_in_sample_pvalues_are_anti_conservative():
         "cw_fdr", "multiclass", "oneclass",
     ],
 )
-def test_check_lines_are_pinned(check, kwargs, details):
+def test_check_lines_are_pinned(monkeypatch, check, kwargs, details):
+    # the trend checks at the grid, seeds and batch size the lines were recorded at
+    for name, value in [
+        ("TREND_N_GRID", (50, 200)), ("SET_SIZE_SEEDS", 5), ("SET_SIZE_M", 100)
+    ]:
+        monkeypatch.setattr(validation, name, value)
     result = check(**kwargs)
     assert result.passed
     assert result.details == details
@@ -219,9 +226,32 @@ def test_overrides_no_named_check_takes_are_a_data_error():
     assert [r.name for r in results] == ["scw", "construction"]
 
 
-@pytest.mark.parametrize("plumbing", ["runs", "readers"])
-def test_shared_runs_are_not_overrides(plumbing):
-    # check_table's keyword-only parameters come from run_checks alone
-    message = rf"^no check of \['cw_fdr'\] takes \['{plumbing}'\]$"
-    with pytest.raises(DataError, match=message):
-        run_checks(["cw_fdr"], **{plumbing: {}})
+def test_check_parameters_are_the_validate_flags():
+    # every check parameter but check_table's bound name is a flag dest, and
+    # every flag but the check names sets a parameter of some check
+    flags = set(vars(build_parser().parse_args(["validate"]))) - {"command", "func", "check"}
+    taken = set()
+    for name, check in CHECKS.items():
+        parameters = inspect.signature(check).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in parameters), name
+        names = {p.name for p in parameters} - {"name"}
+        assert names <= flags, f"{name} takes {sorted(names - flags)}, which no flag sets"
+        taken |= names
+    assert taken == flags
+
+
+def test_table_means_are_the_experiment_means(tmp_path):
+    # bit for bit the means of the results tables `confset experiment` writes;
+    # eight reports, so a pairwise sum would differ from adding them in order
+    result = check_table("multiclass", replicates=2, test_sets=4)
+    cell, = run_experiment(ExperimentConfig(
+        "multi_class", 200, 200, 0.8, validation.TABLE_M, 0.05, replicates=2,
+        test_sets=4, mode="both", master_seed=7, out_dir=str(tmp_path),
+    ))
+    for mode in ("empirical", "oracle"):
+        table = read_results(tmp_path / f"{cell.tag(mode)}.csv")
+        means = {metric: mean for metric, (mean, _) in table.items()}
+        means["max_cw_fdr"] = max(means[f"cw_fdr_{k}"] for k in range(1, 5))
+        for line in result.bounds:
+            reported = line.value if mode == "empirical" else line.oracle
+            assert reported == means[line.bound.metric], (mode, line.text())
