@@ -21,142 +21,30 @@ Quick start::
     pvals, sets = confset.predict(train, test, alpha=0.05)
     report = confset.evaluate_sets(sets, test.truth)
     print(confset.render_results([report]))
+
+The package exports ``__version__`` and every name in its modules' ``__all__``.
 """
 
-from .core import (
-    ClassModel,
-    DataError,
-    DegenerateVarianceError,
-    LabeledDataset,
-    PredictionSets,
-    PValueMatrix,
-    TestBatch,
-)
-from .scoring import fit_class_summary, fit_model, score_batch, score_classes
-from .conformal import (
-    acceptance_threshold,
-    bh_adjust,
-    conformal_pvalues,
-    predict,
-)
-from .metrics import MetricsReport, evaluate_sets, rejection_global_fdp
-from .datagen import (
-    DEFAULT_ATOM_SEED,
-    ComponentSpec,
-    ScenarioConfig,
-    apportion_test_counts,
-    generate,
-    generate_test_batch,
-    generate_training,
-    make_atoms,
-    multi_class_config,
-    one_class_config,
-    oracle_params,
-    sample_points,
-    with_run_seed,
-)
-from .io import (
-    ExperimentConfig,
-    load_config,
-    load_csv,
-    load_json,
-    read_batch_csv,
-    read_results,
-    read_sets_csv,
-    read_truth_csv,
-    render_results,
-    save_config,
-    save_json,
-    split_train_test,
-    write_batch_csv,
-    write_dataset_csv,
-    write_results,
-    write_pvalues_csv,
-    write_sets_csv,
-    write_thresholds_csv,
-)
-from .experiment import (
-    CellResult,
-    replicate_seed,
-    run_cell,
-    run_experiment,
-    run_replicate,
-)
-from .validation import (
-    CHECKS,
-    DEFAULT_CHECKS,
-    CheckResult,
-    run_checks,
-)
+from .core import *  # noqa: F401,F403
+from .scoring import *  # noqa: F401,F403
+from .conformal import *  # noqa: F401,F403
+from .metrics import *  # noqa: F401,F403
+from .datagen import *  # noqa: F401,F403
+from .io import *  # noqa: F401,F403
+from .experiment import *  # noqa: F401,F403
+from .validation import *  # noqa: F401,F403
+from . import core, scoring, conformal, metrics, datagen, io, experiment, validation
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # containers and errors
-    "ClassModel",
-    "DataError",
-    "DegenerateVarianceError",
-    "LabeledDataset",
-    "PredictionSets",
-    "PValueMatrix",
-    "TestBatch",
-    # scoring
-    "fit_class_summary",
-    "fit_model",
-    "score_batch",
-    "score_classes",
-    # conformal prediction
-    "acceptance_threshold",
-    "bh_adjust",
-    "conformal_pvalues",
-    "predict",
-    # metrics
-    "MetricsReport",
-    "evaluate_sets",
-    "rejection_global_fdp",
-    # data generation
-    "DEFAULT_ATOM_SEED",
-    "ComponentSpec",
-    "ScenarioConfig",
-    "apportion_test_counts",
-    "generate",
-    "generate_test_batch",
-    "generate_training",
-    "make_atoms",
-    "multi_class_config",
-    "one_class_config",
-    "oracle_params",
-    "sample_points",
-    "with_run_seed",
-    # file formats
-    "ExperimentConfig",
-    "load_config",
-    "load_csv",
-    "load_json",
-    "read_batch_csv",
-    "read_results",
-    "read_sets_csv",
-    "read_truth_csv",
-    "render_results",
-    "save_config",
-    "save_json",
-    "split_train_test",
-    "write_batch_csv",
-    "write_dataset_csv",
-    "write_results",
-    "write_pvalues_csv",
-    "write_sets_csv",
-    "write_thresholds_csv",
-    # experiments
-    "CellResult",
-    "replicate_seed",
-    "run_cell",
-    "run_experiment",
-    "run_replicate",
-    # validation
-    "CHECKS",
-    "DEFAULT_CHECKS",
-    "CheckResult",
-    "run_checks",
+    *core.__all__,
+    *scoring.__all__,
+    *conformal.__all__,
+    *metrics.__all__,
+    *datagen.__all__,
+    *io.__all__,
+    *experiment.__all__,
+    *validation.__all__,
 ]

@@ -8,13 +8,14 @@ Subcommands::
     confset experiment  run a replicated grid experiment from a YAML config
     confset validate    run Monte Carlo checks of the statistical guarantees
 
-Exit codes: 0 success, 2 usage error, 3 data/validation error,
-4 one or more validate checks failed.
+Exit codes: 0 success, 1 stdout closed before the command finished,
+2 usage error, 3 data/validation error, 4 one or more validate checks failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 
@@ -54,6 +55,7 @@ from .validation import CHECKS, run_checks
 __all__ = ["main", "build_parser"]
 
 EXIT_OK = 0
+EXIT_PIPE = 1
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_CHECK = 4
@@ -354,10 +356,19 @@ def _usage_error(message: str) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not at interpreter exit
+        return code
     except DataError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
+    except BrokenPipeError:
+        # the reader left early: what stdout still buffers goes to devnull,
+        # so the flush at interpreter exit stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -147,7 +147,16 @@ def predict(
             f"{data.n_features}"
         )
     m, k = test.m, data.n_classes
-    test_scores = score_classes(model, test.features)
+    # a finite row far from a class mean can overflow its score; the row is
+    # named below instead of warning once per block
+    with np.errstate(over="ignore"):
+        test_scores = score_classes(model, test.features)
+    if not np.isfinite(test_scores.max()):  # a NaN carries through max too
+        row, class_index = np.argwhere(~np.isfinite(test_scores.T))[0]
+        raise DataError(
+            f"test row {row} overflows its score against class {class_index + 1}; "
+            "rescale the features"
+        )
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)

@@ -36,7 +36,7 @@ from .datagen import (
     with_run_seed,
 )
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
-from .io import _cell_name, _os_errors
+from .io import _cell_name, _os_errors, _train_counts
 from .metrics import MetricsReport, evaluate_sets
 from .scoring import fit_model
 
@@ -193,8 +193,9 @@ def run_experiment(
     of the resolved config. ``echo`` (e.g. ``print``) receives progress lines
     and rendered tables.
     """
-    if exp.scenario == "csv":  # an unreadable file leaves no out_dir behind
+    if exp.scenario == "csv":  # an unreadable file or split leaves no out_dir behind
         data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
+        _train_counts(data, exp.train_fraction)
     out_dir = Path(exp.out_dir)
     with _os_errors("create", out_dir):
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -350,25 +350,15 @@ def split_train_test(
     merge outlier rows separately). Errors out if any class would train on
     fewer than 3 rows or the test side would be empty.
     """
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []
-    for class_id in range(1, data.n_classes + 1):
-        idx = np.flatnonzero(data.labels == class_id)
-        n_train = int(math.floor(fraction * idx.size + 0.5))
-        if n_train < 3:
-            raise DataError(
-                f"class {class_id} would train on {n_train} rows; needs >= 3"
-            )
-        perm = rng.permutation(idx)
+    for class_id, n_train in enumerate(_train_counts(data, fraction), start=1):
+        perm = rng.permutation(np.flatnonzero(data.labels == class_id))
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
     train_idx = np.concatenate(train_idx)
     test_idx = np.concatenate(test_idx)
-    if test_idx.size == 0:
-        raise DataError("split leaves no test rows; lower the fraction")
     train = LabeledDataset(
         features=data.features[train_idx],
         labels=data.labels[train_idx],
@@ -379,6 +369,21 @@ def split_train_test(
     return train, test
 
 
+def _train_counts(data: LabeledDataset, fraction: float) -> list[int]:
+    """Training rows per class of ``split_train_test``, round(fraction * n_k)
+    each: a DataError unless each is >= 3 and one row is left to test. The
+    rule reads no seed, so one call checks every split of ``data``."""
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fraction must be in (0, 1), got {fraction}")
+    counts = [int(math.floor(fraction * n + 0.5)) for n in data.class_counts.tolist()]
+    for class_id, n_train in enumerate(counts, start=1):
+        if n_train < 3:
+            raise DataError(f"class {class_id} would train on {n_train} rows; needs >= 3")
+    if sum(counts) == data.n:
+        raise DataError("split leaves no test rows; lower the fraction")
+    return counts
+
+
 # ---------------------------------------------------------------------------
 # experiment configuration
 
@@ -387,8 +392,8 @@ def split_train_test(
 class ExperimentConfig:
     """Flat experiment description; the grid is the cross product p x n_k x rho.
 
-    For ``scenario: csv`` the grid is ignored and replicates are repeated
-    stratified train/test re-splits of the file.
+    For ``scenario: csv`` the grid is checked but not run, and replicates
+    are repeated stratified train/test re-splits of the file.
     """
 
     scenario: str
@@ -436,25 +441,24 @@ class ExperimentConfig:
         if self.replicates < 1 or self.test_sets < 1:
             raise DataError("replicates and test_sets must be >= 1")
         check_seed("master_seed", self.master_seed)
+        # ScenarioConfig checks the ranges of the simulated fields, a csv
+        # config's too, and two cells of one results name would write over
+        # each other
+        named = {}
+        for cell in self.cells():
+            self.cell_scenario(*cell)
+            name = _cell_name(self.scenario, *cell)
+            if name in named:
+                raise DataError(
+                    f"grid cells {named[name]} and {cell} share the results name {name!r}"
+                )
+            named[name] = cell
         if self.scenario != "csv":
-            # ScenarioConfig checks the ranges of the simulated fields, and
-            # two cells of one results name would write over each other
-            named = {}
-            for cell in self.cells():
-                self.cell_scenario(*cell)
-                name = _cell_name(self.scenario, *cell)
-                if name in named:
-                    raise DataError(
-                        f"grid cells {named[name]} and {cell} share the results name {name!r}"
-                    )
-                named[name] = cell
             return
         if not self.csv_path or not self.label_column:
             raise DataError("csv scenario needs csv_path and label_column")
         if self.mode != "empirical":
             raise DataError("csv data has no oracle parameters; use mode: empirical")
-        if not 0.0 < self.alpha < 1.0:
-            raise DataError(f"alpha must be in (0, 1), got {self.alpha}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 

@@ -104,21 +104,31 @@ def fit_class_summary(
         raise DataError(f"variance_floor must be finite and positive, got {variance_floor}")
     rows = data.class_rows(class_id)
     n, p = rows.shape
-    mean = rows.mean(axis=0)
-    # Row 0 of the buffer carries the running sums, so each column is added
-    # row after row, in the order of rows.var(axis=0) (module docstring).
-    step = _block_rows(p)
-    buf = np.empty((min(n, step) + 1, p))
-    sums = np.zeros(p)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = buf[: stop - start + 1]
-        block[0] = sums
-        d = block[1:]
-        np.subtract(rows[start:stop], mean, out=d)
-        np.square(d, out=d)
-        np.add.reduce(block, axis=0, out=sums)
-    var = sums / (n - 1)
+    # finite features can still overflow their sum or square; the column
+    # is named below instead of warning once per block
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = rows.mean(axis=0)
+        # Row 0 of the buffer carries the running sums, so each column is
+        # added row after row, in the order of rows.var(axis=0) (module
+        # docstring).
+        step = _block_rows(p)
+        buf = np.empty((min(n, step) + 1, p))
+        sums = np.zeros(p)
+        for start in range(0, n, step):
+            stop = min(start + step, n)
+            block = buf[: stop - start + 1]
+            block[0] = sums
+            d = block[1:]
+            np.subtract(rows[start:stop], mean, out=d)
+            np.square(d, out=d)
+            np.add.reduce(block, axis=0, out=sums)
+        var = sums / (n - 1)
+    if not np.isfinite(var).all():
+        col = int(np.flatnonzero(~np.isfinite(var))[0])
+        raise DataError(
+            f"class {class_id} variance overflows in feature column {col}; "
+            "rescale the column"
+        )
     if variance_floor is not None:
         var = np.maximum(var, variance_floor)
     elif np.any(var == 0.0):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +28,7 @@ from confset import (
     read_sets_csv,
     read_truth_csv,
 )
-from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from confset.io import _YAML12_FLOAT
 from confset.validation import CHECKS, CheckResult, check_oracle_coverage
 
@@ -348,6 +349,49 @@ class TestPredict:
         assert err.startswith("error: class 1 has zero variance in feature column 1")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "big, mode, message",
+        [
+            (
+                "train", "empirical",
+                "class 2 variance overflows in feature column 1; rescale the column",
+            ),
+            (
+                "test", "empirical",
+                "test row 1 overflows its score against class 1; rescale the features",
+            ),
+            (
+                "test", "oracle",
+                "test row 1 overflows its score against class 1; rescale the features",
+            ),
+        ],
+    )
+    def test_overflowing_feature_is_one_line(self, tmp_path, capsys, big, mode, message):
+        # every value is finite, but its square is not: the fit of class 2
+        # in column x2, or the score of test row 1, overflows
+        train = tmp_path / "train.csv"
+        x2 = ["0.0", "1.0", "2.0", "3.0", "1e200" if big == "train" else "4.0", "5.0"]
+        train.write_text(
+            "x1,x2,label\n"
+            + "".join(f"{i}.0,{v},{'ab'[i // 3]}\n" for i, v in enumerate(x2))
+        )
+        test = tmp_path / "test.csv"
+        test.write_text(f"x1,x2\n1.0,1.0\n{'1e300' if big == 'test' else '2.0'},1.0\n")
+        argv = []
+        if mode == "oracle":
+            oracle = tmp_path / "oracle.json"
+            oracle.write_text(json.dumps(
+                {"kind": "ClassModel", "means": [[1, 1], [4, 4]], "variances": [[1, 1], [1, 1]]}
+            ))
+            argv = ["--mode", "oracle", "--oracle-params", oracle]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the test
+            code = run_cli(
+                "predict", "--train", train, "--test", test, *argv, "--out", tmp_path / "x",
+            )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+
 
 class TestEvaluate:
     def test_matches_library(self, simulated, tmp_path, capsys):
@@ -509,25 +553,51 @@ class TestEvaluate:
         assert "error: argument --n-classes: must be a positive integer" in err
 
 
+def _child_env() -> dict:
+    """The environment of a child interpreter that imports this confset."""
+    src = str(Path(confset.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
+    return dict(os.environ, PYTHONPATH=path)
+
+
 class TestStartup:
     def test_import_skips_yaml_and_process_pool(self):
         # Only `experiment` needs them; every other command would pay their
         # import time at start-up.
-        src = str(Path(confset.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, *filter(None, [os.environ.get("PYTHONPATH")])])
         code = (
             "import sys, confset.cli; "
             "print(sorted({'yaml', 'concurrent.futures.process'} & set(sys.modules)))"
         )
         done = subprocess.run(
             [sys.executable, "-c", code],
-            env=dict(os.environ, PYTHONPATH=path),
+            env=_child_env(),
             capture_output=True,
             text=True,
             timeout=60,
             check=True,
         )
         assert done.stdout == "[]\n"
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_1_without_traceback(self):
+        # the read end is closed before the command starts, so its first
+        # write to stdout fails
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "confset.cli", "validate", "--check", "bh"],
+                env=_child_env(),
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert done.returncode == EXIT_PIPE
+        assert done.stderr == ""
 
 
 class TestExperiment:
@@ -654,6 +724,49 @@ class TestExperiment:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {config}:")
         assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize(
+        "fraction, message",
+        [
+            (0.99, "split leaves no test rows; lower the fraction"),
+            (0.1, "class 1 would train on 2 rows; needs >= 3"),
+        ],
+    )
+    def test_csv_split_that_cannot_be_made_writes_nothing(
+        self, tmp_path, capsys, fraction, message
+    ):
+        run_cli(
+            "simulate", "--scenario", "one", "--p", 5, "--nk", 20, "--m", 30,
+            "--seed", 1, "--out", tmp_path / "ci",
+        )
+        config = tmp_path / "config.yaml"
+        out_dir = tmp_path / "out"
+        config.write_text(
+            f"scenario: csv\ncsv_path: {tmp_path / 'ci_train.csv'}\nlabel_column: label\n"
+            f"train_fraction: {fraction}\nreplicates: 2\nout_dir: {out_dir}\n"
+        )
+        capsys.readouterr()
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "line", ["atom_seed: -1", "m: -5", "inlier_ratio: -2", "alpha: 1.5"]
+    )
+    def test_csv_config_fields_are_checked_as_simulated(self, tmp_path, capsys, line):
+        out_dir = tmp_path / "out"
+        simulated = tmp_path / "simulated.yaml"
+        simulated.write_text(f"scenario: multi_class\nout_dir: {out_dir}\n{line}\n")
+        assert run_cli("experiment", "--config", simulated) == EXIT_DATA
+        expected = capsys.readouterr().err.replace(str(simulated), "CONFIG")
+        from_csv = tmp_path / "csv.yaml"
+        from_csv.write_text(
+            "scenario: csv\ncsv_path: data.csv\nlabel_column: y\n"
+            f"out_dir: {out_dir}\n{line}\n"
+        )
+        assert run_cli("experiment", "--config", from_csv) == EXIT_DATA
+        assert capsys.readouterr().err.replace(str(from_csv), "CONFIG") == expected
+        assert not out_dir.exists()
 
     def test_uncreatable_out_dir_is_data_error(self, tmp_path, capsys):
         blocker = tmp_path / "blocker"

@@ -32,3 +32,15 @@ def test_every_module_is_listed():
     # a new module must join MODULES, so its __all__ is checked too
     found = {m.name for m in pkgutil.iter_modules(confset.__path__)}
     assert found == set(MODULES)
+
+
+def test_package_all_is_the_module_lists_in_import_order():
+    # the package spells out no public name but __version__: each module's
+    # __all__, which the tracer also reads, is the one list
+    modules = [importlib.import_module(f"confset.{m}") for m in MODULES[:-1]]
+    expected = ["__version__"] + [name for mod in modules for name in mod.__all__]
+    assert confset.__all__ == expected
+    assert len(set(confset.__all__)) == len(confset.__all__)
+    for mod in modules:
+        for name in mod.__all__:
+            assert getattr(confset, name) is getattr(mod, name), name
