@@ -14,7 +14,7 @@ Run:  python3 demos/02_oracle_convergence.py
 
 import numpy as np
 
-from confset import generate, one_class_config, oracle_params, predict
+from confset import ScenarioConfig, generate, oracle_params, predict
 
 ALPHA = 0.1
 SAMPLE_SIZES = (50, 200, 800)
@@ -30,7 +30,7 @@ for n_k in SAMPLE_SIZES:
     emp_sizes = []
     orc_sizes = []
     for rep in range(10):
-        config = one_class_config(p=40, n_k=n_k, m=200, run_seed=1000 + rep)
+        config = ScenarioConfig(p=40, n_k=n_k, m=200, run_seed=1000 + rep)
         train, batch = generate(config)
         emp_p, emp_sets = predict(train, batch, alpha=ALPHA)
         orc_p, orc_sets = predict(

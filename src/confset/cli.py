@@ -23,13 +23,7 @@ import numpy as np
 
 from .conformal import predict
 from .core import DataError
-from .datagen import (
-    DEFAULT_ATOM_SEED,
-    generate,
-    multi_class_config,
-    one_class_config,
-    oracle_params,
-)
+from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, generate, oracle_params
 from .experiment import run_experiment
 from .io import (
     load_config,
@@ -82,6 +76,7 @@ _positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
 _non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 _level = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 _finite_positive = _checked(float, lambda v: 0.0 < v < np.inf, "finite and positive")
+_SHORTHANDS = {"one": "one_class", "multi": "multi_class"}
 
 
 def _add_simulate(sub):
@@ -90,7 +85,7 @@ def _add_simulate(sub):
     )
     p.add_argument(
         "--scenario",
-        choices=["one_class", "multi_class", "one", "multi"],
+        choices=[*SCENARIOS, *_SHORTHANDS],
         default="multi_class",
         help="'one'/'multi' are accepted shorthands",
     )
@@ -113,11 +108,8 @@ def _add_simulate(sub):
 
 
 def cmd_simulate(args) -> int:
-    scenario = {"one": "one_class", "multi": "multi_class"}.get(
-        args.scenario, args.scenario
-    )
-    maker = one_class_config if scenario == "one_class" else multi_class_config
-    config = maker(
+    scenario = _SHORTHANDS.get(args.scenario, args.scenario)
+    config = SCENARIOS[scenario](
         p=args.p,
         n_k=args.nk,
         rho=args.rho,
@@ -193,6 +185,8 @@ def cmd_predict(args) -> int:
             f"note: {dropped.m} rows labeled {args.outlier_label!r} "
             "excluded from fitting"
         )
+    # before the fit, so a class id in an error line can be read as its label
+    print("classes: " + ", ".join(f"{k}={label}" for label, k in label_map.items()))
     _check_test_columns(args)
     batch = read_batch_csv(args.test, args.truth_column)
     if args.oracle_params:
@@ -208,7 +202,6 @@ def cmd_predict(args) -> int:
         f"predicted {sets.m} rows over {sets.n_classes} classes at "
         f"alpha={args.alpha:g} ({args.mode})"
     )
-    print("classes: " + ", ".join(f"{k}={label}" for label, k in label_map.items()))
     print(
         f"sets: {int(np.sum(sizes == 0))} empty (flagged outliers), "
         f"{int(np.sum(sizes == 1))} singletons, mean size {sizes.mean():.3f}"

@@ -162,9 +162,15 @@ def predict(
     thresholds = np.empty(k)
     for class_id in range(1, k + 1):
         rows = data.class_rows(class_id)
-        col = conformal_pvalues(
-            score_batch(model, rows, class_id), test_scores[class_id - 1]
-        )
+        with np.errstate(over="ignore"):
+            train_scores = score_batch(model, rows, class_id)
+        if not np.isfinite(train_scores.max()):
+            row = np.flatnonzero(~np.isfinite(train_scores))[0]
+            raise DataError(
+                f"training row {row} of class {class_id} overflows its score; "
+                "rescale the features"
+            )
+        col = conformal_pvalues(train_scores, test_scores[class_id - 1])
         raw[:, class_id - 1] = col
         adjusted[:, class_id - 1] = bh_adjust(col)
         thresholds[class_id - 1] = acceptance_threshold(rows.shape[0], alpha)

@@ -214,10 +214,20 @@ class ClassModel:
                 f"means and variances must be matching (K, p) arrays, got "
                 f"{means.shape} and {variances.shape}"
             )
-        if not (np.all(np.isfinite(means)) and np.all(np.isfinite(variances))):
-            raise DataError("non-finite class moments")
-        if np.any(variances <= 0):
-            raise DataError("class variances must be positive")
+        # scoring weighs each feature by 1 / variance, which must be finite,
+        # and 1 / (1 / max float) rounds up to inf
+        for moments, bad, problem in (
+            (variances, ~np.isfinite(variances),
+             "class {k} variance overflows in feature column {j}; rescale the column"),
+            (means, ~np.isfinite(means), "non-finite class mean: {at}"),
+            (variances, variances <= 0.0, "class variances must be positive: {at}"),
+            (variances, variances <= 1.0 / np.finfo(np.float64).max,
+             "class variances must exceed 1/max float, or their reciprocals overflow: {at}"),
+        ):
+            if bad.any():
+                k, j = np.argwhere(bad)[0]
+                at = f"class {k + 1} has {moments[k, j].item()!r} in feature column {j}"
+                raise DataError(problem.format(k=k + 1, j=j, at=at))
         object.__setattr__(self, "means", _readonly(means))
         object.__setattr__(self, "variances", _readonly(variances))
 

@@ -14,6 +14,7 @@ comes from ``run_seed``.
 
 Inlier classes share scale=1 and differ by shift; outliers have shift 0 and a
 larger scale, so they match the inlier means but are overdispersed.
+``SCENARIOS`` names the designs; ``ScenarioConfig``'s defaults are the one-class one.
 
 A training set or a test batch is one block, drawn by one ``sample_points``
 call from per-component row counts. The generator is consumed component by
@@ -44,8 +45,8 @@ from .core import ClassModel, DataError, LabeledDataset, TestBatch
 __all__ = [
     "ComponentSpec",
     "ScenarioConfig",
-    "one_class_config",
     "multi_class_config",
+    "SCENARIOS",
     "make_atoms",
     "sample_points",
     "apportion_test_counts",
@@ -83,7 +84,8 @@ def check_seed(name: str, seed) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one synthetic experiment cell.
+    """Full description of one synthetic experiment cell; the defaults are
+    the one-class design.
 
     ``class_specs`` lists the K inlier components in class order;
     ``outlier_spec`` is the contaminating component (truth label K+1).
@@ -132,17 +134,6 @@ class ScenarioConfig:
         return len(self.class_specs)
 
 
-def one_class_config(
-    p: int = 500,
-    n_k: int = 500,
-    rho: float = 0.0,
-    **overrides,
-) -> ScenarioConfig:
-    """Single inlier class at the origin; outliers overdispersed by 2.5
-    (the ``ScenarioConfig`` defaults)."""
-    return ScenarioConfig(p=p, n_k=n_k, rho=rho, **overrides)
-
-
 def multi_class_config(
     p: int = 500,
     n_k: int = 500,
@@ -158,6 +149,10 @@ def multi_class_config(
         outlier_spec=ComponentSpec(0.0, MULTI_CLASS_OUTLIER_SCALE),
         **overrides,
     )
+
+
+# Each simulated design by name: the maker of its ScenarioConfig.
+SCENARIOS = {"one_class": ScenarioConfig, "multi_class": multi_class_config}
 
 
 def make_atoms(atom_seed: int, p: int) -> np.ndarray:

@@ -55,13 +55,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .datagen import (
-    DEFAULT_ATOM_SEED,
-    ScenarioConfig,
-    check_seed,
-    multi_class_config,
-    one_class_config,
-)
+from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, ScenarioConfig, check_seed
 from .metrics import MetricsReport
 
 __all__ = [
@@ -194,30 +188,38 @@ def _feature_columns(path, header, name: str | None, role: str) -> list[int]:
 
 
 def _parse_block(path, rows, lines, header, feature_cols) -> np.ndarray:
-    """One block's feature cells as a float array. When the cast raises, the
-    cells are checked one by one to name the first bad one in file order."""
+    """One block's feature cells as a finite float array. When the cast
+    raises or a value is not finite, the cells are checked one by one to
+    name the first bad one in file order."""
     try:
         cells = np.array(list(map(itemgetter(*feature_cols), rows)), dtype=np.float64)
     except ValueError:
         _raise_bad_cell(path, rows, lines, header, feature_cols, float)
         raise
+    # min and max carry any NaN through, as in core._check_features
+    if not (np.isfinite(cells.min()) and np.isfinite(cells.max())):
+        _raise_bad_cell(path, rows, lines, header, feature_cols, float)
     return cells.reshape(len(rows), len(feature_cols))
 
 
 def _raise_bad_cell(path, rows, lines, header, columns, parse) -> None:
     """Raise DataError naming the first cell of ``columns``, in file order,
-    that ``parse`` rejects: ``float`` for features, ``int`` for truth."""
-    kind = "non-numeric" if parse is float else "non-integer"
+    that ``parse`` rejects: ``float`` for features, which must also be
+    finite, ``int`` for truth."""
     for row, line in zip(rows, lines):
         for c in columns:
             cell = row[c].strip()
             try:
-                parse(cell)
+                value = parse(cell)
             except ValueError:
-                raise DataError(
-                    f"{path}: {kind} cell {cell!r} at line {line}, "
-                    f"column {header[c]!r}"
-                ) from None
+                kind = "non-numeric" if parse is float else "non-integer"
+            else:
+                if parse is int or math.isfinite(value):
+                    continue
+                kind = "non-finite"
+            raise DataError(
+                f"{path}: {kind} cell {cell!r} at line {line}, column {header[c]!r}"
+            )
 
 
 def load_csv(
@@ -415,7 +417,7 @@ class ExperimentConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
-        if self.scenario not in ("one_class", "multi_class", "csv"):
+        if self.scenario not in ("csv", *SCENARIOS):
             raise DataError(f"unknown scenario {self.scenario!r}")
         if self.mode not in ("empirical", "oracle", "both"):
             raise DataError(f"unknown mode {self.mode!r}")
@@ -467,8 +469,7 @@ class ExperimentConfig:
 
     def cell_scenario(self, p: int, n_k: int, rho: float) -> ScenarioConfig:
         """The simulation design of the grid cell (p, n_k, rho)."""
-        maker = one_class_config if self.scenario == "one_class" else multi_class_config
-        return maker(
+        return SCENARIOS.get(self.scenario, ScenarioConfig)(
             p=p,
             n_k=n_k,
             rho=rho,

@@ -104,8 +104,8 @@ def fit_class_summary(
         raise DataError(f"variance_floor must be finite and positive, got {variance_floor}")
     rows = data.class_rows(class_id)
     n, p = rows.shape
-    # finite features can still overflow their sum or square; the column
-    # is named below instead of warning once per block
+    # finite features can still overflow their sum or square; ClassModel
+    # names the column instead of a warning once per block
     with np.errstate(over="ignore", invalid="ignore"):
         mean = rows.mean(axis=0)
         # Row 0 of the buffer carries the running sums, so each column is
@@ -123,12 +123,6 @@ def fit_class_summary(
             np.square(d, out=d)
             np.add.reduce(block, axis=0, out=sums)
         var = sums / (n - 1)
-    if not np.isfinite(var).all():
-        col = int(np.flatnonzero(~np.isfinite(var))[0])
-        raise DataError(
-            f"class {class_id} variance overflows in feature column {col}; "
-            "rescale the column"
-        )
     if variance_floor is not None:
         var = np.maximum(var, variance_floor)
     elif np.any(var == 0.0):

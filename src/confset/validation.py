@@ -35,7 +35,6 @@ from .datagen import (
     generate_training,
     make_atoms,
     multi_class_config,
-    one_class_config,
     oracle_params,
 )
 from .experiment import run_cell
@@ -140,7 +139,7 @@ def check_super_uniformity(
     inlier, ranked through ``predict``.
     """
     started = time.perf_counter()
-    config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=min(UNIFORMITY_LEVELS))
+    config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1, alpha=min(UNIFORMITY_LEVELS))
     rng = np.random.default_rng(seed)
     pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
     parts = []
@@ -166,7 +165,7 @@ def check_oracle_coverage(
     at rate >= 1 - alpha - 3 sqrt(alpha(1-alpha)/draws), 3-sigma slack."""
     started = time.perf_counter()
     slack = 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / draws))
-    config = one_class_config(p=p, n_k=n_k, rho=rho, m=1, alpha=alpha)
+    config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1, alpha=alpha)
     rng = np.random.default_rng(seed)
     pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
     rate = np.count_nonzero(pvals > acceptance_threshold(n_k, alpha)) / draws
@@ -207,7 +206,7 @@ def check_deviation_trend(
     started = time.perf_counter()
     q95 = []
     for idx, n_k in enumerate(TREND_N_GRID):
-        config = one_class_config(p=p, n_k=n_k, rho=rho, m=1)
+        config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
         pvals = _draw_pvalues(config, draws, rng, (None, oracle_params(config)))
         q95.append(float(np.quantile(np.abs(pvals[:, 0] - pvals[:, 1]), 0.95)))

@@ -364,11 +364,16 @@ class TestPredict:
                 "test", "oracle",
                 "test row 1 overflows its score against class 1; rescale the features",
             ),
+            (
+                "train", "oracle",
+                "training row 1 of class 2 overflows its score; rescale the features",
+            ),
         ],
     )
     def test_overflowing_feature_is_one_line(self, tmp_path, capsys, big, mode, message):
         # every value is finite, but its square is not: the fit of class 2
-        # in column x2, or the score of test row 1, overflows
+        # in column x2, the score of its training row 1 under known moments,
+        # or the score of test row 1, overflows
         train = tmp_path / "train.csv"
         x2 = ["0.0", "1.0", "2.0", "3.0", "1e200" if big == "train" else "4.0", "5.0"]
         train.write_text(
@@ -390,7 +395,52 @@ class TestPredict:
                 "predict", "--train", train, "--test", test, *argv, "--out", tmp_path / "x",
             )
         assert code == EXIT_DATA
-        assert capsys.readouterr().err == f"error: {message}\n"
+        out, err = capsys.readouterr()
+        assert err == f"error: {message}\n"
+        # the class ids of the error line, printed before the fit
+        assert out.splitlines()[-1] == "classes: 1=a, 2=b"
+
+    def test_unscorable_known_variance_is_one_line(self, tmp_path, capsys):
+        # 1 / 1e-320 overflows, so no point could be scored against class 1
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps(
+            {"kind": "ClassModel", "means": [[0.0] * 3], "variances": [[1e-320, 1.0, 1.0]]}
+        ))
+        train = tmp_path / "train.csv"
+        train.write_text("x1,x2,x3,label\n" + "".join(f"{i}.0,1.0,{i}.5,a\n" for i in range(4)))
+        test = tmp_path / "test.csv"
+        test.write_text("x1,x2,x3\n0.0,0.0,0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(
+                "predict", "--train", train, "--test", test,
+                "--mode", "oracle", "--oracle-params", oracle, "--out", tmp_path / "x",
+            )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {oracle}: class variances must exceed 1/max float, or their "
+            "reciprocals overflow: class 1 has 1e-320 in feature column 0\n"
+        )
+
+    @pytest.mark.parametrize("role", ["train", "test"])
+    def test_non_finite_cell_names_its_line(self, tmp_path, capsys, role):
+        rows = ["1.0,2.0", "2.0,1.0", "3.0,0.5", "4.0,nan", "0.0,1.0"]
+        train = tmp_path / "train.csv"
+        test = tmp_path / "test.csv"
+        train.write_text("x1,x2,label\n" + "".join(
+            f"{r if role == 'train' else r.replace('nan', '9.0')},a\n" for r in rows
+        ))
+        test.write_text("x1,x2\n" + "".join(
+            f"{r if role == 'test' else r.replace('nan', '9.0')}\n" for r in rows
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("predict", "--train", train, "--test", test, "--out", tmp_path / "x")
+        assert code == EXIT_DATA
+        path = train if role == "train" else test
+        assert capsys.readouterr().err == (
+            f"error: {path}: non-finite cell 'nan' at line 5, column 'x2'\n"
+        )
 
 
 class TestEvaluate:
@@ -1078,7 +1128,10 @@ def malformed_model(draw, text):
     elif kind == "non-finite":
         doc[field][0][j] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
     elif kind == "variance":
-        doc["variances"][0][j] = draw(st.floats(max_value=0.0, allow_nan=False))
+        # not positive, or too small for its reciprocal to be finite
+        doc["variances"][0][j] = draw(
+            st.floats(max_value=1 / np.finfo(np.float64).max, allow_nan=False)
+        )
     else:
         # too few or too many classes or features, or not a (K, p) array
         doc[field] = draw(st.sampled_from([

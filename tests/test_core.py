@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from confset import (
     PredictionSets,
     PValueMatrix,
     TestBatch,
+    score_batch,
     validation,
 )
 from confset.validation import _deviation_bound, check_deviation_trend
@@ -273,6 +275,34 @@ class TestOracleParams:
     def test_rejects_nonpositive_variance(self):
         with pytest.raises(DataError):
             ClassModel(means=np.zeros((1, 2)), variances=np.array([[1.0, -1.0]]))
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("variances", np.inf,
+             "class 2 variance overflows in feature column 1; rescale the column"),
+            ("means", -np.inf, "non-finite class mean: class 2 has -inf in feature column 1"),
+            ("variances", -0.0,
+             "class variances must be positive: class 2 has -0.0 in feature column 1"),
+            ("variances", 1 / np.finfo(np.float64).max,
+             "class variances must exceed 1/max float, or their reciprocals overflow: "
+             "class 2 has 5.562684646268003e-309 in feature column 1"),
+        ],
+    )
+    def test_bad_moment_is_named(self, field, value, message):
+        moments = {"means": np.zeros((2, 3)), "variances": np.ones((2, 3))}
+        moments[field][1, 1] = value
+        with pytest.raises(DataError) as err:
+            ClassModel(**moments)
+        assert str(err.value) == message
+
+    def test_smallest_scorable_variance(self):
+        # the next float above 1/max has a finite reciprocal, so it scores
+        var = np.nextafter(1 / np.finfo(np.float64).max, 1.0)
+        model = ClassModel(means=np.zeros((1, 2)), variances=np.array([[var, 1.0]]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert score_batch(model, np.zeros((1, 2)), 1)[0] == 0.0
 
     def test_rejects_one_dimensional_moments(self):
         with pytest.raises(DataError, match=r"\(K, p\)"):

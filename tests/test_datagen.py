@@ -10,6 +10,7 @@ import pytest
 from confset import datagen
 from confset import (
     ComponentSpec,
+    SCENARIOS,
     DataError,
     ScenarioConfig,
     apportion_test_counts,
@@ -18,7 +19,6 @@ from confset import (
     generate_training,
     make_atoms,
     multi_class_config,
-    one_class_config,
     oracle_params,
     sample_points,
     with_run_seed,
@@ -27,6 +27,12 @@ from confset import (
 from conftest import naive_generate
 
 _CHUNK = datagen._CHUNK_ROWS
+
+
+def _design_id(value):
+    # the one-class design keeps the test ids it had when a wrapper of that
+    # name made it
+    return "one_class_config" if value is ScenarioConfig else None
 
 
 class TestAtoms:
@@ -92,8 +98,11 @@ class TestApportion:
 
 
 class TestScenarioConfig:
+    def test_designs_by_name(self):
+        assert SCENARIOS == {"one_class": ScenarioConfig, "multi_class": multi_class_config}
+
     def test_one_class_defaults(self):
-        c = one_class_config()
+        c = ScenarioConfig(p=500, n_k=500)
         assert c.p == 500 and c.n_k == 500 and c.m == 1000
         assert c.class_specs == (ComponentSpec(0.0, 1.0),)
         assert c.outlier_spec == ComponentSpec(0.0, 2.5)
@@ -227,15 +236,15 @@ class TestNaiveReference:
         np.testing.assert_array_equal(generate_test_batch(config, rng, atoms).features, y)
         assert rng.random() == next_draw
 
-    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    @pytest.mark.parametrize("make", [multi_class_config, ScenarioConfig], ids=_design_id)
     @pytest.mark.parametrize("p", [1, 7, 300])
     @pytest.mark.parametrize("rho", [0.0, 0.3, 0.8])
     def test_grid(self, make, p, rho):
         self.assert_matches_naive(make(p=p, n_k=6, m=13, rho=rho, run_seed=p))
 
-    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    @pytest.mark.parametrize("make", [multi_class_config, ScenarioConfig], ids=_design_id)
     def test_block_larger_than_one_chunk(self, make):
-        n_k = datagen._CHUNK_ROWS + 300 if make is one_class_config else 600
+        n_k = datagen._CHUNK_ROWS + 300 if make is ScenarioConfig else 600
         config = make(p=7, n_k=n_k, m=datagen._CHUNK_ROWS + 5, rho=0.8, run_seed=4)
         assert config.n_k * config.n_classes > datagen._CHUNK_ROWS
         self.assert_matches_naive(config)
@@ -248,7 +257,7 @@ class TestNaiveReference:
              [_CHUNK // 2] * 4 + [100]),
             # small components, then one of _CHUNK_ROWS + 1 rows; the second
             # also holds _CHUNK_ROWS - 2 training rows before its first pass
-            (one_class_config, 5, _CHUNK + 6, 5 / (_CHUNK + 1), [5, _CHUNK + 1]),
+            (ScenarioConfig, 5, _CHUNK + 6, 5 / (_CHUNK + 1), [5, _CHUNK + 1]),
             (multi_class_config, _CHUNK - 2, _CHUNK + 13, 12 / (_CHUNK + 1),
              [3] * 4 + [_CHUNK + 1]),
             # zero-row components first, then in the middle, then last
@@ -256,6 +265,7 @@ class TestNaiveReference:
             (multi_class_config, 3, 7, 0.4, [1, 1, 0, 0, 5]),
             (multi_class_config, 3, 2, 1e9, [1, 1, 0, 0, 0]),
         ],
+        ids=_design_id,
     )
     def test_components_straddling_the_ar1_flush(self, make, n_k, m, ratio, test_counts):
         config = make(p=7, n_k=n_k, m=m, inlier_ratio=ratio, rho=0.8, run_seed=5)
@@ -300,7 +310,7 @@ class TestOneDrawPerBlock:
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], batch.features)
 
-    @pytest.mark.parametrize("make", [multi_class_config, one_class_config])
+    @pytest.mark.parametrize("make", [multi_class_config, ScenarioConfig], ids=_design_id)
     @pytest.mark.parametrize("p, m", [(200, 1000), (500, 4000)])
     def test_peak_memory_bounded(self, make, p, m):
         # the block, at most _CHUNK_ROWS rows of compact picks and a few
@@ -342,7 +352,7 @@ class TestGenerateTraining:
             np.testing.assert_allclose(rows.var(axis=0, ddof=1), var_k, rtol=0.06)
 
     def test_oracle_formula_hand_check(self):
-        config = one_class_config(p=3, n_k=5)
+        config = ScenarioConfig(p=3, n_k=5)
         atoms = make_atoms(config.atom_seed, 3)
         oracle = oracle_params(config)
         mean, var = oracle.class_params(1)
@@ -369,7 +379,7 @@ class TestGenerateTestBatch:
         np.testing.assert_array_equal(batch.truth, want)
 
     def test_outliers_overdispersed(self):
-        config = one_class_config(p=50, n_k=10, m=4000, run_seed=4)
+        config = ScenarioConfig(p=50, n_k=10, m=4000, run_seed=4)
         batch = generate_test_batch(config, np.random.default_rng(4))
         inl = batch.features[batch.truth == 1]
         out = batch.features[batch.truth == 2]
@@ -381,7 +391,7 @@ class TestGenerateTestBatch:
         assert ratio == pytest.approx(want, rel=0.1)
 
     def test_tiny_batch_all_inliers(self):
-        config = one_class_config(p=2, n_k=5, m=1, inlier_ratio=3.0, run_seed=5)
+        config = ScenarioConfig(p=2, n_k=5, m=1, inlier_ratio=3.0, run_seed=5)
         batch = generate_test_batch(config, np.random.default_rng(5))
         assert batch.m == 1
         np.testing.assert_array_equal(batch.truth, [1])
@@ -405,7 +415,7 @@ class TestGenerate:
         np.testing.assert_array_equal(b1.truth, b2.truth)  # layout fixed
 
     def test_atom_seed_shifts_both_sets(self):
-        base = one_class_config(p=4, n_k=6, m=8, run_seed=9)
+        base = ScenarioConfig(p=4, n_k=6, m=8, run_seed=9)
         other = ScenarioConfig(**{
             **{f: getattr(base, f) for f in (
                 "p", "n_k", "m", "rho", "alpha", "inlier_ratio",

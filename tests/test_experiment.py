@@ -9,6 +9,7 @@ import pytest
 from confset import (
     DataError,
     ExperimentConfig,
+    ScenarioConfig,
     TestBatch,
     evaluate_sets,
     generate,
@@ -17,7 +18,6 @@ from confset import (
     load_csv,
     make_atoms,
     multi_class_config,
-    one_class_config,
     oracle_params,
     predict,
     read_results,
@@ -83,7 +83,7 @@ class TestRunReplicate:
         assert all(s > 0.0 for s in seconds.values())
 
     def test_report_counts(self):
-        config = one_class_config(p=5, n_k=20, m=16, run_seed=6)
+        config = ScenarioConfig(p=5, n_k=20, m=16, run_seed=6)
         reports, seconds = run_replicate(config, test_sets=3, modes=("empirical",))
         assert set(reports) == {"empirical"}
         assert len(reports["empirical"]) == 3

@@ -264,9 +264,11 @@ class TestFeatureCellParsing:
 
     @pytest.mark.parametrize("cell", ["nan", "-Infinity", "1e500"])
     def test_non_finite_cell_reaches_container_check(self, tmp_path, cell):
+        # the reader checks it before the container does, to name its line
         path = tmp_path / "t.csv"
         path.write_text(f"x1,x2\n0.5,{cell}\n")
-        with pytest.raises(DataError, match="non-finite value in features at row 0, column 1"):
+        message = f"{path}: non-finite cell {cell!r} at line 2, column 'x2'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             read_batch_csv(path)
 
     @pytest.mark.parametrize(
@@ -624,6 +626,9 @@ class TestExperimentConfig:
                     "results name 'one_class_p500_nk500_rho0.3'"
                 ),
             ),
+            # simulate's shorthands name no design here; a YAML list is no name
+            (dict(scenario="one"), "^unknown scenario 'one'$"),
+            (dict(scenario=["one_class"]), r"^unknown scenario \['one_class'\]$"),
         ],
     )
     def test_rejects_invalid(self, kwargs, msg):
@@ -928,7 +933,8 @@ class TestJsonSnapshots:
         return [
             fit_model(tame),
             oracle_params(multi_class_config(p=3, n_k=5, m=8, rho=0.3, run_seed=2)),
-            ClassModel(means=extreme, variances=np.abs(extreme) + 5e-324),
+            # 1e-308 is subnormal, and its reciprocal is finite
+            ClassModel(means=extreme, variances=np.abs(extreme) + 1e-308),
         ]
 
     def test_round_trip_every_container(self, tmp_path):
@@ -971,6 +977,11 @@ class TestJsonSnapshots:
                 "malformed ClassModel document: ValueError",
             ),
             ({"means": [[0.0]], "variances": [[0.0]]}, "class variances must be positive"),
+            (
+                {"means": [[0.0]], "variances": [[5e-324]]},
+                "class variances must exceed 1/max float, or their reciprocals overflow: "
+                "class 1 has 5e-324 in feature column 0",
+            ),
         ],
     )
     def test_malformed_model_names_the_file(self, tmp_path, doc, message):

@@ -9,7 +9,7 @@ import pytest
 
 from confset import DataError, experiment, read_results, validation
 from confset.cli import build_parser, main
-from confset.datagen import one_class_config, oracle_params
+from confset.datagen import ScenarioConfig, oracle_params
 from confset.experiment import run_experiment
 from confset.io import ExperimentConfig
 from confset.validation import (
@@ -112,7 +112,7 @@ def test_in_sample_pvalues_are_anti_conservative():
     conformal calibration becomes the default (ROADMAP step 1c), the first
     assertion flips.
     """
-    config = one_class_config(p=200, n_k=20, rho=0.0, m=1)
+    config = ScenarioConfig(p=200, n_k=20, rho=0.0, m=1)
     draws = 200
     pvals = _draw_pvalues(
         config, draws, np.random.default_rng(12), (None, oracle_params(config))
