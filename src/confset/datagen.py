@@ -35,6 +35,7 @@ in p.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -82,6 +83,14 @@ def check_seed(name: str, seed) -> None:
         raise DataError(f"{name} must be a non-negative integer, got {seed!r}")
 
 
+def check_number(name: str, value, integer: bool = False) -> None:
+    """DataError unless ``value`` is a number (an integer if ``integer``), not a bool."""
+    kind = numbers.Integral if integer else numbers.Real
+    if isinstance(value, bool) or not isinstance(value, kind):
+        what = "an integer" if integer else "a number"
+        raise DataError(f"{name} must be {what}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Full description of one synthetic experiment cell; the defaults are
@@ -104,6 +113,8 @@ class ScenarioConfig:
     run_seed: int = 0
 
     def __post_init__(self):
+        for name in ("p", "n_k", "m", "rho", "alpha", "inlier_ratio"):
+            check_number(name, getattr(self, name), integer=name in ("p", "n_k", "m"))
         if self.p < 1:
             raise DataError(f"p must be >= 1, got {self.p}")
         if self.n_k < 3:

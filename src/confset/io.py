@@ -37,7 +37,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import re
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, fields
@@ -55,7 +54,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, ScenarioConfig, check_seed
+from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, ScenarioConfig, check_number, check_seed
 from .metrics import MetricsReport
 
 __all__ = [
@@ -262,7 +261,12 @@ def load_csv(
         inliers.append(features)
     if not labels:
         raise DataError(f"{path}: every row carries the outlier label")
-
+    # the map is in file order, so the first short class is named by its label
+    counts = np.bincount(labels).tolist()
+    for label, k in label_map.items():
+        if counts[k] < 3:
+            n = f"{counts[k]} row" + "s" * (counts[k] != 1)
+            raise DataError(f"{path}: label {label!r} has {n}; every class needs >= 3")
     data = LabeledDataset(
         features=np.concatenate(inliers),
         labels=np.asarray(labels),
@@ -423,19 +427,12 @@ class ExperimentConfig:
             raise DataError(f"unknown mode {self.mode!r}")
         for name in ("p", "n_k", "rho"):
             value = getattr(self, name)
-            try:
-                value = (value,) if np.isscalar(value) else tuple(value)
-            except TypeError:  # None, a date or another non-iterable scalar
-                value = (value,)
+            value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
             if not value:
                 raise DataError(f"{name} grid must not be empty")
-            for entry in value:
-                _check_number(f"each {name} value", entry, integer=name != "rho")
             object.__setattr__(self, name, value)
-        for name in ("m", "replicates", "test_sets"):
-            _check_number(name, getattr(self, name), integer=True)
-        for name in ("alpha", "inlier_ratio", "train_fraction"):
-            _check_number(name, getattr(self, name))
+        for name in ("replicates", "test_sets", "train_fraction"):
+            check_number(name, getattr(self, name), integer=name != "train_fraction")
         for name in ("out_dir", "csv_path", "label_column", "outlier_label"):
             value = getattr(self, name)
             if not isinstance(value, str) and (value is not None or name == "out_dir"):
@@ -443,9 +440,9 @@ class ExperimentConfig:
         if self.replicates < 1 or self.test_sets < 1:
             raise DataError("replicates and test_sets must be >= 1")
         check_seed("master_seed", self.master_seed)
-        # ScenarioConfig checks the ranges of the simulated fields, a csv
-        # config's too, and two cells of one results name would write over
-        # each other
+        # ScenarioConfig checks the type and range of each simulated field,
+        # a csv config's too, and two cells of one results name would write
+        # over each other
         named = {}
         for cell in self.cells():
             self.cell_scenario(*cell)
@@ -483,14 +480,6 @@ class ExperimentConfig:
 def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:
     """The results name of a grid cell, less its mode."""
     return f"{scenario}_p{p}_nk{n_k}_rho{rho:g}"
-
-
-def _check_number(name: str, value, integer: bool = False) -> None:
-    """DataError unless ``value`` is a number (an integer if ``integer``), not a bool."""
-    kind = numbers.Integral if integer else numbers.Real
-    if isinstance(value, bool) or not isinstance(value, kind):
-        what = "an integer" if integer else "a number"
-        raise DataError(f"{name} must be {what}, got {value!r}")
 
 
 _CONFIG_LIST_KEYS = {"p", "n_k", "rho"}

@@ -442,6 +442,20 @@ class TestPredict:
             f"error: {path}: non-finite cell 'nan' at line 5, column 'x2'\n"
         )
 
+    @pytest.mark.parametrize("labels", ["aaab", "baaa"])
+    def test_short_class_is_named_by_its_label(self, tmp_path, capsys, labels):
+        train = tmp_path / "train.csv"
+        train.write_text("x1,label\n" + "".join(f"{i}.0,{c}\n" for i, c in enumerate(labels)))
+        test = tmp_path / "test.csv"
+        test.write_text("x1\n0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("predict", "--train", train, "--test", test, "--out", tmp_path / "x")
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {train}: label 'b' has 1 row; every class needs >= 3\n"
+        )
+
 
 class TestEvaluate:
     def test_matches_library(self, simulated, tmp_path, capsys):

@@ -154,6 +154,29 @@ class TestScenarioConfig:
         with pytest.raises(DataError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize("make", [ScenarioConfig, multi_class_config])
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("p", 5.5, "an integer"),
+            ("n_k", 10.5, "an integer"),
+            ("m", 7.5, "an integer"),
+            ("p", True, "an integer"),
+            ("rho", "0.5", "a number"),
+            ("alpha", None, "a number"),
+            ("inlier_ratio", "3", "a number"),
+        ],
+    )
+    def test_field_of_the_wrong_type_is_named(self, make, field, value, kind):
+        kwargs = {"p": 5, "n_k": 10, field: value}
+        message = f"{field} must be {kind}, got {value!r}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            make(**kwargs)
+
+    def test_numpy_numbers_are_numbers(self):
+        c = ScenarioConfig(p=np.int64(5), n_k=np.int32(10), rho=np.float64(0.5))
+        assert (c.p, c.n_k, c.rho) == (5, 10, 0.5)
+
     def test_specs_coerced_from_tuples(self):
         c = ScenarioConfig(
             p=3, n_k=4,

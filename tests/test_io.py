@@ -188,6 +188,18 @@ class TestLoadCsvErrors:
         with pytest.raises(DataError, match="line 3 has 2 cells"):
             load_csv(path, "label")
 
+    @pytest.mark.parametrize(
+        "labels, short",
+        # the first short label in file order is named
+        [("aaab", "'b' has 1 row"), ("baaa", "'b' has 1 row"), ("abab", "'a' has 2 rows")],
+    )
+    def test_short_class_is_named_by_its_label(self, tmp_path, labels, short):
+        path = tmp_path / "f.csv"
+        path.write_text("x1,label\n" + "".join(f"{i}.0,{c}\n" for i, c in enumerate(labels)))
+        message = f"{path}: label {short}; every class needs >= 3"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            load_csv(path, "label")
+
     def test_label_only_no_features(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("label\na\nb\n")
@@ -681,7 +693,7 @@ class TestConfigYaml:
     def test_exponent_grid_entry_is_not_an_integer(self, tmp_path):
         path = tmp_path / "config.yaml"
         path.write_text("scenario: one_class\np: [1e3]\n")
-        with pytest.raises(DataError, match=r"each p value must be an integer, got 1000\.0"):
+        with pytest.raises(DataError, match=r": p must be an integer, got 1000\.0$"):
             load_config(path)
 
     def test_float_like_string_round_trips(self, tmp_path):
