@@ -15,13 +15,14 @@ Exit codes: 0 success, 1 stdout closed before the command finished,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
 
 import numpy as np
 
-from .conformal import predict
+from .conformal import PREDICTORS, acceptance_threshold, predict
 from .core import DataError
 from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, generate, oracle_params
 from .experiment import run_experiment
@@ -43,7 +44,6 @@ from .io import (
     write_thresholds_csv,
 )
 from .metrics import evaluate_sets
-from .scoring import fit_model
 from .validation import CHECKS, run_checks
 
 __all__ = ["main", "build_parser"]
@@ -150,7 +150,7 @@ def _add_predict(sub):
         help="optional truth column in the test CSV, ignored for prediction",
     )
     p.add_argument("--alpha", type=_level, default=0.05)
-    p.add_argument("--mode", choices=["empirical", "oracle"], default="empirical")
+    p.add_argument("--mode", choices=list(PREDICTORS), default="empirical")
     p.add_argument(
         "--oracle-params",
         default=None,
@@ -189,11 +189,9 @@ def cmd_predict(args) -> int:
     print("classes: " + ", ".join(f"{k}={label}" for label, k in label_map.items()))
     _check_test_columns(args)
     batch = read_batch_csv(args.test, args.truth_column)
-    if args.oracle_params:
-        oracle = load_json(args.oracle_params)
-    else:
-        oracle = fit_model(data, args.variance_floor)
-    pvals, sets = predict(data, batch, args.alpha, oracle=oracle)
+    known = load_json(args.oracle_params) if args.oracle_params else None
+    row = PREDICTORS[args.mode](data, known, args.variance_floor)
+    pvals, sets = predict(data, batch, args.alpha, **row)
     write_pvalues_csv(f"{args.out}_pvalues.csv", pvals)
     write_sets_csv(f"{args.out}_sets.csv", sets)
     write_thresholds_csv(f"{args.out}_thresholds.csv", pvals)
@@ -206,8 +204,30 @@ def cmd_predict(args) -> int:
         f"sets: {int(np.sum(sizes == 0))} empty (flagged outliers), "
         f"{int(np.sum(sizes == 1))} singletons, mean size {sizes.mean():.3f}"
     )
+    for k, n_k in enumerate(data.class_counts.tolist(), start=1):
+        if _grid_points(n_k, args.alpha) <= 1:
+            print(
+                f"note: class {k} (n_k={n_k}) is dropped from no set or from all "
+                f"{sets.m} at alpha={args.alpha:g}; dropping fewer needs "
+                f"n_k >= {_bh_floor(args.alpha)}"
+            )
     print(f"wrote {args.out}_pvalues.csv, {args.out}_sets.csv, {args.out}_thresholds.csv")
     return EXIT_OK
+
+
+def _grid_points(n_k: int, alpha: float) -> int:
+    """floor((n_k+1) alpha), read off ``acceptance_threshold``. BH drops a
+    class from a set only at an adjusted p-value <= that many grid points;
+    with at most one, all m raw p-values must be the smallest, 1/(n_k+1)."""
+    return round(acceptance_threshold(n_k, alpha) * (n_k + 1))
+
+
+def _bh_floor(alpha: float) -> int:
+    """The fewest training rows, ceil(2/alpha) - 1, with two grid points."""
+    n_k = max(1, math.ceil(2 / alpha) - 2)  # at or below it, however 2 / alpha rounds
+    while _grid_points(n_k, alpha) < 2:
+        n_k += 1
+    return n_k
 
 
 def _check_test_columns(args) -> None:

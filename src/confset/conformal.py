@@ -18,9 +18,12 @@ rank p-values are valid at any sample size. The fitted default calibrates
 in-sample, which makes the training scores too small: its p-values are
 anti-conservative at small n_k (ROADMAP, open item 1).
 
-This module makes one predictor's sets. Comparing two predictors on the
-same batch, as the set-size gap between fitted and known moments, is done
-by the check that needs it, in ``validation``.
+``PREDICTORS`` maps each predictor name to a row, called once per training
+set with (train, known moments or None, variance floor); it returns the
+keyword arguments of ``predict``, so only a row decides what ``oracle=``
+carries, and an experiment times the call, as the fit, under the row's
+name. Comparing two predictors on the same batch is done by the check that
+needs it, in ``validation``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "bh_adjust",
     "acceptance_threshold",
     "predict",
+    "PREDICTORS",
 ]
 
 
@@ -125,8 +129,8 @@ def predict(
     oracle : ClassModel, optional
         Class moments to score with; by default those that
         :func:`fit_model` fits on ``data``. The calibration ranks against
-        the training rows either way, so a variance floor is
-        ``oracle=fit_model(data, variance_floor=...)``.
+        the training rows either way. The rows of ``PREDICTORS`` pass it,
+        the fitted one with its variance floor.
 
     Returns
     -------
@@ -178,3 +182,8 @@ def predict(
     sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
     return pvals, sets
 
+
+PREDICTORS = {
+    "empirical": lambda train, known, floor: dict(oracle=fit_model(train, floor)),
+    "oracle": lambda train, known, floor: dict(oracle=known),
+}

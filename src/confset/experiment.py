@@ -12,8 +12,9 @@ run through :func:`run_cell`, so every replicated table comes from here.
 Determinism: the replicate stream seed is derived from
 (master_seed, cell_index, replicate_index) through ``SeedSequence``, so
 results depend only on the config — not on worker count or scheduling.
-Reported time is the wall-clock spent inside prediction alone, with the
-one class fit per training set counted in the empirical mode's time.
+Reported time is the wall-clock spent inside prediction alone, with each
+``conformal.PREDICTORS`` row call, as the one class fit per training set,
+counted to that row's name.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .conformal import predict
+from .conformal import PREDICTORS, predict
 from .core import ClassModel, LabeledDataset, TestBatch
 from .datagen import (
     ScenarioConfig,
@@ -38,7 +39,6 @@ from .datagen import (
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
 from .io import _cell_name, _os_errors, _train_counts
 from .metrics import MetricsReport, evaluate_sets
-from .scoring import fit_model
 
 __all__ = [
     "replicate_seed",
@@ -60,24 +60,23 @@ def _score_batches(
     train: LabeledDataset,
     batches,
     alpha: float,
-    models: dict[str, ClassModel | None],
+    modes: tuple[str, ...],
+    known: ClassModel | None = None,
 ) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
-    """Predict every batch once per mode and evaluate its sets, timing the
-    fit and ``predict`` per mode. ``models`` maps each mode to the class
-    moments its ``predict`` calls score with; ``None``, as in ``predict``,
-    stands for the moments fitted on ``train``, fitted once here."""
-    reports: dict[str, list[MetricsReport]] = {mode: [] for mode in models}
-    seconds = dict.fromkeys(models, 0.0)
-    models = dict(models)
-    for mode, model in models.items():
-        if model is None:
-            started = time.perf_counter()
-            models[mode] = fit_model(train)
-            seconds[mode] += time.perf_counter() - started
+    """Predict every batch once per row of ``PREDICTORS`` named in ``modes``
+    and evaluate its sets. Each row is called once, with ``known`` as its
+    known moments, and its call and its ``predict`` calls are timed under
+    its name."""
+    reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
+    seconds, rows = {}, {}
+    for mode in modes:
+        started = time.perf_counter()
+        rows[mode] = PREDICTORS[mode](train, known, None)
+        seconds[mode] = time.perf_counter() - started
     for batch in batches:
-        for mode, model in models.items():
+        for mode, row in rows.items():
             started = time.perf_counter()
-            _, sets = predict(train, batch, alpha, oracle=model)
+            _, sets = predict(train, batch, alpha, **row)
             seconds[mode] += time.perf_counter() - started
             reports[mode].append(evaluate_sets(sets, batch.truth))
     return reports, seconds
@@ -88,20 +87,17 @@ def run_replicate(
     test_sets: int,
     modes: tuple[str, ...],
 ) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
-    """One training draw scored on ``test_sets`` fresh batches per mode.
+    """One training draw scored on ``test_sets`` fresh batches per
+    predictor named in ``modes``.
 
-    Both modes see the identical data; they differ only in whether class
-    parameters are estimated from the training set, once per replicate, or
-    taken as known. The fit's time counts to the empirical seconds.
+    Every predictor sees the identical data; the known moments its row may
+    take are the design's ``oracle_params``.
     """
     atoms = make_atoms(config.atom_seed, config.p)
     rng = np.random.default_rng(config.run_seed)
     train = generate_training(config, rng, atoms)
-    models = {
-        mode: oracle_params(config) if mode == "oracle" else None for mode in modes
-    }
     batches = (generate_test_batch(config, rng, atoms) for _ in range(test_sets))
-    return _score_batches(train, batches, config.alpha, models)
+    return _score_batches(train, batches, config.alpha, modes, oracle_params(config))
 
 
 def _split_replicate(
@@ -109,17 +105,18 @@ def _split_replicate(
     outliers: TestBatch | None,
     fraction: float,
     alpha: float,
+    modes: tuple[str, ...],
     seed: int,
 ) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
-    """One stratified re-split of a labeled file, scored in the empirical
-    mode; every outlier row joins the test batch."""
+    """One stratified re-split of a labeled file, scored by each predictor
+    in ``modes``; every outlier row joins the test batch."""
     train, batch = split_train_test(data, fraction, seed)
     if outliers is not None:
         batch = TestBatch(
             features=np.vstack([batch.features, outliers.features]),
             truth=np.concatenate([batch.truth, outliers.truth]),
         )
-    return _score_batches(train, [batch], alpha, {"empirical": None})
+    return _score_batches(train, [batch], alpha, modes)
 
 
 def _map_jobs(run, jobs, workers: int):
@@ -163,23 +160,13 @@ def _pool_cell(scenario: str, p: int, n_k: int, rho: float, outputs) -> CellResu
 def run_cell(exp: ExperimentConfig, cell_index: int = 0, workers: int = 1) -> CellResult:
     """All replicates of the simulated grid cell ``exp.cells()[cell_index]``."""
     p, n_k, rho = exp.cells()[cell_index]
-    modes = ("empirical", "oracle") if exp.mode == "both" else (exp.mode,)
     base = exp.cell_scenario(p, n_k, rho)
     configs = [
         with_run_seed(base, replicate_seed(exp.master_seed, cell_index, r))
         for r in range(exp.replicates)
     ]
-    run = partial(run_replicate, test_sets=exp.test_sets, modes=modes)
+    run = partial(run_replicate, test_sets=exp.test_sets, modes=exp.mode)
     return _pool_cell(exp.scenario, p, n_k, rho, _map_jobs(run, configs, workers))
-
-
-def _run_csv_experiment(
-    exp: ExperimentConfig, data: LabeledDataset, outliers: TestBatch | None, workers: int
-) -> CellResult:
-    seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
-    run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha)
-    outputs = _map_jobs(run, seeds, workers)
-    return _pool_cell("csv", data.n_features, min(data.class_counts), 0.0, outputs)
 
 
 def run_experiment(
@@ -187,7 +174,7 @@ def run_experiment(
     workers: int = 1,
     echo=None,
 ) -> list[CellResult]:
-    """Run every grid cell and write one results table per cell and mode.
+    """Run every grid cell and write one results table per cell and predictor.
 
     ``out_dir`` receives ``<tag>.csv`` / ``<tag>.txt`` per table plus a copy
     of the resolved config. ``echo`` (e.g. ``print``) receives progress lines
@@ -201,7 +188,10 @@ def run_experiment(
         out_dir.mkdir(parents=True, exist_ok=True)
     save_config(exp, out_dir / "config.yaml")
     if exp.scenario == "csv":
-        cells = [_run_csv_experiment(exp, data, outliers, workers)]
+        seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
+        run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha, exp.mode)
+        outputs = _map_jobs(run, seeds, workers)
+        cells = [_pool_cell("csv", data.n_features, min(data.class_counts), 0.0, outputs)]
     else:
         cells = [run_cell(exp, i, workers) for i in range(len(exp.cells()))]
     for cell in cells:

@@ -54,6 +54,7 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
+from .conformal import PREDICTORS
 from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, ScenarioConfig, check_number, check_seed
 from .metrics import MetricsReport
 
@@ -411,7 +412,7 @@ class ExperimentConfig:
     inlier_ratio: float = 3.0
     replicates: int = 10
     test_sets: int = 10
-    mode: str = "empirical"
+    mode: tuple[str, ...] = ("empirical",)
     master_seed: int = 0
     atom_seed: int = DEFAULT_ATOM_SEED
     out_dir: str = "results"
@@ -423,8 +424,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in ("csv", *SCENARIOS):
             raise DataError(f"unknown scenario {self.scenario!r}")
-        if self.mode not in ("empirical", "oracle", "both"):
-            raise DataError(f"unknown mode {self.mode!r}")
+        mode = tuple(self.mode) if isinstance(self.mode, (list, tuple)) else (self.mode,)
+        object.__setattr__(self, "mode", mode)
+        named = {name for name in mode if isinstance(name, str) and name in PREDICTORS}
+        if not mode or len(named) < len(mode):  # empty, unknown or repeated
+            rows = list(PREDICTORS)
+            raise DataError(f"mode must name distinct predictors of {rows}, got {list(mode)}")
         for name in ("p", "n_k", "rho"):
             value = getattr(self, name)
             value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
@@ -456,8 +461,8 @@ class ExperimentConfig:
             return
         if not self.csv_path or not self.label_column:
             raise DataError("csv scenario needs csv_path and label_column")
-        if self.mode != "empirical":
-            raise DataError("csv data has no oracle parameters; use mode: empirical")
+        if "oracle" in self.mode:
+            raise DataError("csv data has no oracle parameters; leave oracle out of mode")
         if not 0.0 < self.train_fraction < 1.0:
             raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
 
@@ -480,9 +485,6 @@ class ExperimentConfig:
 def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:
     """The results name of a grid cell, less its mode."""
     return f"{scenario}_p{p}_nk{n_k}_rho{rho:g}"
-
-
-_CONFIG_LIST_KEYS = {"p", "n_k", "rho"}
 
 
 # YAML 1.2 floats that YAML 1.1, the version PyYAML reads, leaves as
@@ -516,7 +518,7 @@ def save_config(config: ExperimentConfig, path) -> None:
         value = getattr(config, f.name)
         if value is None:
             continue
-        doc[f.name] = list(value) if f.name in _CONFIG_LIST_KEYS else value
+        doc[f.name] = list(value) if isinstance(value, tuple) else value
     yaml, _, dumper = _yaml12()
     with _open_write(path) as fh:
         yaml.dump(doc, fh, Dumper=dumper, sort_keys=False)

@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .conformal import acceptance_threshold, bh_adjust, predict
-from .core import ClassModel, DataError, PredictionSets
+from .conformal import PREDICTORS, acceptance_threshold, bh_adjust, predict
+from .core import DataError, PredictionSets
 from .datagen import (
     ScenarioConfig,
     generate_test_batch,
@@ -97,24 +97,25 @@ def _draw_pvalues(
     config: ScenarioConfig,
     draws: int,
     rng: np.random.Generator,
-    oracles: tuple[ClassModel | None, ...],
+    modes: tuple[str, ...],
 ) -> np.ndarray:
     """Raw p-values of fresh inliers as ``predict`` ships them, shape
-    (draws, len(oracles)).
+    (draws, len(modes)).
 
     Each draw makes a fresh one-class training set and one inlier from
-    ``rng``, then ranks the inlier through :func:`predict` once per entry of
-    ``oracles``: known class moments, or ``None`` for the moments fitted on
-    that training set, as ``predict``'s ``oracle=`` takes them. With m = 1
-    ``predict`` leaves the p-value unadjusted.
+    ``rng``, then ranks the inlier through :func:`predict` once per
+    predictor named in ``modes``, a row of ``PREDICTORS`` given the design's
+    known moments. With m = 1 ``predict`` leaves the p-value unadjusted.
     """
     atoms = make_atoms(config.atom_seed, config.p)
-    pvals = np.empty((draws, len(oracles)))
+    known = oracle_params(config)
+    pvals = np.empty((draws, len(modes)))
     for i in range(draws):
         train = generate_training(config, rng, atoms)
         batch = generate_test_batch(config, rng, atoms)
-        for j, oracle in enumerate(oracles):
-            pvals[i, j] = predict(train, batch, config.alpha, oracle=oracle)[0].raw[0, 0]
+        for j, mode in enumerate(modes):
+            row = PREDICTORS[mode](train, known, None)
+            pvals[i, j] = predict(train, batch, config.alpha, **row)[0].raw[0, 0]
     return pvals
 
 
@@ -141,7 +142,7 @@ def check_super_uniformity(
     started = time.perf_counter()
     config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1, alpha=min(UNIFORMITY_LEVELS))
     rng = np.random.default_rng(seed)
-    pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
+    pvals = _draw_pvalues(config, draws, rng, ("oracle",))[:, 0]
     parts = []
     passed = True
     for a in UNIFORMITY_LEVELS:
@@ -167,7 +168,7 @@ def check_oracle_coverage(
     slack = 3.0 * float(np.sqrt(alpha * (1.0 - alpha) / draws))
     config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1, alpha=alpha)
     rng = np.random.default_rng(seed)
-    pvals = _draw_pvalues(config, draws, rng, (oracle_params(config),))[:, 0]
+    pvals = _draw_pvalues(config, draws, rng, ("oracle",))[:, 0]
     rate = np.count_nonzero(pvals > acceptance_threshold(n_k, alpha)) / draws
     target = 1.0 - alpha - slack
     details = f"coverage {rate:.4f} >= {target:.4f} (alpha={alpha:g}, n_k={n_k})"
@@ -208,7 +209,7 @@ def check_deviation_trend(
     for idx, n_k in enumerate(TREND_N_GRID):
         config = ScenarioConfig(p=p, n_k=n_k, rho=rho, m=1)
         rng = np.random.default_rng(np.random.SeedSequence([seed, idx]))
-        pvals = _draw_pvalues(config, draws, rng, (None, oracle_params(config)))
+        pvals = _draw_pvalues(config, draws, rng, ("empirical", "oracle"))
         q95.append(float(np.quantile(np.abs(pvals[:, 0] - pvals[:, 1]), 0.95)))
     decreasing = all(q95[i + 1] < q95[i] for i in range(len(q95) - 1))
     ratios = [q / _deviation_bound(n, DEVIATION_A) for q, n in zip(q95, TREND_N_GRID)]
@@ -240,7 +241,7 @@ def check_set_size_trend(
     batch = generate_test_batch(
         base, np.random.default_rng(np.random.SeedSequence([seed, 10**6])), atoms
     )
-    oracle = oracle_params(base)
+    known = oracle_params(base)
     medians = []
     for idx, n_k in enumerate(TREND_N_GRID):
         config = multi_class_config(p=p, n_k=n_k, rho=rho, m=SET_SIZE_M, alpha=alpha)
@@ -248,9 +249,11 @@ def check_set_size_trend(
         for s in range(SET_SIZE_SEEDS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, s]))
             train = generate_training(config, rng, atoms)
-            _, est_sets = predict(train, batch, alpha)
-            _, known_sets = predict(train, batch, alpha, oracle=oracle)
-            gaps[s] = np.abs(est_sets.sizes - known_sets.sizes).mean()
+            est, exact = (
+                predict(train, batch, alpha, **PREDICTORS[mode](train, known, None))[1].sizes
+                for mode in ("empirical", "oracle")
+            )
+            gaps[s] = np.abs(est - exact).mean()
         medians.append(float(np.median(gaps)))
     monotone = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))
     details = "; ".join(
@@ -495,8 +498,8 @@ def check_table(
 
     The table is the one-cell experiment of the check's scenario and design
     at ``seed`` (default: the check's own) with test batches of ``TABLE_M``
-    points, run by :func:`run_cell`. The known-parameter procedure runs only
-    when a bound is measured against it.
+    points, run by :func:`run_cell`. The ``oracle`` predictor runs only when
+    a bound is measured against it.
     """
     started = time.perf_counter()
     scenario, default_seed, bounds_of = _TABLES[name]
@@ -504,12 +507,11 @@ def check_table(
     relative = any(bound.limit is None for bound in bounds)
     reports = run_cell(ExperimentConfig(
         scenario, p, n_k, rho, TABLE_M, alpha, replicates=replicates, test_sets=test_sets,
-        mode="both" if relative else "empirical",
+        mode=("empirical", "oracle") if relative else ("empirical",),
         master_seed=default_seed if seed is None else seed,
     )).reports
-    empirical = _table_means(reports["empirical"])
-    oracle = _table_means(reports["oracle"]) if relative else None
-    lines = tuple(bound.evaluate(empirical, oracle) for bound in bounds)
+    means = {mode: _table_means(mode_reports) for mode, mode_reports in reports.items()}
+    lines = tuple(b.evaluate(means["empirical"], means.get("oracle")) for b in bounds)
     details = "; ".join(line.text() for line in lines)
     passed = all(line.passed for line in lines)
     return _timed(name, started, passed, details, lines)

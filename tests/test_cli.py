@@ -21,12 +21,20 @@ from hypothesis import strategies as st
 import confset
 
 from confset import (
+    PREDICTORS,
+    LabeledDataset,
+    TestBatch,
     evaluate_sets,
+    fit_model,
     load_csv,
+    predict,
     read_batch_csv,
     read_results,
     read_sets_csv,
     read_truth_csv,
+    write_batch_csv,
+    write_dataset_csv,
+    write_pvalues_csv,
 )
 from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
 from confset.io import _YAML12_FLOAT
@@ -226,6 +234,65 @@ class TestPredict:
         assert exc.value.code == EXIT_USAGE
         err = capsys.readouterr().err
         assert f"error: argument {flag}: must be {need}, got {value}" in err
+
+    @pytest.mark.parametrize("n_k, noted", [(20, True), (38, True), (39, False)])
+    def test_bh_floor_is_a_note_per_class(self, tmp_path, capsys, n_k, noted):
+        """Below n_k = 39 at alpha = 0.05, floor((n_k+1) alpha) = 1: BH drops a
+        class from no set or from all m, so even with known moments every set
+        is the full label set, and each class is named by a note."""
+        prefix = tmp_path / "small"
+        run_cli(
+            "simulate", "--scenario", "multi", "--p", 5, "--nk", n_k,
+            "--m", 40, "--seed", 2, "--out", prefix,
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--train", f"{prefix}_train.csv",
+            "--test", f"{prefix}_test.csv", "--truth-column", "truth",
+            "--mode", "oracle", "--oracle-params", f"{prefix}_oracle.json",
+            "--out", tmp_path / "orc",
+        )
+        assert code == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        notes = [line for line in out if line.startswith("note:")]
+        assert notes == [
+            f"note: class {k} (n_k={n_k}) is dropped from no set or from all 40 "
+            "at alpha=0.05; dropping fewer needs n_k >= 39"
+            for k in range(1, 5)
+        ] * noted
+        if noted:
+            assert np.all(read_sets_csv(tmp_path / "orc_sets.csv", 4).sizes == 4)
+
+    def test_variance_floor_reaches_the_fit(self, tmp_path):
+        rng = np.random.default_rng(0)
+        # class 1's first column has a variance near 1e-4, under the floor;
+        # every other class column's is near 4, above it
+        features = 2.0 * rng.standard_normal((60, 3))
+        features[:30, 0] *= 0.005
+        train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+        data = LabeledDataset(features, np.repeat([1, 2], 30))
+        batch = TestBatch(rng.standard_normal((20, 3)))
+        write_dataset_csv(train, data)
+        write_batch_csv(test, batch)
+        for name, flags in (("floored", ["--variance-floor", 0.5]), ("plain", [])):
+            code = run_cli(
+                "predict", "--train", train, "--test", test, "--alpha", 0.1,
+                *flags, "--out", tmp_path / name,
+            )
+            assert code == EXIT_OK
+        pvals, _ = predict(data, batch, 0.1, oracle=fit_model(data, 0.5))
+        write_pvalues_csv(tmp_path / "library_pvalues.csv", pvals)
+        text = {
+            name: (tmp_path / f"{name}_pvalues.csv").read_text()
+            for name in ("floored", "plain", "library")
+        }
+        assert text["floored"] == text["library"]
+        floored, plain = (
+            list(csv.DictReader(text[name].splitlines())) for name in ("floored", "plain")
+        )
+        # the floor moves class 1's p-values and leaves class 2's alone
+        assert [r["raw_1"] for r in floored] != [r["raw_1"] for r in plain]
+        assert [r["raw_2"] for r in floored] == [r["raw_2"] for r in plain]
 
     def test_names_the_label_of_each_class(self, tmp_path, capsys):
         # ids go by first appearance in the training file; the string truth
@@ -688,7 +755,7 @@ class TestExperiment:
         config = tmp_path / "config.yaml"
         config.write_text(
             "scenario: one_class\np: [5]\nn_k: [10]\nm: 8\n"
-            "replicates: 2\ntest_sets: 1\nmode: both\n"
+            "replicates: 2\ntest_sets: 1\nmode: [empirical, oracle]\n"
             f"out_dir: {tmp_path / 'out'}\n"
         )
         code = run_cli("experiment", "--config", config)
@@ -697,9 +764,28 @@ class TestExperiment:
         assert "_empirical ==" in out and "_oracle ==" in out
         # the config's mode: key is the one source; no flag overrides it
         with pytest.raises(SystemExit) as exc:
-            run_cli("experiment", "--config", config, "--mode", "both")
+            run_cli("experiment", "--config", config, "--mode", "oracle")
         assert exc.value.code == EXIT_USAGE
-        assert "unrecognized arguments: --mode both" in capsys.readouterr().err
+        assert "unrecognized arguments: --mode oracle" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line, got",
+        [
+            ("mode: []", "[]"),
+            ("mode: both", "['both']"),
+            ("mode: [oracle, empirical, oracle]", "['oracle', 'empirical', 'oracle']"),
+        ],
+        ids=["empty", "unknown", "repeated"],
+    )
+    def test_bad_mode_names_the_predictors_before_output(self, tmp_path, capsys, line, got):
+        config, out_dir = tmp_path / "config.yaml", tmp_path / "out"
+        config.write_text(f"scenario: multi_class\nout_dir: {out_dir}\n{line}\n")
+        assert run_cli("experiment", "--config", config) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {config}: mode must name distinct predictors of "
+            f"['empirical', 'oracle'], got {got}\n"
+        )
+        assert not out_dir.exists()
 
     def test_bad_config_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "config.yaml"
@@ -1199,7 +1285,10 @@ def _not_choice(*names):
 # For every config field, values that field rejects in a simulated scenario.
 BAD_FIELDS = {
     "scenario": _not_choice("one_class", "multi_class", "csv"),
-    "mode": _not_choice("empirical", "oracle", "both"),
+    "mode": st.one_of(
+        _not_choice("empirical", "oracle"),
+        st.sampled_from([[], ["empirical", "empirical"], ["empirical", "both"]]),
+    ),
     "p": _bad_grid(st.one_of(NOT_INT_SCALAR, st.integers(max_value=0)), 3),
     "n_k": _bad_grid(st.one_of(NOT_INT_SCALAR, st.integers(max_value=2)), 5),
     "rho": _bad_grid(
@@ -1259,3 +1348,51 @@ def test_malformed_config_exits_3_with_one_line(tmp_path_factory, data):
     config.write_bytes(data.draw(malformed_config()))
     # a config that slipped through would write here, not into the repository
     _exits_3_with_one_line("experiment", "--config", config, "--out-dir", root / "exp_out")
+
+
+@pytest.fixture
+def stub_row(monkeypatch):
+    """A predictor row added to the table: predict's own fit, its calls counted."""
+    calls = []
+
+    def stub(train, known, floor):
+        calls.append(floor)
+        return {}
+
+    monkeypatch.setitem(PREDICTORS, "stub", stub)
+    return calls
+
+
+class TestPredictorTable:
+    """A row added to ``PREDICTORS`` is a predictor everywhere by its name."""
+
+    def test_predict_picks_the_row_by_mode(self, simulated, tmp_path, capsys, stub_row):
+        for mode in ("stub", "empirical"):
+            code = run_cli(
+                "predict", "--train", f"{simulated}_train.csv",
+                "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+                "--mode", mode, "--out", tmp_path / mode,
+            )
+            assert code == EXIT_OK
+        assert "(stub)" in capsys.readouterr().out
+        assert stub_row == [None]
+        for suffix in ("_pvalues.csv", "_sets.csv", "_thresholds.csv"):
+            stub = (tmp_path / f"stub{suffix}").read_text()
+            assert stub == (tmp_path / f"empirical{suffix}").read_text()
+
+    def test_experiment_writes_a_table_per_row(self, tmp_path, capsys, stub_row):
+        config, out_dir = tmp_path / "config.yaml", tmp_path / "out"
+        config.write_text(
+            "scenario: one_class\np: [5]\nn_k: [10]\nm: 8\nreplicates: 3\n"
+            f"test_sets: 2\nmode: [empirical, stub]\nout_dir: {out_dir}\n"
+        )
+        assert run_cli("experiment", "--config", config) == EXIT_OK
+        # one row call per training set, not per batch
+        assert len(stub_row) == 3
+        tables = [
+            read_results(out_dir / f"one_class_p5_nk10_rho0_{mode}.csv")
+            for mode in ("empirical", "stub")
+        ]
+        for table in tables:
+            del table["time_s"]
+        assert tables[0] == tables[1]

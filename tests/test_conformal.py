@@ -1,6 +1,8 @@
 """Conformal p-values, step-up adjustment, thresholds, and set prediction."""
 
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -379,3 +381,38 @@ def test_predict_peak_memory_below_half_a_class(p, n_k, m):
     class_bytes = n_k * p * 8
     assert peak <= 0.5 * class_bytes, peak / class_bytes
 
+
+
+class TestPredictors:
+    def test_only_a_row_of_the_table_passes_oracle(self):
+        """``oracle=``, or an ``"oracle"`` key, appears in ``src/confset`` only
+        inside ``PREDICTORS``: every caller picks a row by name, so no second
+        place decides which moments ``predict`` scores with."""
+        src = Path(conformal.__file__).parent
+        table = next(
+            node for node in ast.parse(Path(conformal.__file__).read_text()).body
+            if isinstance(node, ast.Assign)
+            and [t.id for t in node.targets] == ["PREDICTORS"]
+        )
+        passed = []
+        for path in sorted(src.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                keys = [node.arg] if isinstance(node, ast.keyword) else []
+                if isinstance(node, ast.Dict):
+                    keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
+                if "oracle" in keys:
+                    passed.append((path.name, node.lineno))
+        rows = range(table.lineno, table.end_lineno + 1)
+        assert passed
+        assert all(name == "conformal.py" and line in rows for name, line in passed), passed
+
+    def test_rows_give_predict_its_moments(self):
+        config = multi_class_config(p=6, n_k=12, m=30, run_seed=2)
+        train, batch = generate(config)
+        known = oracle_params(config)
+        fitted = conformal.PREDICTORS["empirical"](train, known, 0.5)["oracle"]
+        expected = fit_model(train, 0.5)
+        assert np.array_equal(fitted.means, expected.means)
+        assert np.array_equal(fitted.variances, expected.variances)
+        row = conformal.PREDICTORS["oracle"](train, known, None)
+        assert list(row) == ["oracle"] and row["oracle"] is known

@@ -166,10 +166,10 @@ class TestRunCell:
         assert sizes == [self.CONFIG.replicates]
         assert pooled.reports == run_cell(self.CONFIG).reports
 
-    def test_both_mode_collects_two_tables(self):
+    def test_two_predictors_collect_two_tables(self):
         exp = ExperimentConfig(
             scenario="one_class", p=(5,), n_k=(12,), rho=(0.0,),
-            m=10, replicates=2, test_sets=2, mode="both",
+            m=10, replicates=2, test_sets=2, mode=("empirical", "oracle"),
         )
         cell = run_cell(exp, cell_index=0)
         assert set(cell.reports) == {"empirical", "oracle"}

@@ -589,7 +589,7 @@ class TestExperimentConfig:
         c = ExperimentConfig(scenario="one_class")
         assert c.p == (500,) and c.n_k == (500,) and c.rho == (0.0,)
         assert c.m == 1000 and c.alpha == 0.05 and c.replicates == 10
-        assert c.mode == "empirical" and c.out_dir == "results"
+        assert c.mode == ("empirical",) and c.out_dir == "results"
 
     def test_scalar_grid_coerced(self):
         c = ExperimentConfig(scenario="one_class", p=100, n_k=50, rho=0.8)
@@ -652,7 +652,7 @@ class TestConfigYaml:
     def test_round_trip(self, tmp_path):
         config = ExperimentConfig(
             scenario="multi_class", p=(50, 100), n_k=(25,), rho=(0.0, 0.8),
-            m=200, alpha=0.1, replicates=3, test_sets=2, mode="both",
+            m=200, alpha=0.1, replicates=3, test_sets=2, mode=("empirical", "oracle"),
             master_seed=11, out_dir="elsewhere",
         )
         path = tmp_path / "config.yaml"

@@ -9,7 +9,7 @@ import pytest
 
 from confset import DataError, experiment, read_results, validation
 from confset.cli import build_parser, main
-from confset.datagen import ScenarioConfig, oracle_params
+from confset.datagen import ScenarioConfig
 from confset.experiment import run_experiment
 from confset.io import ExperimentConfig
 from confset.validation import (
@@ -115,7 +115,7 @@ def test_in_sample_pvalues_are_anti_conservative():
     config = ScenarioConfig(p=200, n_k=20, rho=0.0, m=1)
     draws = 200
     pvals = _draw_pvalues(
-        config, draws, np.random.default_rng(12), (None, oracle_params(config))
+        config, draws, np.random.default_rng(12), ("empirical", "oracle")
     )
     assert pvals.shape == (draws, 2)
     in_sample, known = np.mean(pvals <= 0.05, axis=0)
@@ -246,7 +246,7 @@ def test_table_means_are_the_experiment_means(tmp_path):
     result = check_table("multiclass", replicates=2, test_sets=4)
     cell, = run_experiment(ExperimentConfig(
         "multi_class", 200, 200, 0.8, validation.TABLE_M, 0.05, replicates=2,
-        test_sets=4, mode="both", master_seed=7, out_dir=str(tmp_path),
+        test_sets=4, mode=("empirical", "oracle"), master_seed=7, out_dir=str(tmp_path),
     ))
     for mode in ("empirical", "oracle"):
         table = read_results(tmp_path / f"{cell.tag(mode)}.csv")
