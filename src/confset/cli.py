@@ -18,13 +18,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from .conformal import PREDICTORS, acceptance_threshold, predict
 from .core import DataError
-from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, generate, oracle_params
+from .datagen import SCENARIOS, ScenarioConfig, generate, oracle_params
 from .experiment import run_experiment
 from .io import (
     load_config,
@@ -80,8 +80,11 @@ _SHORTHANDS = {"one": "one_class", "multi": "multi_class"}
 
 
 def _add_simulate(sub):
+    # each design flag's dest is a ScenarioConfig field; one left out keeps its default
     p = sub.add_parser(
-        "simulate", help="generate a synthetic dataset and test batch as CSV"
+        "simulate",
+        help="generate a synthetic dataset and test batch as CSV",
+        argument_default=argparse.SUPPRESS,
     )
     p.add_argument(
         "--scenario",
@@ -89,15 +92,16 @@ def _add_simulate(sub):
         default="multi_class",
         help="'one'/'multi' are accepted shorthands",
     )
-    p.add_argument("--p", type=int, default=500, help="feature dimension")
-    p.add_argument("--nk", type=int, default=500, help="training rows per class")
-    p.add_argument("--m", type=int, default=1000, help="test batch size")
-    p.add_argument("--rho", type=float, default=0.0, help="serial correlation")
-    p.add_argument("--inlier-ratio", type=float, default=3.0)
+    p.add_argument("--p", type=int, help="feature dimension")
+    p.add_argument("--nk", dest="n_k", metavar="NK", type=int, help="training rows per class")
+    p.add_argument("--m", type=int, help="test batch size")
+    p.add_argument("--rho", type=float, help="serial correlation")
+    p.add_argument("--inlier-ratio", type=float)
     p.add_argument(
-        "--seed", type=_non_negative_int, default=0, help="stream seed for the draws"
+        "--seed", dest="run_seed", metavar="SEED", type=_non_negative_int,
+        help="stream seed for the draws",
     )
-    p.add_argument("--atom-seed", type=_non_negative_int, default=DEFAULT_ATOM_SEED)
+    p.add_argument("--atom-seed", type=_non_negative_int)
     p.add_argument(
         "--out",
         required=True,
@@ -109,15 +113,8 @@ def _add_simulate(sub):
 
 def cmd_simulate(args) -> int:
     scenario = _SHORTHANDS.get(args.scenario, args.scenario)
-    config = SCENARIOS[scenario](
-        p=args.p,
-        n_k=args.nk,
-        rho=args.rho,
-        m=args.m,
-        inlier_ratio=args.inlier_ratio,
-        atom_seed=args.atom_seed,
-        run_seed=args.seed,
-    )
+    design = vars(args).keys() & {f.name for f in fields(ScenarioConfig)}
+    config = SCENARIOS[scenario](**{name: getattr(args, name) for name in design})
     train, test = generate(config)
     write_dataset_csv(f"{args.out}_train.csv", train)
     write_batch_csv(f"{args.out}_test.csv", test)

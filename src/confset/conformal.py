@@ -183,7 +183,13 @@ def predict(
     return pvals, sets
 
 
+def _known(known: ClassModel | None) -> ClassModel:
+    if known is None:  # predict would fit in-sample under the oracle's name
+        raise DataError("predictor 'oracle' needs known class moments, got none")
+    return known
+
+
 PREDICTORS = {
     "empirical": lambda train, known, floor: dict(oracle=fit_model(train, floor)),
-    "oracle": lambda train, known, floor: dict(oracle=known),
+    "oracle": lambda train, known, floor: dict(oracle=_known(known)),
 }

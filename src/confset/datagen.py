@@ -93,16 +93,16 @@ def check_number(name: str, value, integer: bool = False) -> None:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one synthetic experiment cell; the defaults are
-    the one-class design.
+    """Full description of one synthetic experiment cell; its defaults are
+    the one-class design, and the design defaults of every caller.
 
     ``class_specs`` lists the K inlier components in class order;
     ``outlier_spec`` is the contaminating component (truth label K+1).
     ``inlier_ratio`` is inliers-per-outlier in the test batch (3.0 = 3:1).
     """
 
-    p: int
-    n_k: int
+    p: int = 500
+    n_k: int = 500
     m: int = 1000
     rho: float = 0.0
     alpha: float = 0.05
@@ -145,17 +145,9 @@ class ScenarioConfig:
         return len(self.class_specs)
 
 
-def multi_class_config(
-    p: int = 500,
-    n_k: int = 500,
-    rho: float = 0.0,
-    **overrides,
-) -> ScenarioConfig:
+def multi_class_config(**overrides) -> ScenarioConfig:
     """Four shifted inlier classes; outliers at the origin, overdispersed by 3.5."""
     return ScenarioConfig(
-        p=p,
-        n_k=n_k,
-        rho=rho,
         class_specs=tuple(ComponentSpec(s, 1.0) for s in MULTI_CLASS_SHIFTS),
         outlier_spec=ComponentSpec(0.0, MULTI_CLASS_OUTLIER_SCALE),
         **overrides,
@@ -170,7 +162,10 @@ def make_atoms(atom_seed: int, p: int) -> np.ndarray:
     """The fixed pool of p scalar atoms, uniform over [-3, 3]."""
     if p < 1:
         raise DataError(f"p must be >= 1, got {p}")
-    return np.random.default_rng(atom_seed).uniform(-3.0, 3.0, size=p)
+    try:
+        return np.random.default_rng(atom_seed).uniform(-3.0, 3.0, size=p)
+    except (MemoryError, ValueError):  # too large to allocate, or to index
+        raise DataError(f"cannot allocate {p} atoms") from None
 
 
 # Rows of one AR(1) pass, and the most unfinished rows whose atom picks are
@@ -218,7 +213,8 @@ def sample_points(
     memory and leaves column-major rows for the row-wise steps after it.
 
     Raises DataError for rho outside [0, 1), a negative row count, a
-    non-positive scale, or an empty or non-1-D atom pool.
+    non-positive scale, an empty or non-1-D atom pool, or a block too large
+    to allocate.
     """
     atoms = np.asarray(atoms, dtype=np.float64)
     if atoms.ndim != 1 or atoms.shape[0] < 1:
@@ -235,7 +231,10 @@ def sample_points(
         spans.append((spec, hi, hi + n))
         hi += n
     p = atoms.shape[0]
-    z = np.empty((hi, p))
+    try:
+        z = np.empty((hi, p))
+    except (MemoryError, ValueError):  # too large to allocate, or to index
+        raise DataError(f"cannot allocate {hi} rows x {p} features") from None
     ar = rho != 0.0 and p > 1
     held = np.empty((min(_CHUNK_ROWS, hi) if ar else 0, p), dtype=np.min_scalar_type(p - 1))
     block_rows = max(1, _BLOCK_BYTES // (8 * p))

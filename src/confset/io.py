@@ -55,7 +55,7 @@ from .core import (
     TestBatch,
 )
 from .conformal import PREDICTORS
-from .datagen import DEFAULT_ATOM_SEED, SCENARIOS, ScenarioConfig, check_number, check_seed
+from .datagen import SCENARIOS, ScenarioConfig, check_number, check_seed
 from .metrics import MetricsReport
 
 __all__ = [
@@ -404,17 +404,17 @@ class ExperimentConfig:
     """
 
     scenario: str
-    p: tuple[int, ...] = (500,)
-    n_k: tuple[int, ...] = (500,)
-    rho: tuple[float, ...] = (0.0,)
-    m: int = 1000
-    alpha: float = 0.05
-    inlier_ratio: float = 3.0
+    p: tuple[int, ...] = (ScenarioConfig.p,)
+    n_k: tuple[int, ...] = (ScenarioConfig.n_k,)
+    rho: tuple[float, ...] = (ScenarioConfig.rho,)
+    m: int = ScenarioConfig.m
+    alpha: float = ScenarioConfig.alpha
+    inlier_ratio: float = ScenarioConfig.inlier_ratio
     replicates: int = 10
     test_sets: int = 10
     mode: tuple[str, ...] = ("empirical",)
     master_seed: int = 0
-    atom_seed: int = DEFAULT_ATOM_SEED
+    atom_seed: int = ScenarioConfig.atom_seed
     out_dir: str = "results"
     csv_path: str | None = None
     label_column: str | None = None
@@ -470,16 +470,12 @@ class ExperimentConfig:
         return [(p, n, r) for p in self.p for n in self.n_k for r in self.rho]
 
     def cell_scenario(self, p: int, n_k: int, rho: float) -> ScenarioConfig:
-        """The simulation design of the grid cell (p, n_k, rho)."""
-        return SCENARIOS.get(self.scenario, ScenarioConfig)(
-            p=p,
-            n_k=n_k,
-            rho=rho,
-            m=self.m,
-            alpha=self.alpha,
-            inlier_ratio=self.inlier_ratio,
-            atom_seed=self.atom_seed,
-        )
+        """The simulation design of the grid cell (p, n_k, rho): the cell's
+        grid values and every other field this config shares with
+        ``ScenarioConfig``, by name."""
+        shared = {f.name for f in fields(ScenarioConfig)} & {f.name for f in fields(self)}
+        design = {name: getattr(self, name) for name in shared} | dict(p=p, n_k=n_k, rho=rho)
+        return SCENARIOS.get(self.scenario, ScenarioConfig)(**design)
 
 
 def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:

@@ -7,9 +7,11 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -22,6 +24,7 @@ import confset
 
 from confset import (
     PREDICTORS,
+    SCENARIOS,
     LabeledDataset,
     TestBatch,
     evaluate_sets,
@@ -108,6 +111,27 @@ class TestSimulate:
         assert code == EXIT_DATA
         err = capsys.readouterr().err
         assert err == "error: inlier_ratio must be finite and positive, got inf\n"
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    @pytest.mark.parametrize(
+        "flags, design",
+        [([], {}), (["--nk", 7, "--seed", 3, "--atom-seed", 4], dict(n_k=7, run_seed=3, atom_seed=4))],
+    )
+    def test_design_flags_reach_the_maker_by_name(
+        self, tmp_path, monkeypatch, scenario, flags, design
+    ):
+        """An omitted design flag is not passed, so the field keeps
+        ``ScenarioConfig``'s default; a given one is passed by its field name."""
+        make, calls = SCENARIOS[scenario], []
+
+        def spy(**kwargs):
+            calls.append(kwargs)
+            return replace(make(**kwargs), p=3, m=4)  # small files
+
+        monkeypatch.setitem(SCENARIOS, scenario, spy)
+        code = run_cli("simulate", "--scenario", scenario, *flags, "--out", tmp_path / "x")
+        assert code == EXIT_OK
+        assert calls == [design]
 
     def test_overflowing_inlier_ratio_leaves_no_outlier(self, tmp_path, capsys):
         # m * 1e308 overflows to inf; every test slot is then an inlier
@@ -729,6 +753,61 @@ class TestBrokenPipe:
             os.close(write_end)
         assert done.returncode == EXIT_PIPE
         assert done.stderr == ""
+
+
+# Too large to allocate, and too long to index.
+OVERSIZED = [
+    (dict(p=1000, n_k=10**14, m=1), f"{4 * 10**14} rows x 1000 features"),
+    (dict(p=5, n_k=5, m=10**20), f"{10**20} rows x 5 features"),
+]
+
+
+def _cap_address_space():
+    # 1 GiB: room for Python, numpy and a process pool, none for a design
+    # that a regression would start to fill
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_child(cwd, *argv):
+    """Exit code, stderr and peak RSS in MiB of ``confset argv`` run as a
+    child process, its own worker processes included."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "confset.cli", *map(str, argv)],
+        cwd=cwd, env=_child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        preexec_fn=_cap_address_space,
+    )
+    err = proc.stderr.read()
+    proc.stderr.close()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)
+    return proc.returncode, err, usage.ru_maxrss / 1024
+
+
+class TestOversizedDesign:
+    """A design too large to allocate is one data error line, raised
+    before the block is allocated and before a file is written."""
+
+    @pytest.mark.parametrize("design, block", OVERSIZED)
+    def test_simulate(self, tmp_path, design, block):
+        flags = [a for name, v in design.items() for a in (f"--{name.replace('_', '')}", v)]
+        code, err, peak_mib = _run_child(tmp_path, "simulate", *flags, "--out", "big")
+        assert (code, err) == (EXIT_DATA, f"error: cannot allocate {block}\n")
+        assert peak_mib < 256
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("design, block", OVERSIZED)
+    def test_experiment(self, tmp_path, design, block, workers):
+        grid = dict(design, p=[design["p"]], n_k=[design["n_k"]])
+        text = "".join(f"{k}: {v}\n" for k, v in grid.items())
+        (tmp_path / "c.yaml").write_text(f"scenario: multi_class\n{text}replicates: 2\nout_dir: out\n")
+        code, err, peak_mib = _run_child(tmp_path, "experiment", "--config", "c.yaml", "--workers", workers)
+        assert (code, err) == (EXIT_DATA, f"error: cannot allocate {block}\n")
+        assert peak_mib < 256
+        # the config copy is written before the first replicate, no table after it
+        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
+            "c.yaml", "out", "out/config.yaml"
+        ]
 
 
 class TestExperiment:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from confset import conformal, scoring
+from confset import conformal, experiment, scoring
 from confset import (
     ClassModel,
     DataError,
@@ -416,3 +416,13 @@ class TestPredictors:
         assert np.array_equal(fitted.variances, expected.variances)
         row = conformal.PREDICTORS["oracle"](train, known, None)
         assert list(row) == ["oracle"] and row["oracle"] is known
+
+    def test_oracle_row_needs_known_moments(self):
+        """Without known moments the oracle row refuses, rather than letting
+        ``predict`` fit in-sample under the oracle's name."""
+        train, batch = generate(multi_class_config(p=4, n_k=10, m=8, run_seed=1))
+        message = "^predictor 'oracle' needs known class moments, got none$"
+        with pytest.raises(DataError, match=message):
+            conformal.PREDICTORS["oracle"](train, None, None)
+        with pytest.raises(DataError, match=message):
+            experiment._score_batches(train, [batch], 0.1, ("oracle",))

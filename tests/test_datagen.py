@@ -56,6 +56,10 @@ class TestAtoms:
         with pytest.raises(DataError):
             make_atoms(0, 0)
 
+    def test_oversized_pool_is_one_line(self):
+        with pytest.raises(DataError, match=f"^cannot allocate {10**14} atoms$"):
+            make_atoms(99, 10**14)
+
 
 class TestApportion:
     def test_spec_example(self):
@@ -102,7 +106,7 @@ class TestScenarioConfig:
         assert SCENARIOS == {"one_class": ScenarioConfig, "multi_class": multi_class_config}
 
     def test_one_class_defaults(self):
-        c = ScenarioConfig(p=500, n_k=500)
+        c = ScenarioConfig()
         assert c.p == 500 and c.n_k == 500 and c.m == 1000
         assert c.class_specs == (ComponentSpec(0.0, 1.0),)
         assert c.outlier_spec == ComponentSpec(0.0, 2.5)
@@ -115,6 +119,9 @@ class TestScenarioConfig:
         assert all(s.scale == 1.0 for s in c.class_specs)
         assert c.outlier_spec == ComponentSpec(0.0, 3.5)
         assert c.n_classes == 4
+        # every field but the components is ScenarioConfig's default
+        components = dict(class_specs=c.class_specs, outlier_spec=c.outlier_spec)
+        assert c == ScenarioConfig(**components)
 
     def test_overrides_flow_through(self):
         c = multi_class_config(p=20, n_k=30, rho=0.5, m=40, alpha=0.1, run_seed=5)
@@ -226,6 +233,9 @@ class TestSamplePoints:
             ([(ComponentSpec(0.0, -4.0), 3)], 0.5, np.zeros(2), "-4.0"),
             ([(ComponentSpec(0.0), 3)], 0.5, np.zeros(0), "(0,)"),
             ([(ComponentSpec(0.0), 3)], 0.5, np.zeros((2, 2)), "(2, 2)"),
+            # too large to allocate, and too long to index
+            ([(ComponentSpec(0.0), 4 * 10**14)], 0.0, np.zeros(1000), "400000000000000 rows x 1000"),
+            ([(ComponentSpec(0.0), 10**20)], 0.0, np.zeros(5), f"{10**20} rows x 5 features"),
         ],
     )
     def test_rejects_invalid(self, parts, rho, atoms, value):

@@ -14,6 +14,7 @@ from confset import (
     DataError,
     ExperimentConfig,
     LabeledDataset,
+    SCENARIOS,
     MetricsReport,
     PredictionSets,
     PValueMatrix,
@@ -590,6 +591,16 @@ class TestExperimentConfig:
         assert c.p == (500,) and c.n_k == (500,) and c.rho == (0.0,)
         assert c.m == 1000 and c.alpha == 0.05 and c.replicates == 10
         assert c.mode == ("empirical",) and c.out_dir == "results"
+
+    @pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+    def test_default_cell_is_the_default_design(self, scenario):
+        c = ExperimentConfig(scenario=scenario)
+        assert c.cell_scenario(*c.cells()[0]) == SCENARIOS[scenario]()
+
+    def test_cell_takes_every_shared_field(self):
+        design = dict(m=11, alpha=0.2, inlier_ratio=2.0, atom_seed=5)
+        c = ExperimentConfig(scenario="multi_class", p=7, n_k=(9, 10), rho=0.3, **design)
+        assert c.cell_scenario(7, 10, 0.3) == multi_class_config(p=7, n_k=10, rho=0.3, **design)
 
     def test_scalar_grid_coerced(self):
         c = ExperimentConfig(scenario="one_class", p=100, n_k=50, rho=0.8)
