@@ -42,14 +42,6 @@ class DataError(ValueError):
 class DegenerateVarianceError(DataError):
     """A class has a zero-variance feature column, so scores are undefined."""
 
-    def __init__(self, class_id: int, column: int):
-        self.class_id = class_id
-        self.column = column
-        super().__init__(
-            f"class {class_id} has zero variance in feature column {column}; "
-            f"drop the column or enable a variance floor"
-        )
-
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a).view()

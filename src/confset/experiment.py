@@ -8,6 +8,8 @@ is one cell whose replicates are stratified re-splits of a labeled file,
 one batch each. Both kinds of replicate predict and evaluate their batches
 in one loop, and ``validate``'s benchmark tables are one-cell experiments
 run through :func:`run_cell`, so every replicated table comes from here.
+:func:`run_experiment` computes every cell before it makes ``out_dir``,
+so a run that fails part way writes nothing.
 
 Determinism: the replicate stream seed is derived from
 (master_seed, cell_index, replicate_index) through ``SeedSequence``, so
@@ -37,7 +39,7 @@ from .datagen import (
     with_run_seed,
 )
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
-from .io import _cell_name, _os_errors, _train_counts
+from .io import _cell_name, _os_errors
 from .metrics import MetricsReport, evaluate_sets
 
 __all__ = [
@@ -176,24 +178,25 @@ def run_experiment(
 ) -> list[CellResult]:
     """Run every grid cell and write one results table per cell and predictor.
 
-    ``out_dir`` receives ``<tag>.csv`` / ``<tag>.txt`` per table plus a copy
-    of the resolved config. ``echo`` (e.g. ``print``) receives progress lines
-    and rendered tables.
+    Every cell is computed before anything is written, so a bad input or a
+    failing cell leaves no ``out_dir``. Then ``out_dir`` receives a copy of
+    the resolved config and ``<tag>.csv`` / ``<tag>.txt`` per table; an
+    ``out_dir`` that cannot be created is therefore reported only after
+    every cell ran.
+    ``echo`` (e.g. ``print``) receives each table's heading and text.
     """
-    if exp.scenario == "csv":  # an unreadable file or split leaves no out_dir behind
-        data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
-        _train_counts(data, exp.train_fraction)
-    out_dir = Path(exp.out_dir)
-    with _os_errors("create", out_dir):
-        out_dir.mkdir(parents=True, exist_ok=True)
-    save_config(exp, out_dir / "config.yaml")
     if exp.scenario == "csv":
+        data, outliers, _ = load_csv(exp.csv_path, exp.label_column, exp.outlier_label)
         seeds = [replicate_seed(exp.master_seed, 0, r) for r in range(exp.replicates)]
         run = partial(_split_replicate, data, outliers, exp.train_fraction, exp.alpha, exp.mode)
         outputs = _map_jobs(run, seeds, workers)
         cells = [_pool_cell("csv", data.n_features, min(data.class_counts), 0.0, outputs)]
     else:
         cells = [run_cell(exp, i, workers) for i in range(len(exp.cells()))]
+    out_dir = Path(exp.out_dir)
+    with _os_errors("create", out_dir):
+        out_dir.mkdir(parents=True, exist_ok=True)
+    save_config(exp, out_dir / "config.yaml")
     for cell in cells:
         for mode, reports in cell.reports.items():
             tag = cell.tag(mode)

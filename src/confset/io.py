@@ -357,10 +357,18 @@ def split_train_test(
     merge outlier rows separately). Errors out if any class would train on
     fewer than 3 rows or the test side would be empty.
     """
+    if not 0.0 < fraction < 1.0:
+        raise DataError(f"fraction must be in (0, 1), got {fraction}")
+    counts = [int(math.floor(fraction * n + 0.5)) for n in data.class_counts.tolist()]
+    for class_id, n_train in enumerate(counts, start=1):
+        if n_train < 3:
+            raise DataError(f"class {class_id} would train on {n_train} rows; needs >= 3")
+    if sum(counts) == data.n:
+        raise DataError("split leaves no test rows; lower the fraction")
     rng = np.random.default_rng(seed)
     train_idx = []
     test_idx = []
-    for class_id, n_train in enumerate(_train_counts(data, fraction), start=1):
+    for class_id, n_train in enumerate(counts, start=1):
         perm = rng.permutation(np.flatnonzero(data.labels == class_id))
         train_idx.append(perm[:n_train])
         test_idx.append(perm[n_train:])
@@ -374,21 +382,6 @@ def split_train_test(
         features=data.features[test_idx], truth=data.labels[test_idx]
     )
     return train, test
-
-
-def _train_counts(data: LabeledDataset, fraction: float) -> list[int]:
-    """Training rows per class of ``split_train_test``, round(fraction * n_k)
-    each: a DataError unless each is >= 3 and one row is left to test. The
-    rule reads no seed, so one call checks every split of ``data``."""
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
-    counts = [int(math.floor(fraction * n + 0.5)) for n in data.class_counts.tolist()]
-    for class_id, n_train in enumerate(counts, start=1):
-        if n_train < 3:
-            raise DataError(f"class {class_id} would train on {n_train} rows; needs >= 3")
-    if sum(counts) == data.n:
-        raise DataError("split leaves no test rows; lower the fraction")
-    return counts
 
 
 # ---------------------------------------------------------------------------

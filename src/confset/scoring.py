@@ -127,7 +127,10 @@ def fit_class_summary(
         var = np.maximum(var, variance_floor)
     elif np.any(var == 0.0):
         col = int(np.flatnonzero(var == 0.0)[0])
-        raise DegenerateVarianceError(class_id, col)
+        raise DegenerateVarianceError(
+            f"class {class_id} has zero variance in feature column {col}; "
+            "drop the column or enable a variance floor"
+        )
     return mean, var
 
 

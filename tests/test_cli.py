@@ -796,18 +796,20 @@ class TestOversizedDesign:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("design, block", OVERSIZED)
+    @pytest.mark.parametrize(
+        "design, block",
+        [(dict(d, p=[d["p"]], n_k=[d["n_k"]]), block) for d, block in OVERSIZED]
+        # a two-cell grid: the first cell runs, the second is oversized
+        + [(dict(p=[1000], n_k=[10, 10**14], m=1), OVERSIZED[0][1])],
+    )
     def test_experiment(self, tmp_path, design, block, workers):
-        grid = dict(design, p=[design["p"]], n_k=[design["n_k"]])
-        text = "".join(f"{k}: {v}\n" for k, v in grid.items())
+        text = "".join(f"{k}: {v}\n" for k, v in design.items())
         (tmp_path / "c.yaml").write_text(f"scenario: multi_class\n{text}replicates: 2\nout_dir: out\n")
         code, err, peak_mib = _run_child(tmp_path, "experiment", "--config", "c.yaml", "--workers", workers)
         assert (code, err) == (EXIT_DATA, f"error: cannot allocate {block}\n")
         assert peak_mib < 256
-        # the config copy is written before the first replicate, no table after it
-        assert sorted(str(f.relative_to(tmp_path)) for f in tmp_path.rglob("*")) == [
-            "c.yaml", "out", "out/config.yaml"
-        ]
+        # every cell is computed before out_dir is made
+        assert [f.name for f in tmp_path.iterdir()] == ["c.yaml"]
 
 
 class TestExperiment:
@@ -978,6 +980,20 @@ class TestExperiment:
         assert run_cli("experiment", "--config", config) == EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_csv_zero_variance_column_writes_nothing(self, tmp_path, workers):
+        # the error is raised in a worker process at --workers 2 and must
+        # come back as the same one line
+        rows = [f"{i},5,a" for i in range(10)] + [f"{i},{i * i},b" for i in range(10)]
+        (tmp_path / "flat.csv").write_text("x1,x2,label\n" + "\n".join(rows) + "\n")
+        (tmp_path / "c.yaml").write_text(
+            "scenario: csv\ncsv_path: flat.csv\nlabel_column: label\nreplicates: 2\nout_dir: out\n"
+        )
+        code, err, _ = _run_child(tmp_path, "experiment", "--config", "c.yaml", "--workers", workers)
+        message = "class 1 has zero variance in feature column 1; drop the column or enable a variance floor"
+        assert (code, err) == (EXIT_DATA, f"error: {message}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "line", ["atom_seed: -1", "m: -5", "inlier_ratio: -2", "alpha: 1.5"]

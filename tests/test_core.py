@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from confset import (
     ClassModel,
+    core,
     DataError,
     LabeledDataset,
     PredictionSets,
@@ -30,6 +32,21 @@ def small_data(**kw):
     )
     defaults.update(kw)
     return LabeledDataset(**defaults)
+
+
+CORE_ERRORS = [
+    obj for obj in map(vars(core).get, core.__all__)
+    if isinstance(obj, type) and issubclass(obj, Exception)
+]
+
+
+@pytest.mark.parametrize("error", CORE_ERRORS, ids=lambda e: e.__name__)
+def test_errors_survive_pickle(error):
+    # a worker process sends its exception back pickled; one that cannot be
+    # rebuilt breaks the whole pool instead of ending in its own line
+    back = pickle.loads(pickle.dumps(error("class 1 has zero variance")))
+    assert type(back) is error
+    assert str(back) == "class 1 has zero variance"
 
 
 class TestLabeledDataset:
