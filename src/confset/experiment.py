@@ -122,16 +122,27 @@ def _split_replicate(
 
 
 def _map_jobs(run, jobs, workers: int):
-    """``run(job)`` for each job, in order; ``run`` pickles (a top-level
-    function or a ``partial`` of one)."""
+    """``run(job)`` for each job, in job order; ``run`` pickles (a top-level
+    function or a ``partial`` of one). At most ``workers`` jobs run at once
+    and none starts after one fails, so the first failure in job order, as
+    at one worker, is raised once the jobs in flight end."""
     if workers <= 1 or len(jobs) <= 1:
         return [run(job) for job in jobs]
     # Imported here: only a parallel run pays for loading the process pool.
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
     # the pool starts all its workers at once, so never more than there are jobs
-    with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-        return list(pool.map(run, jobs))
+    workers = min(workers, len(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures, running = [], set()
+        for job in jobs:
+            if len(running) == workers:
+                done, running = wait(running, return_when=FIRST_COMPLETED)
+                if any(future.exception() is not None for future in done):
+                    break
+            futures.append(pool.submit(run, job))
+            running.add(futures[-1])
+        return [future.result() for future in futures]
 
 
 @dataclass(frozen=True)

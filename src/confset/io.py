@@ -30,6 +30,9 @@ per row, ended by ``"\r\n"``. A numeric row is the shortest reprs of its
 floats, joined by commas, plus any integer cells: what ``csv.writer`` writes
 for the same cells, none of which needs quoting, without a Python call per
 cell. Lines are streamed to the file, so no text copy of the matrix is held.
+
+Every file is opened by ``_opened``: a file that cannot be opened, read,
+written, flushed or closed is one ``DataError`` line naming it.
 """
 
 from __future__ import annotations
@@ -95,15 +98,13 @@ def _os_errors(verb: str, path):
         raise DataError(f"cannot {verb} {path}: {e.strerror or e}") from None
 
 
-# Text is UTF-8 whatever the locale; everything written is ASCII.
-def _open_read(path, **kwargs):
-    with _os_errors("read", path):
-        return open(path, encoding="utf-8", **kwargs)
-
-
-def _open_write(path, **kwargs):
-    with _os_errors("write", path):
-        return open(path, "w", encoding="utf-8", **kwargs)
+@contextmanager
+def _opened(path, mode: str = "r", **kwargs):
+    """``path`` as UTF-8 text whatever the locale (everything written is
+    ASCII), with the ``_os_errors`` guard over the whole ``with`` block."""
+    with _os_errors("read" if mode == "r" else "write", path):
+        with open(path, mode, encoding="utf-8", **kwargs) as fh:
+            yield fh
 
 
 # Cells per block of parsed rows. Until its one cast, a block holds each
@@ -126,7 +127,7 @@ def _read_table(path):
     malformed line in file order is the one reported. Bytes that are not
     UTF-8, or a cell over ``csv``'s field size limit, are one DataError too.
     """
-    with _open_read(path, newline="") as fh:
+    with _opened(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
@@ -317,7 +318,7 @@ def read_truth_csv(path, truth_column: str) -> np.ndarray:
 def _write_csv(path, header: list[str], lines) -> None:
     """The comma-joined ``header``, then each pre-joined line, each ended by
     ``"\r\n"``, as ``csv.writer`` ends them."""
-    with _open_write(path, newline="") as fh:
+    with _opened(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for line in lines:
             fh.write(line + "\r\n")
@@ -509,13 +510,13 @@ def save_config(config: ExperimentConfig, path) -> None:
             continue
         doc[f.name] = list(value) if isinstance(value, tuple) else value
     yaml, _, dumper = _yaml12()
-    with _open_write(path) as fh:
+    with _opened(path, "w") as fh:
         yaml.dump(doc, fh, Dumper=dumper, sort_keys=False)
 
 
 def load_config(path) -> ExperimentConfig:
     yaml, loader, _ = _yaml12()
-    with _open_read(path) as fh:
+    with _opened(path) as fh:
         try:
             doc = yaml.load(fh, Loader=loader)
         except (yaml.YAMLError, UnicodeDecodeError) as e:
@@ -585,7 +586,7 @@ def write_results(
         lines.append(f"time_s,{float(time_s)!r},0.0")
     _write_csv(path, ["metric", "mean", "std"], lines)
     text = render_results(reports, time_s)
-    with _open_write(path.with_suffix(".txt")) as fh:
+    with _opened(path.with_suffix(".txt"), "w") as fh:
         fh.write(text)
     return text
 
@@ -679,7 +680,7 @@ def save_json(model: ClassModel, path) -> None:
         "means": model.means.tolist(),
         "variances": model.variances.tolist(),
     }
-    with _open_write(path) as fh:
+    with _opened(path, "w") as fh:
         json.dump(doc, fh)
 
 
@@ -688,7 +689,7 @@ def load_json(path) -> ClassModel:
 
     Every problem with the file is one ``DataError`` line naming it.
     """
-    with _open_read(path) as fh:
+    with _opened(path) as fh:
         try:
             doc = json.load(fh)
         except ValueError as e:  # JSONDecodeError or UnicodeDecodeError

@@ -15,8 +15,8 @@ Two global false-discovery notions appear:
 
 The two disagree in general; keep them apart.
 
-``evaluate_sets`` computes all eight table metrics from one tally of the
-sets by truth label.
+``evaluate_sets`` computes all eight table metrics, and ``rejection_global_fdp``
+its V and R, from one tally of the sets by truth label, ``_tally``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,12 @@ from .core import DataError, PredictionSets, _integer_labels
 __all__ = ["MetricsReport", "evaluate_sets", "rejection_global_fdp"]
 
 
-def _checked(sets: PredictionSets, truth: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _tally(sets: PredictionSets, truth: np.ndarray):
+    """``(pairs, points, false_rejections, rejections)``, the counts every
+    metric reads. ``pairs[t, s, c]``: accepted (point, class c) pairs with
+    truth t + 1 whose set is a singleton (s = 1) or not (s = 0);
+    ``points[t, e]``: points with truth t + 1 whose set is empty (e = 1) or
+    not. Per class, the points whose set leaves it out, and those truly of it."""
     member = sets.member
     truth = _integer_labels(truth, "truth labels")
     if truth.ndim != 1 or truth.shape[0] != member.shape[0]:
@@ -38,22 +43,23 @@ def _checked(sets: PredictionSets, truth: np.ndarray) -> tuple[np.ndarray, np.nd
             f"truth must have one entry per test point, got shape {truth.shape} "
             f"for {member.shape[0]} points"
         )
-    k = member.shape[1]
+    m, k = member.shape
     if truth.size and (truth.min() < 1 or truth.max() > k + 1):
         raise DataError(f"truth labels must lie in 1..{k + 1}")
-    return member, truth
+    t = truth - 1
+    sizes = np.count_nonzero(member, axis=1)
+    key = (t * 2 + (sizes == 1))[:, None] * k + np.arange(k)
+    pairs = np.bincount(key[member], minlength=(k + 1) * 2 * k).reshape(k + 1, 2, k)
+    points = np.bincount(t * 2 + (sizes == 0), minlength=(k + 1) * 2).reshape(k + 1, 2)
+    accepted = pairs.sum(axis=1)
+    false_rejections = points[:k].sum(axis=1) - np.diagonal(accepted[:k])
+    return pairs, points, false_rejections, m - accepted.sum(axis=0)
 
 
 def rejection_global_fdp(sets: PredictionSets, truth: np.ndarray) -> float:
     """Pooled false discovery proportion V / max(1, R) over all rejections."""
-    member, truth = _checked(sets, truth)
-    v_total = 0
-    r_total = 0
-    for k in range(1, member.shape[1] + 1):
-        rejected = ~member[:, k - 1]
-        v_total += (rejected & (truth == k)).sum()
-        r_total += rejected.sum()
-    return v_total / max(1, r_total)
+    _, _, false_rejections, rejections = _tally(sets, truth)
+    return false_rejections.sum() / max(1, rejections.sum())
 
 
 @dataclass(frozen=True)
@@ -79,28 +85,14 @@ class MetricsReport:
 
 
 def evaluate_sets(sets: PredictionSets, truth: np.ndarray) -> MetricsReport:
-    """Compute the full metrics report for one run.
-
-    Every field comes from one tally of the (point, accepted class) pairs by
-    truth label and by whether the point's set is a singleton, plus one
-    count of points by truth label and by whether their set is empty.
-    """
-    member, truth = _checked(sets, truth)
-    m, k = member.shape
-    t = truth - 1
-    sizes = np.count_nonzero(member, axis=1)
-    # pairs[t, s, c]: accepted (point, class c) pairs with truth t + 1 whose
-    # set is a singleton (s = 1) or not (s = 0)
-    key = (t * 2 + (sizes == 1))[:, None] * k + np.arange(k)
-    pairs = np.bincount(key[member], minlength=(k + 1) * 2 * k).reshape(k + 1, 2, k)
-    # points[t, e]: points with truth t + 1 whose set is empty (e = 1) or not
-    points = np.bincount(t * 2 + (sizes == 0), minlength=(k + 1) * 2).reshape(k + 1, 2)
-    hits = pairs.sum(axis=1)
-    own = np.diagonal(hits[:k])
+    """Compute the full metrics report for one run, every field from the
+    counts of one ``_tally``."""
+    pairs, points, false_rejections, rejections = _tally(sets, truth)
+    k = pairs.shape[2]
     counts = points.sum(axis=1)
     empty = points[:, 1]
-    rejected = np.maximum(m - hits.sum(axis=0), 1)
-    false_rejections = counts[:k] - own
+    rejected = np.maximum(rejections, 1)
+    m = counts.sum()
     inliers = counts[:k].sum()
     nonempty = m - empty.sum()
     return MetricsReport(
@@ -108,8 +100,8 @@ def evaluate_sets(sets: PredictionSets, truth: np.ndarray) -> MetricsReport:
         scw_fdr=false_rejections.sum() / rejected.sum(),
         fdr=empty[:k].sum() / max(1, empty.sum()),
         power=empty[k] / max(1, counts[k]),
-        coverage=own.sum() / inliers if inliers else 0.0,
+        coverage=(inliers - false_rejections.sum()) / inliers if inliers else 0.0,
         flr=(counts[k] - empty[k]) / m,
         accuracy=np.diagonal(pairs[:k, 1]).sum() / inliers if inliers else 0.0,
-        ambiguity=float(hits.sum() / nonempty) if nonempty else 0.0,
+        ambiguity=float(pairs.sum() / nonempty) if nonempty else 0.0,
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -63,18 +63,12 @@ class CheckResult:
     passed: bool
     details: str
     elapsed_s: float
-    bounds: tuple[BoundResult, ...] = ()
+    # a table check's benchmark lines by metric, in the order of its details
+    bounds: dict[str, BoundResult] = field(default_factory=dict)
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] {self.name} ({self.elapsed_s:.1f}s): {self.details}"
-
-    def bound(self, metric: str) -> BoundResult:
-        """The benchmark line of ``metric``."""
-        for result in self.bounds:
-            if result.bound.metric == metric:
-                return result
-        raise KeyError(f"{self.name} has no bound on {metric!r}")
 
 
 def _timed(
@@ -82,14 +76,14 @@ def _timed(
     started: float,
     passed: bool,
     details: str,
-    bounds: tuple[BoundResult, ...] = (),
+    bounds: dict[str, BoundResult] | None = None,
 ) -> CheckResult:
     return CheckResult(
         name=name,
         passed=bool(passed),
         details=details,
         elapsed_s=time.perf_counter() - started,
-        bounds=bounds,
+        bounds=bounds or {},
     )
 
 
@@ -511,9 +505,9 @@ def check_table(
         master_seed=default_seed if seed is None else seed,
     )).reports
     means = {mode: _table_means(mode_reports) for mode, mode_reports in reports.items()}
-    lines = tuple(b.evaluate(means["empirical"], means.get("oracle")) for b in bounds)
-    details = "; ".join(line.text() for line in lines)
-    passed = all(line.passed for line in lines)
+    lines = {b.metric: b.evaluate(means["empirical"], means.get("oracle")) for b in bounds}
+    details = "; ".join(line.text() for line in lines.values())
+    passed = all(line.passed for line in lines.values())
     return _timed(name, started, passed, details, lines)
 
 

@@ -106,7 +106,7 @@ def oneclass():
 def _assert_line(result, metric, rule):
     # the check's own line for the metric, so `confset validate --check
     # multiclass,oneclass` passes and fails with these tests
-    line = result.bound(metric)
+    line = result.bounds[metric]
     assert line.bound.rule == rule, f"{metric} is held to {line.bound.rule}, not {rule}"
     assert line.passed, line.text()
 

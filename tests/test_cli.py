@@ -585,6 +585,23 @@ class TestEvaluate:
         out = capsys.readouterr().out
         assert "[1 runs]" in out and "ambiguity" in out
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_unwritable_out_is_one_line(self, simulated, tmp_path, capsys):
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--out", tmp_path / "pred",
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--sets", tmp_path / "pred_sets.csv",
+            "--test", f"{simulated}_test.csv", "--n-classes", 1, "--out", "/dev/full",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write /dev/full: ")
+        assert len(err.splitlines()) == 1
+
     def test_row_count_mismatch(self, simulated, tmp_path, capsys):
         run_cli(
             "predict", "--train", f"{simulated}_train.csv",

@@ -1,6 +1,7 @@
 """Experiment runner: seeding, replicates, cells, parallelism, file outputs."""
 
 import concurrent.futures
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from confset import (
     split_train_test,
     with_run_seed,
 )
+from confset.experiment import _map_jobs
 
 
 class TestReplicateSeed:
@@ -158,8 +160,10 @@ class TestRunCell:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, jobs):
-                return map(fn, jobs)
+            def submit(self, fn, job):
+                future = concurrent.futures.Future()
+                future.set_result(fn(job))
+                return future
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         pooled = run_cell(self.CONFIG, workers=64)
@@ -181,6 +185,33 @@ class TestRunCell:
         two = replace(self.CONFIG, rho=(0.5, 0.2))
         assert two.cells()[1] == self.CONFIG.cells()[0]
         assert run_cell(two, cell_index=1).reports != run_cell(self.CONFIG).reports
+
+
+def _fail_first(job):
+    """Job 0 fails at once; every other job takes a second."""
+    if job == 0:
+        raise DataError("job 0 failed")
+    time.sleep(1.0)
+    return job
+
+
+def _later_jobs_end_first(job):
+    time.sleep(0.05 * (4 - job))
+    return job
+
+
+class TestMapJobs:
+    def test_first_failure_starts_no_further_job(self):
+        # job 1 is in flight when job 0 fails; the other six never start,
+        # where a pool that drained its queue would take four seconds
+        started = time.perf_counter()
+        with pytest.raises(DataError, match="job 0 failed"):
+            _map_jobs(_fail_first, list(range(8)), workers=2)
+        assert time.perf_counter() - started < 1.5
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_results_come_back_in_job_order(self, workers):
+        assert _map_jobs(_later_jobs_end_first, list(range(5)), workers) == list(range(5))
 
 
 class TestRunExperiment:

@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import re
 from dataclasses import replace
 
@@ -219,6 +220,23 @@ class TestLoadCsvErrors:
         target = tmp_path / "no_such_dir" / "out.csv"
         with pytest.raises(DataError, match="cannot write"):
             write_dataset_csv(target, _tricky_dataset())
+
+
+# Each writer, as it writes to a path that opens but has no room for a byte.
+FULL_WRITERS = {
+    "write_dataset_csv": lambda path: write_dataset_csv(path, _tricky_dataset()),
+    "write_results": lambda path: write_results([_report(0.5)], path),
+    "save_json": lambda path: save_json(ClassModel(np.zeros((1, 2)), np.ones((1, 2))), path),
+    "save_config": lambda path: save_config(ExperimentConfig("one_class"), path),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("writer", sorted(FULL_WRITERS))
+def test_failed_write_is_one_line(writer):
+    # /dev/full opens; the write or the flush at close fails
+    with pytest.raises(DataError, match="^cannot write /dev/full: "):
+        FULL_WRITERS[writer]("/dev/full")
 
 
 # Every CSV reader, as each is called on a file whose header is "a,b".

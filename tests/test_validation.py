@@ -90,15 +90,15 @@ def test_validate_flags_pick_the_table_seed(monkeypatch, argv, seed):
 @pytest.mark.usefixtures("small_tables")
 def test_multiclass_error_bounds_follow_alpha():
     result = check_table("multiclass", alpha=0.1, **SMALL)
-    assert result.bound("max_cw_fdr").bound.rule == "<= 0.12"
-    assert result.bound("scw_fdr").bound.rule == "<= 0.1"
-    assert result.bound("coverage").bound.rule == ">= 0.88"
+    assert result.bounds["max_cw_fdr"].bound.rule == "<= 0.12"
+    assert result.bounds["scw_fdr"].bound.rule == "<= 0.1"
+    assert result.bounds["coverage"].bound.rule == ">= 0.88"
 
 
 def test_oneclass_bounds_follow_alpha():
     result = check_table("oneclass", alpha=0.2, replicates=2, test_sets=2)
-    assert result.bound("fdr").bound.rule == "<= 0.23"
-    coverage = result.bound("coverage")
+    assert result.bounds["fdr"].bound.rule == "<= 0.23"
+    coverage = result.bounds["coverage"]
     assert coverage.bound.rule == ">= 0.8"
     assert coverage.passed, coverage.text()
 
@@ -252,6 +252,6 @@ def test_table_means_are_the_experiment_means(tmp_path):
         table = read_results(tmp_path / f"{cell.tag(mode)}.csv")
         means = {metric: mean for metric, (mean, _) in table.items()}
         means["max_cw_fdr"] = max(means[f"cw_fdr_{k}"] for k in range(1, 5))
-        for line in result.bounds:
+        for line in result.bounds.values():
             reported = line.value if mode == "empirical" else line.oracle
             assert reported == means[line.bound.metric], (mode, line.text())
