@@ -221,6 +221,9 @@ def _grid_points(n_k: int, alpha: float) -> int:
 
 def _bh_floor(alpha: float) -> int:
     """The fewest training rows, ceil(2/alpha) - 1, with two grid points."""
+    if 2 / alpha == math.inf:  # so is n_k + 1 as a float: no grid point rounds
+        num, den = alpha.as_integer_ratio()
+        return -(-2 * den // num) - 1  # exact
     n_k = max(1, math.ceil(2 / alpha) - 2)  # at or below it, however 2 / alpha rounds
     while _grid_points(n_k, alpha) < 2:
         n_k += 1

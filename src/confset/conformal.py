@@ -1,7 +1,8 @@
 """Conformal p-values, BH adjustment, and set-valued prediction.
 
 The test batch is scored against all K classes in one pass
-(``score_classes``), and each class's training rows against that class.
+(``score_classes``), and each class's training rows against that class,
+unless the caller passes these calibration scores, which no test point moves.
 Then, per class k:
 
 1. rank p-value of each test score among the class training scores,
@@ -19,10 +20,11 @@ in-sample, which makes the training scores too small: its p-values are
 anti-conservative at small n_k (ROADMAP, open item 1).
 
 ``PREDICTORS`` maps each predictor name to a row, called once per training
-set with (train, known moments or None, variance floor); it returns the
-keyword arguments of ``predict``, so only a row decides what ``oracle=``
-carries, and an experiment times the call, as the fit, under the row's
-name. Comparing two predictors on the same batch is done by the check that
+set with (train, known moments or None, variance floor). It does the fit
+and scores the calibration rows, and returns the keyword arguments of
+``predict`` (``oracle=``, ``train_scores=``), so only a row decides what
+they carry, and an experiment times the call under the row's name.
+Comparing two predictors on the same batch is done by the check that
 needs it, in ``validation``.
 """
 
@@ -114,6 +116,7 @@ def predict(
     test: TestBatch,
     alpha: float,
     oracle: ClassModel | None = None,
+    train_scores: list[np.ndarray] | None = None,
 ) -> tuple[PValueMatrix, PredictionSets]:
     """Set-valued prediction for a test batch.
 
@@ -131,6 +134,9 @@ def predict(
         :func:`fit_model` fits on ``data``. The calibration ranks against
         the training rows either way. The rows of ``PREDICTORS`` pass it,
         the fitted one with its variance floor.
+    train_scores : list of K arrays, optional
+        Each class's training rows scored against ``oracle``, which it
+        needs; a row of ``PREDICTORS`` scores them once per training set.
 
     Returns
     -------
@@ -138,13 +144,10 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``.
     """
+    if train_scores is not None and oracle is None:
+        raise DataError("train_scores need the class moments that scored them, as oracle=")
     model = oracle if oracle is not None else fit_model(data)
-    if model.means.shape != (data.n_classes, data.n_features):
-        raise DataError(
-            f"class moments are for {model.n_classes} classes x "
-            f"{model.n_features} features; data has {data.n_classes} x "
-            f"{data.n_features}"
-        )
+    _check_moments(data, model)
     if test.n_features != data.n_features:
         raise DataError(
             f"test batch has {test.n_features} features, training data has "
@@ -161,26 +164,50 @@ def predict(
             f"test row {row} overflows its score against class {class_index + 1}; "
             "rescale the features"
         )
+    if train_scores is None:
+        train_scores = _train_scores(data, model)
+    elif len(train_scores) != k:
+        raise DataError(f"train_scores hold {len(train_scores)} classes, data has {k}")
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)
-    for class_id in range(1, k + 1):
-        rows = data.class_rows(class_id)
+    for class_id, (scores, n_k) in enumerate(zip(train_scores, data.class_counts.tolist()), 1):
+        if np.shape(scores) != (n_k,):
+            raise DataError(f"class {class_id} has {n_k} rows, train_scores {np.shape(scores)}")
+        col = conformal_pvalues(scores, test_scores[class_id - 1])
+        raw[:, class_id - 1] = col
+        adjusted[:, class_id - 1] = bh_adjust(col)
+        thresholds[class_id - 1] = acceptance_threshold(n_k, alpha)
+    pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
+    sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
+    return pvals, sets
+
+
+def _check_moments(data: LabeledDataset, model: ClassModel) -> None:
+    """Moments of ``data``'s K classes and p features, or one DataError line."""
+    if model.means.shape != (data.n_classes, data.n_features):
+        raise DataError(
+            f"class moments are for {model.n_classes} classes x "
+            f"{model.n_features} features; data has {data.n_classes} x "
+            f"{data.n_features}"
+        )
+
+
+def _train_scores(data: LabeledDataset, model: ClassModel) -> list[np.ndarray]:
+    """Each class's training rows scored against that class's moments."""
+    _check_moments(data, model)
+    out = []
+    for class_id in range(1, data.n_classes + 1):
         with np.errstate(over="ignore"):
-            train_scores = score_batch(model, rows, class_id)
-        if not np.isfinite(train_scores.max()):
-            row = np.flatnonzero(~np.isfinite(train_scores))[0]
+            scores = score_batch(model, data.class_rows(class_id), class_id)
+        if not np.isfinite(scores.max()):
+            row = np.flatnonzero(~np.isfinite(scores))[0]
             raise DataError(
                 f"training row {row} of class {class_id} overflows its score; "
                 "rescale the features"
             )
-        col = conformal_pvalues(train_scores, test_scores[class_id - 1])
-        raw[:, class_id - 1] = col
-        adjusted[:, class_id - 1] = bh_adjust(col)
-        thresholds[class_id - 1] = acceptance_threshold(rows.shape[0], alpha)
-    pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
-    sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
-    return pvals, sets
+        out.append(scores)
+    return out
 
 
 def _known(known: ClassModel | None) -> ClassModel:
@@ -190,6 +217,10 @@ def _known(known: ClassModel | None) -> ClassModel:
 
 
 PREDICTORS = {
-    "empirical": lambda train, known, floor: dict(oracle=fit_model(train, floor)),
-    "oracle": lambda train, known, floor: dict(oracle=_known(known)),
+    "empirical": lambda train, known, floor: dict(
+        oracle=(model := fit_model(train, floor)), train_scores=_train_scores(train, model)
+    ),
+    "oracle": lambda train, known, floor: dict(
+        oracle=(model := _known(known)), train_scores=_train_scores(train, model)
+    ),
 }

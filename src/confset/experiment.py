@@ -15,8 +15,8 @@ Determinism: the replicate stream seed is derived from
 (master_seed, cell_index, replicate_index) through ``SeedSequence``, so
 results depend only on the config — not on worker count or scheduling.
 Reported time is the wall-clock spent inside prediction alone, with each
-``conformal.PREDICTORS`` row call, as the one class fit per training set,
-counted to that row's name.
+``conformal.PREDICTORS`` row call, which makes the class fit and scores the
+calibration rows once per training set, counted to that row's name.
 """
 
 from __future__ import annotations
@@ -67,8 +67,8 @@ def _score_batches(
 ) -> tuple[dict[str, list[MetricsReport]], dict[str, float]]:
     """Predict every batch once per row of ``PREDICTORS`` named in ``modes``
     and evaluate its sets. Each row is called once, with ``known`` as its
-    known moments, and its call and its ``predict`` calls are timed under
-    its name."""
+    known moments, so its fit and training scores serve every batch; its
+    call and its ``predict`` calls are timed under its name."""
     reports: dict[str, list[MetricsReport]] = {mode: [] for mode in modes}
     seconds, rows = {}, {}
     for mode in modes:

@@ -206,7 +206,7 @@ def _parse_block(path, rows, lines, header, feature_cols) -> np.ndarray:
 def _raise_bad_cell(path, rows, lines, header, columns, parse) -> None:
     """Raise DataError naming the first cell of ``columns``, in file order,
     that ``parse`` rejects: ``float`` for features, which must also be
-    finite, ``int`` for truth."""
+    finite, ``int`` for truth, which must also fit in int64."""
     for row, line in zip(rows, lines):
         for c in columns:
             cell = row[c].strip()
@@ -215,9 +215,12 @@ def _raise_bad_cell(path, rows, lines, header, columns, parse) -> None:
             except ValueError:
                 kind = "non-numeric" if parse is float else "non-integer"
             else:
-                if parse is int or math.isfinite(value):
+                if parse is float and not math.isfinite(value):
+                    kind = "non-finite"
+                elif parse is int and not -(2**63) <= value < 2**63:
+                    kind = "non-int64"
+                else:
                     continue
-                kind = "non-finite"
             raise DataError(
                 f"{path}: {kind} cell {cell!r} at line {line}, column {header[c]!r}"
             )
@@ -305,14 +308,14 @@ def read_truth_csv(path, truth_column: str) -> np.ndarray:
     table = _read_table(path)
     header = next(table)
     t_idx = _column(path, header, truth_column, "truth")
-    truth: list[int] = []
+    truth = [np.empty(0, dtype=np.int64)]
     for rows, lines in table:
         try:
-            truth += [int(row[t_idx].strip()) for row in rows]
-        except ValueError:
+            truth.append(np.array([int(row[t_idx].strip()) for row in rows], dtype=np.int64))
+        except (ValueError, OverflowError):
             _raise_bad_cell(path, rows, lines, header, [t_idx], int)
             raise
-    return np.asarray(truth, dtype=np.int64)
+    return np.concatenate(truth)
 
 
 def _write_csv(path, header: list[str], lines) -> None:
@@ -645,28 +648,35 @@ def read_sets_csv(path, n_classes: int) -> PredictionSets:
     table = _read_table(path)
     if next(table) != ["index", "size", "labels"]:
         raise DataError(f"{path}: not a prediction-sets table")
-    member = []
+    at, labels = [], []  # the (row, label - 1) of every set member
+    m = 0
     for rows, lines in table:
         for (index, size, cell), line in zip(rows, lines):
             where = f"{path}: line {line}"
-            if index.strip() != str(len(member)):
-                raise DataError(f"{where}: index {index!r}, expected {len(member)}")
+            if index.strip() != str(m):
+                raise DataError(f"{where}: index {index!r}, expected {m}")
             cell = cell.strip()
             try:
-                labels = [int(t) for t in cell.split(";")] if cell else []
+                row = [int(t) for t in cell.split(";")] if cell else []
             except ValueError:
                 raise DataError(
                     f"{where}: labels cell {cell!r} is not a ';'-joined list of integers"
                 ) from None
-            row = [False] * n_classes
-            for k in labels:
+            for k in row:
                 if not 1 <= k <= n_classes:
                     raise DataError(f"{where}: set label {k} outside 1..{n_classes}")
-                row[k - 1] = True
-            if size.strip() != str(sum(row)):
-                raise DataError(f"{where}: size {size!r}, but the set has {sum(row)}")
-            member.append(row)
-    return PredictionSets(np.array(member, dtype=bool))
+            row = set(row)
+            if size.strip() != str(len(row)):
+                raise DataError(f"{where}: size {size!r}, but the set has {len(row)}")
+            at += [m] * len(row)
+            labels += [k - 1 for k in row]
+            m += 1
+    try:
+        member = np.zeros((m, n_classes), dtype=bool)
+    except (MemoryError, ValueError):  # too large to allocate, or to index
+        raise DataError(f"cannot allocate {m} rows x {n_classes} classes") from None
+    member[at, labels] = True
+    return PredictionSets(member)
 
 
 # ---------------------------------------------------------------------------

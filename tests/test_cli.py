@@ -12,6 +12,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,44 @@ class TestPredict:
         ] * noted
         if noted:
             assert np.all(read_sets_csv(tmp_path / "orc_sets.csv", 4).sizes == 4)
+
+    def test_alpha_too_small_for_a_float_bound_still_notes(self, tmp_path, capsys):
+        """At alpha = 1e-308, 2 / alpha overflows a float; each class's note
+        names the exact bound, ceil(2 / alpha) - 1, and nothing fails."""
+        prefix = tmp_path / "small"
+        run_cli("simulate", "--scenario", "multi", "--p", 5, "--nk", 20, "--m", 10, "--out", prefix)
+        capsys.readouterr()
+        code = run_cli(
+            "predict", "--train", f"{prefix}_train.csv", "--test", f"{prefix}_test.csv",
+            "--truth-column", "truth", "--alpha", "1e-308", "--out", tmp_path / "o",
+        )
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_OK, "")
+        bound = math.ceil(Fraction(2) / Fraction(1e-308)) - 1
+        notes = [line for line in out.splitlines() if line.startswith("note:")]
+        assert notes == [
+            f"note: class {k} (n_k=20) is dropped from no set or from all 10 "
+            f"at alpha=1e-308; dropping fewer needs n_k >= {bound}"
+            for k in range(1, 5)
+        ]
+        assert (tmp_path / "o_thresholds.csv").exists()
+
+    def test_truth_beyond_int64_is_one_line(self, simulated, tmp_path, capsys):
+        test = tmp_path / "huge_test.csv"
+        head, first, *rows = Path(f"{simulated}_test.csv").read_text().splitlines(keepends=True)
+        test.write_text("".join([head, first[: first.rindex(",") + 1] + "1" + "0" * 29 + "\n", *rows]))
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv", "--test", test,
+            "--truth-column", "truth", "--out", tmp_path / "o",
+        )
+        capsys.readouterr()
+        code = run_cli(
+            "evaluate", "--sets", tmp_path / "o_sets.csv", "--test", test, "--n-classes", 1,
+        )
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"error: {test}: non-int64 cell '1{'0' * 29}' at line 2, column 'truth'\n"
+        )
 
     def test_variance_floor_reaches_the_fit(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -827,6 +866,20 @@ class TestOversizedDesign:
         assert peak_mib < 256
         # every cell is computed before out_dir is made
         assert [f.name for f in tmp_path.iterdir()] == ["c.yaml"]
+
+
+    def test_evaluate_with_too_many_classes(self, tmp_path):
+        """The (m, K) mask of the sets is allocated once, under the cap, so
+        10 rows x 10**9 classes is one data error line, not a per-row list."""
+        (tmp_path / "s.csv").write_text(
+            "index,size,labels\n" + "".join(f"{i},1,1\n" for i in range(10))
+        )
+        (tmp_path / "t.csv").write_text("truth\n" + "1\n" * 10)
+        code, err, peak_mib = _run_child(
+            tmp_path, "evaluate", "--sets", "s.csv", "--test", "t.csv", "--n-classes", 10**9
+        )
+        assert (code, err) == (EXIT_DATA, f"error: cannot allocate 10 rows x {10**9} classes\n")
+        assert peak_mib < 256
 
 
 class TestExperiment:

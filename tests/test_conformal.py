@@ -385,37 +385,93 @@ def test_predict_peak_memory_below_half_a_class(p, n_k, m):
 
 class TestPredictors:
     def test_only_a_row_of_the_table_passes_oracle(self):
-        """``oracle=``, or an ``"oracle"`` key, appears in ``src/confset`` only
-        inside ``PREDICTORS``: every caller picks a row by name, so no second
-        place decides which moments ``predict`` scores with."""
+        """``oracle=`` and ``train_scores=``, or such a key, appear in
+        ``src/confset`` only inside ``PREDICTORS``: every caller picks a row
+        by name, so no second place decides which moments ``predict`` scores
+        with, or which calibration scores it ranks among."""
         src = Path(conformal.__file__).parent
         table = next(
             node for node in ast.parse(Path(conformal.__file__).read_text()).body
             if isinstance(node, ast.Assign)
             and [t.id for t in node.targets] == ["PREDICTORS"]
         )
-        passed = []
+        passed = {"oracle": [], "train_scores": []}
         for path in sorted(src.glob("*.py")):
             for node in ast.walk(ast.parse(path.read_text())):
                 keys = [node.arg] if isinstance(node, ast.keyword) else []
                 if isinstance(node, ast.Dict):
                     keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
-                if "oracle" in keys:
-                    passed.append((path.name, node.lineno))
+                for key in passed.keys() & set(keys):
+                    passed[key].append((path.name, node.lineno))
         rows = range(table.lineno, table.end_lineno + 1)
-        assert passed
-        assert all(name == "conformal.py" and line in rows for name, line in passed), passed
+        for where in passed.values():
+            assert where
+            assert all(name == "conformal.py" and line in rows for name, line in where), where
 
     def test_rows_give_predict_its_moments(self):
+        """Each row passes its moments and the training scores they give,
+        one ``score_batch`` of each class's rows."""
         config = multi_class_config(p=6, n_k=12, m=30, run_seed=2)
         train, batch = generate(config)
         known = oracle_params(config)
-        fitted = conformal.PREDICTORS["empirical"](train, known, 0.5)["oracle"]
+        fitted = conformal.PREDICTORS["empirical"](train, known, 0.5)
         expected = fit_model(train, 0.5)
-        assert np.array_equal(fitted.means, expected.means)
-        assert np.array_equal(fitted.variances, expected.variances)
+        assert np.array_equal(fitted["oracle"].means, expected.means)
+        assert np.array_equal(fitted["oracle"].variances, expected.variances)
         row = conformal.PREDICTORS["oracle"](train, known, None)
-        assert list(row) == ["oracle"] and row["oracle"] is known
+        assert list(row) == ["oracle", "train_scores"] and row["oracle"] is known
+        for row in (fitted, row):
+            assert len(row["train_scores"]) == train.n_classes
+            for k, scores in enumerate(row["train_scores"], start=1):
+                want = scoring.score_batch(row["oracle"], train.class_rows(k), k)
+                np.testing.assert_array_equal(scores, want)
+
+    @pytest.mark.parametrize("mode", ["empirical", "oracle"])
+    @pytest.mark.parametrize("p", [1, 200])
+    def test_row_train_scores_change_no_output(self, rng, p, mode):
+        """``predict`` with a row's training scores gives, bit for bit, what
+        it gives when it scores the training rows itself."""
+        config = multi_class_config(p=p, n_k=40, m=60, rho=0.5, run_seed=3)
+        data, batch = generate(config)
+        perm = rng.permutation(data.n)
+        train = LabeledDataset(features=data.features[perm], labels=data.labels[perm])
+        row = conformal.PREDICTORS[mode](train, oracle_params(config), None)
+        p1, s1 = predict(train, batch, 0.1, **row)
+        p2, s2 = predict(train, batch, 0.1, oracle=row["oracle"])
+        for a, b in (
+            (p1.raw, p2.raw),
+            (p1.adjusted, p2.adjusted),
+            (p1.thresholds, p2.thresholds),
+            (s1.member, s2.member),
+        ):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (
+                "no oracle",
+                "train_scores need the class moments that scored them, as oracle=",
+            ),
+            ("drop a class", "train_scores hold 3 classes, data has 4"),
+            ("drop a row", r"class 2 has 12 rows, train_scores \(11,\)"),
+            ("2-D", r"class 1 has 12 rows, train_scores \(1, 12\)"),
+        ],
+    )
+    def test_bad_train_scores_are_one_line(self, change, message):
+        train, batch = generate(multi_class_config(p=6, n_k=12, m=30, run_seed=2))
+        row = conformal.PREDICTORS["empirical"](train, None, None)
+        scores = row["train_scores"]
+        if change == "no oracle":
+            del row["oracle"]
+        elif change == "drop a class":
+            row["train_scores"] = scores[:3]
+        elif change == "drop a row":
+            row["train_scores"] = [scores[0], scores[1][1:], *scores[2:]]
+        else:
+            row["train_scores"] = [scores[0][None], *scores[1:]]
+        with pytest.raises(DataError, match=f"^{message}$"):
+            predict(train, batch, 0.1, **row)
 
     def test_oracle_row_needs_known_moments(self):
         """Without known moments the oracle row refuses, rather than letting

@@ -219,6 +219,11 @@ class TestReadTruthCsv:
         np.testing.assert_array_equal(read_truth_csv(path, "truth"), [1, 3, 2])
         assert read_truth_csv(path, "truth").dtype == np.int64
 
+    def test_int64_edges(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("truth\n9223372036854775807\n-9223372036854775808\n")
+        np.testing.assert_array_equal(read_truth_csv(path, "truth"), [2**63 - 1, -(2**63)])
+
     def test_truth_only_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("truth\n2\n 1 \n")
@@ -234,6 +239,14 @@ class TestReadTruthCsv:
             ("\nx1,truth\n1,2\n", "truth column 'truth' not in header []"),
             ("x1,truth\n1,2\n\n3\n", "line 4 has 1 cells, header has 2"),
             ("x1,truth\n1,2\nx,1.0\n", "non-integer cell '1.0' at line 3, column 'truth'"),
+            (
+                "x1,truth\n1,2\nx,9223372036854775808\n",
+                "non-int64 cell '9223372036854775808' at line 3, column 'truth'",
+            ),
+            (
+                "x1,truth\n1,-9223372036854775809\n",
+                "non-int64 cell '-9223372036854775809' at line 2, column 'truth'",
+            ),
         ],
     )
     def test_rejects_malformed(self, tmp_path, text, message):

@@ -126,7 +126,8 @@ class TestTraceContract:
         # one fit per replicate, not one per test batch
         assert scoring_calls["fit"] == (list(range(1, k + 1)) if "empirical" in modes else [])
         rows = sum(r.shape[0] for _, r in scoring_calls["score"])
-        assert rows == test_sets * len(modes) * k * (n_k + m)
+        # the training rows once per predictor, the test rows once per batch
+        assert rows == test_sets * len(modes) * k * m + len(modes) * k * n_k
 
 
 class TestRunCell:
