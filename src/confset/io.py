@@ -308,7 +308,7 @@ def read_truth_csv(path, truth_column: str) -> np.ndarray:
     table = _read_table(path)
     header = next(table)
     t_idx = _column(path, header, truth_column, "truth")
-    truth = [np.empty(0, dtype=np.int64)]
+    truth = []
     for rows, lines in table:
         try:
             truth.append(np.array([int(row[t_idx].strip()) for row in rows], dtype=np.int64))
