@@ -15,14 +15,13 @@ Exit codes: 0 success, 1 stdout closed before the command finished,
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import fields, replace
 
 import numpy as np
 
-from .conformal import PREDICTORS, acceptance_threshold, predict
+from .conformal import PREDICTORS, _bh_floor, _grid_count, predict
 from .core import DataError
 from .datagen import SCENARIOS, ScenarioConfig, generate, oracle_params
 from .experiment import run_experiment
@@ -202,7 +201,7 @@ def cmd_predict(args) -> int:
         f"{int(np.sum(sizes == 1))} singletons, mean size {sizes.mean():.3f}"
     )
     for k, n_k in enumerate(data.class_counts.tolist(), start=1):
-        if _grid_points(n_k, args.alpha) <= 1:
+        if _grid_count(n_k, args.alpha) <= 1:
             print(
                 f"note: class {k} (n_k={n_k}) is dropped from no set or from all "
                 f"{sets.m} at alpha={args.alpha:g}; dropping fewer needs "
@@ -210,24 +209,6 @@ def cmd_predict(args) -> int:
             )
     print(f"wrote {args.out}_pvalues.csv, {args.out}_sets.csv, {args.out}_thresholds.csv")
     return EXIT_OK
-
-
-def _grid_points(n_k: int, alpha: float) -> int:
-    """floor((n_k+1) alpha), read off ``acceptance_threshold``. BH drops a
-    class from a set only at an adjusted p-value <= that many grid points;
-    with at most one, all m raw p-values must be the smallest, 1/(n_k+1)."""
-    return round(acceptance_threshold(n_k, alpha) * (n_k + 1))
-
-
-def _bh_floor(alpha: float) -> int:
-    """The fewest training rows, ceil(2/alpha) - 1, with two grid points."""
-    if 2 / alpha == math.inf:  # so is n_k + 1 as a float: no grid point rounds
-        num, den = alpha.as_integer_ratio()
-        return -(-2 * den // num) - 1  # exact
-    n_k = max(1, math.ceil(2 / alpha) - 2)  # at or below it, however 2 / alpha rounds
-    while _grid_points(n_k, alpha) < 2:
-        n_k += 1
-    return n_k
 
 
 def _check_test_columns(args) -> None:

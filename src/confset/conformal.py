@@ -8,7 +8,8 @@ Then, per class k:
 1. rank p-value of each test score among the class training scores,
 2. Benjamini-Hochberg step-up across the m test points (a single test point
    keeps its p-value),
-3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1).
+3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1),
+   floored in exact integers on the shortest decimal that prints alpha.
 
 A point accepted by no class gets the empty set and is declared an outlier.
 
@@ -30,7 +31,7 @@ needs it, in ``validation``.
 
 from __future__ import annotations
 
-import math
+import operator
 
 import numpy as np
 
@@ -83,7 +84,7 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     p = np.asarray(pvalues, dtype=np.float64)
     if p.ndim != 1 or p.size == 0:
         raise DataError("pvalues must be a non-empty 1-D array")
-    if np.any(p <= 0) or np.any(p > 1):
+    if not np.all((p > 0) & (p <= 1)):  # NaN fails both sides
         raise DataError("pvalues must lie in (0, 1]")
     m = p.size
     order = np.argsort(p, kind="stable")
@@ -95,20 +96,40 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
 
 
 def acceptance_threshold(n_k: int, alpha: float) -> float:
-    """Per-class cutoff floor((n_k+1)*alpha) / (n_k+1).
+    """Per-class cutoff floor((n_k+1)*alpha) / (n_k+1), never above alpha.
 
-    This is the largest grid point strictly below alpha + 1/(n_k+1); accepting
-    on adjusted p > threshold yields the finite-sample coverage bound. Zero
-    (accept everything) whenever alpha < 1/(n_k+1).
+    The floor is exact, on alpha read as the shortest decimal that prints
+    it. Accepting on adjusted p > threshold yields the finite-sample
+    coverage bound. Zero (accept everything) whenever alpha < 1/(n_k+1).
     """
     if n_k < 1:
         raise DataError(f"n_k must be >= 1, got {n_k}")
     if not 0 < alpha < 1:
         raise DataError(f"alpha must be in (0, 1), got {alpha}")
-    t = (n_k + 1) * alpha
-    # 1e-12 relative slack: the float product may land one ulp below an
-    # integer (e.g. 10 * 0.3), which would off-by-one the floor.
-    return math.floor(t * (1.0 + 1e-12)) / (n_k + 1)
+    return _grid_count(n_k, alpha) / (n_k + 1)
+
+
+def _grid_count(n_k: int, alpha: float) -> int:
+    """g_k = floor((n_k+1) alpha), the number of grid points j/(n_k+1) at
+    or below alpha. BH drops a class from a set only at an adjusted p-value
+    <= g_k/(n_k+1); with g_k <= 1, all m raw p-values must be the smallest,
+    1/(n_k+1), so the class leaves no set or all of them."""
+    num, den = _alpha_ratio(alpha)
+    return (operator.index(n_k) + 1) * num // den
+
+
+def _bh_floor(alpha: float) -> int:
+    """The fewest training rows with g_k >= 2: ceil(2/alpha) - 1."""
+    num, den = _alpha_ratio(alpha)
+    return -(-2 * den // num) - 1
+
+
+def _alpha_ratio(alpha: float) -> tuple[int, int]:
+    """alpha as the exact ratio of the shortest decimal that prints it."""
+    # imported when called, as io imports yaml: only thresholding pays its ~1.5 ms
+    from decimal import Decimal
+
+    return Decimal(repr(float(alpha))).as_integer_ratio()
 
 
 def predict(

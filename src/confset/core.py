@@ -267,7 +267,7 @@ class PValueMatrix:
                 f"thresholds must have one entry per class, got {thresholds.shape}"
             )
         for name, a in (("raw", raw), ("adjusted", adjusted)):
-            if a.size and (np.any(a <= 0) or np.any(a > 1)):
+            if not np.all((a > 0) & (a <= 1)):  # NaN fails both sides
                 raise DataError(f"{name} p-values must lie in (0, 1]")
         if not 0 < self.alpha < 1:
             raise DataError(f"alpha must be in (0, 1), got {self.alpha}")

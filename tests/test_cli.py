@@ -290,7 +290,8 @@ class TestPredict:
 
     def test_alpha_too_small_for_a_float_bound_still_notes(self, tmp_path, capsys):
         """At alpha = 1e-308, 2 / alpha overflows a float; each class's note
-        names the exact bound, ceil(2 / alpha) - 1, and nothing fails."""
+        names the exact bound, ceil(2 / alpha) - 1 on the decimal 1e-308, and
+        nothing fails."""
         prefix = tmp_path / "small"
         run_cli("simulate", "--scenario", "multi", "--p", 5, "--nk", 20, "--m", 10, "--out", prefix)
         capsys.readouterr()
@@ -300,7 +301,7 @@ class TestPredict:
         )
         out, err = capsys.readouterr()
         assert (code, err) == (EXIT_OK, "")
-        bound = math.ceil(Fraction(2) / Fraction(1e-308)) - 1
+        bound = math.ceil(Fraction(2) / Fraction(repr(1e-308))) - 1
         notes = [line for line in out.splitlines() if line.startswith("note:")]
         assert notes == [
             f"note: class {k} (n_k=20) is dropped from no set or from all 10 "

@@ -1,7 +1,9 @@
 """Conformal p-values, step-up adjustment, thresholds, and set prediction."""
 
 import ast
+import math
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -121,6 +123,8 @@ class TestBHAdjust:
             bh_adjust(np.array([0.0, 0.5]))
         with pytest.raises(DataError):
             bh_adjust(np.array([0.5, 1.1]))
+        with pytest.raises(DataError):
+            bh_adjust(np.array([np.nan, 0.5]))
 
 
 class TestAcceptanceThreshold:
@@ -128,6 +132,7 @@ class TestAcceptanceThreshold:
         assert acceptance_threshold(99, 0.05) == pytest.approx(0.05)
         assert acceptance_threshold(10, 0.05) == 0.0
         assert acceptance_threshold(9, 1 / 10.4) == 0.0  # alpha just below 1/(n+1)
+        assert acceptance_threshold(3, 0.2499999999999) == 0.0  # just below 1/(n+1)
 
     def test_float_product_near_integer(self):
         # (9+1)*0.3 = 2.9999999999999996 in floats; the floor must still be 3
@@ -146,6 +151,24 @@ class TestAcceptanceThreshold:
             assert acceptance_threshold(n_k, alpha) == pytest.approx(
                 naive_threshold(n_k, alpha), abs=1e-12
             )
+
+    def test_never_above_alpha(self, rng):
+        """Alphas within 1e-12 relative below a grid point: a float floor
+        with a relative slack rounds these up to the grid point, above alpha."""
+        n_ks = rng.integers(1, 10**6, size=21_000)
+        points = rng.integers(1, n_ks + 1) / (n_ks + 1)
+        alphas = points * (1.0 - 10.0 ** rng.uniform(-15.5, -12, size=n_ks.size))
+        for n_k, alpha in zip(n_ks.tolist(), alphas.tolist()):
+            exact = math.floor((n_k + 1) * Fraction(repr(alpha))) / (n_k + 1)
+            assert acceptance_threshold(n_k, alpha) == exact <= alpha, (n_k, alpha)
+
+    def test_bh_floor_is_the_fewest_rows_with_two_grid_points(self):
+        alphas = np.concatenate([np.geomspace(1e-15, 0.99, 20_000), [1e-15, 1e-12, 0.05, 0.1]])
+        grid_count = conformal._grid_count
+        for alpha in alphas.tolist():
+            floor = conformal._bh_floor(alpha)
+            assert grid_count(floor, alpha) >= 2 > grid_count(floor - 1, alpha), alpha
+        assert [conformal._bh_floor(a) for a in (0.05, 0.1, 1e-15)] == [39, 19, 2 * 10**15 - 1]
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DataError):

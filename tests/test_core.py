@@ -379,6 +379,10 @@ class TestPValueMatrix:
             self.good(raw=np.full((3, 2), 0.0))
         with pytest.raises(DataError):
             self.good(adjusted=np.full((3, 2), 1.5))
+        with pytest.raises(DataError):
+            self.good(raw=np.full((3, 2), np.nan))
+        with pytest.raises(DataError):
+            self.good(adjusted=np.array([[0.5, 0.5], [np.nan, 0.5], [0.5, 0.5]]))
 
     def test_rejects_shape_mismatch(self):
         with pytest.raises(DataError):
