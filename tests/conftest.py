@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -52,9 +53,11 @@ def naive_bh(pvalues) -> list[float]:
 
 
 def naive_threshold(n_k: int, alpha: float) -> float:
-    target = (n_k + 1) * alpha
+    """The grid points j / (n_k + 1) at or below alpha, counted one by one
+    in exact rationals on the shortest decimal that prints alpha."""
+    target = (n_k + 1) * Fraction(repr(float(alpha)))
     k = 0
-    while k + 1 <= target or math.isclose(k + 1, target, rel_tol=1e-9):
+    while k + 1 <= target:
         k += 1
     return k / (n_k + 1)
 

@@ -145,12 +145,12 @@ class TestAcceptanceThreshold:
         assert all(x <= y + 1e-15 for x, y in zip(values, values[1:]))
 
     def test_matches_naive(self, rng):
-        for _ in range(300):
-            n_k = int(rng.integers(1, 400))
-            alpha = float(rng.uniform(0.005, 0.995))
-            assert acceptance_threshold(n_k, alpha) == pytest.approx(
-                naive_threshold(n_k, alpha), abs=1e-12
-            )
+        # the hand value lies 1e-13 below the grid point 1/4
+        cases = [(3, 0.2499999999999)] + [
+            (int(rng.integers(1, 400)), float(rng.uniform(0.005, 0.995))) for _ in range(300)
+        ]
+        for n_k, alpha in cases:
+            assert acceptance_threshold(n_k, alpha) == naive_threshold(n_k, alpha), (n_k, alpha)
 
     def test_never_above_alpha(self, rng):
         """Alphas within 1e-12 relative below a grid point: a float floor

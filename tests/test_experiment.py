@@ -1,6 +1,8 @@
 """Experiment runner: seeding, replicates, cells, parallelism, file outputs."""
 
 import concurrent.futures
+import multiprocessing
+import threading
 import time
 from dataclasses import replace
 
@@ -29,6 +31,7 @@ from confset import (
     split_train_test,
     with_run_seed,
 )
+from confset import experiment
 from confset.experiment import _map_jobs
 
 
@@ -130,6 +133,69 @@ class TestTraceContract:
         assert rows == test_sets * len(modes) * k * m + len(modes) * k * n_k
 
 
+def _spy(monkeypatch, name, fail_at=0):
+    """Rebind ``experiment.<name>`` to record, per call, whether it ran on
+    the main thread; call number ``fail_at`` raises instead."""
+    real, on_main = getattr(experiment, name), []
+
+    def spy(*args, **kwargs):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if len(on_main) == fail_at:
+            raise DataError(f"{name} call {fail_at} failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, name, spy)
+    return on_main
+
+
+class TestDrawAhead:
+    """In the calling process a helper thread draws each batch while the
+    one before it is predicted. A failure raises the in-order draw's error
+    at the same batch, and the helper is joined before the error leaves."""
+
+    CONFIG = multi_class_config(p=6, n_k=15, m=30, rho=0.2, run_seed=11)
+
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_failing_draw(self, monkeypatch, ahead):
+        monkeypatch.setattr(experiment, "_draw_ahead", ahead)
+        draws = _spy(monkeypatch, "generate_test_batch", fail_at=3)
+        predicts = _spy(monkeypatch, "predict")
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="^generate_test_batch call 3 failed$"):
+            run_replicate(self.CONFIG, 5, ("empirical",))
+        assert threading.active_count() == threads
+        # the two batches drawn before the failing draw were predicted
+        assert predicts == [True, True]
+        assert draws == [not ahead] * 3
+
+    @pytest.mark.parametrize("ahead", [True, False])
+    def test_failing_predict(self, monkeypatch, ahead):
+        monkeypatch.setattr(experiment, "_draw_ahead", ahead)
+        draws = _spy(monkeypatch, "generate_test_batch")
+        _spy(monkeypatch, "predict", fail_at=2)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="^predict call 2 failed$"):
+            run_replicate(self.CONFIG, 5, ("empirical",))
+        assert threading.active_count() == threads
+        # the helper stays one batch ahead, not all five
+        assert len(draws) == (3 if ahead else 2)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the rebound draw reaches pool workers only through fork",
+    )
+    def test_pool_workers_start_no_helper(self, monkeypatch):
+        def draw(*args):
+            where = "main" if threading.current_thread() is threading.main_thread() else "helper"
+            raise DataError(f"drawn on the {where} thread")
+
+        monkeypatch.setattr(experiment, "generate_test_batch", draw)
+        with pytest.raises(DataError, match="drawn on the main thread"):
+            run_cell(TestRunCell.CONFIG, workers=2)
+        with pytest.raises(DataError, match="drawn on the helper thread"):
+            run_cell(TestRunCell.CONFIG, workers=1)
+
+
 class TestRunCell:
     CONFIG = ExperimentConfig(
         scenario="multi_class", p=(8,), n_k=(30,), rho=(0.2,),
@@ -148,11 +214,12 @@ class TestRunCell:
 
     def test_pool_never_larger_than_job_count(self, monkeypatch):
         """A pool starts all its workers at once, so it is sized to the jobs;
-        the recorder maps serially and starts no process."""
+        the recorder maps serially and starts no process. It skips the
+        workers' ``initializer``, which would end this process's draw-ahead."""
         sizes = []
 
         class Recorder:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer):
                 sizes.append(max_workers)
 
             def __enter__(self):
