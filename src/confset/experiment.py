@@ -19,7 +19,9 @@ Reported time is the wall-clock spent inside prediction alone, with each
 calibration rows once per training set, counted to that row's name. In the
 calling process a helper thread draws a replicate's next test batch during
 that time, so prediction shares the cores with it and a replicate holds one
-more batch; the workers of a process pool draw their batches in order.
+more batch. That thread is the process's one helper, so ``score_classes``
+then scores every batch on the calling thread. The workers of a process
+pool draw their batches in order and start no helper thread.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ from .datagen import (
 from .io import ExperimentConfig, load_csv, save_config, split_train_test, write_results
 from .io import _cell_name, _os_errors
 from .metrics import MetricsReport, evaluate_sets
+from .scoring import _no_helper, _one_helper
 
 __all__ = [
     "replicate_seed",
@@ -87,16 +90,6 @@ def _score_batches(
     return reports, seconds
 
 
-# False in a process-pool worker, whose sibling workers already fill the cores
-# that a helper thread would draw on.
-_draw_ahead = True
-
-
-def _draw_in_order() -> None:
-    global _draw_ahead
-    _draw_ahead = False
-
-
 def _one_ahead(helper, draw, pending, left: int):
     """``pending``'s result, then ``left`` more results of ``draw``. Each
     call is submitted to ``helper`` as the result before it is handed out,
@@ -117,27 +110,26 @@ def run_replicate(
     predictor named in ``modes``.
 
     Every predictor sees the identical data; the known moments its row may
-    take are the design's ``oracle_params``. Outside a process pool, one
-    helper thread draws the batches from the replicate's stream, each one
-    while the batch before it is predicted (numpy's fills release the GIL).
-    It alone uses the stream after the training draw and draws in order,
-    so the reports equal those of an in-order draw, and a failing draw or
-    ``predict`` raises the same error once the helper has stopped.
+    take are the design's ``oracle_params``. Outside a process pool, the
+    process's one helper thread (``scoring._one_helper``) draws the batches
+    from the replicate's stream, each one while the batch before it is
+    predicted (numpy's fills release the GIL), so ``predict`` splits no
+    batch across threads meanwhile. The helper alone uses the stream after
+    the training draw and draws in order, so the reports equal those of an
+    in-order draw, and a failing draw or ``predict`` raises the same error
+    once the helper has stopped.
     """
     atoms = make_atoms(config.atom_seed, config.p)
     rng = np.random.default_rng(config.run_seed)
     train = generate_training(config, rng, atoms)
     draw = partial(generate_test_batch, config, rng, atoms)
     known = oracle_params(config)
-    if not _draw_ahead or test_sets < 1:
-        batches = (draw() for _ in range(test_sets))
-        return _score_batches(train, batches, config.alpha, modes, known)
-    # Imported here, as the process pool is: the CLI does not pay for loading it.
-    from concurrent.futures import ThreadPoolExecutor
-
     # leaving the block joins the helper, also when a draw or a predict raises
-    with ThreadPoolExecutor(max_workers=1) as helper:
-        batches = _one_ahead(helper, draw, helper.submit(draw), test_sets - 1)
+    with _one_helper() as helper:
+        if helper is None or test_sets < 1:
+            batches = (draw() for _ in range(test_sets))
+        else:
+            batches = _one_ahead(helper, draw, helper.submit(draw), test_sets - 1)
         return _score_batches(train, batches, config.alpha, modes, known)
 
 
@@ -164,8 +156,9 @@ def _map_jobs(run, jobs, workers: int):
     """``run(job)`` for each job, in job order; ``run`` pickles (a top-level
     function or a ``partial`` of one). At most ``workers`` jobs run at once
     and none starts after one fails, so the first failure in job order, as
-    at one worker, is raised once the jobs in flight end. Pool workers draw
-    each replicate's batches in order, on no helper thread."""
+    at one worker, is raised once the jobs in flight end. Pool workers start
+    no helper thread: they draw each replicate's batches in order and score
+    each batch on one thread."""
     if workers <= 1 or len(jobs) <= 1:
         return [run(job) for job in jobs]
     # Imported here: only a parallel run pays for loading the process pool.
@@ -173,7 +166,7 @@ def _map_jobs(run, jobs, workers: int):
 
     # the pool starts all its workers at once, so never more than there are jobs
     workers = min(workers, len(jobs))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_draw_in_order) as pool:
+    with ProcessPoolExecutor(max_workers=workers, initializer=_no_helper) as pool:
         futures, running = [], set()
         for job in jobs:
             if len(running) == workers:

@@ -19,10 +19,7 @@ cache across its three passes while the batch streams through it once.
 Temporaries stay at block x p instead of n x p, and the reduction runs in
 BLAS. Centring before squaring keeps full relative precision at any feature
 offset: unlike the expanded quadratic form x.x/v - 2 x.mu/v + mu.mu/v,
-nothing cancels. The kernel starts no threads of its own: BLAS already
-threads each product above a few thousand elements, and a second pool
-splitting the blocks oversubscribed two cores and slowed the many small
-calls of a Monte Carlo replicate.
+nothing cancels.
 
 ``score_classes`` scores a batch against all K classes in one pass: it
 cuts the batch into the same blocks and hands each block to ``score_batch``
@@ -30,6 +27,27 @@ once per class, so the block is read from memory once and stays in cache
 for the other K - 1 classes. Its (K, n) scores are bit-identical to K
 ``score_batch`` calls, and every scored row still passes through
 ``score_batch``, the one function through which scoring is counted.
+
+A batch of at least ``_SPLIT_BLOCKS`` (32) blocks is scored on two threads:
+one helper thread scores the second contiguous half of the blocks while the
+caller scores the first, through the same ``score_batch`` calls on the same
+block edges, so the scores stay bit-identical. The helper runs in a copy of
+the caller's context, so numpy's (context-local) ``errstate`` holds there
+too, and it is joined before ``score_classes`` returns or raises.
+
+The gate was measured against one thread at p = 200 and 500 with K = 4, on
+a 2-vCPU host whose second core comes and goes. With both cores free the
+split took 0.64-1.03 of the time at 32-64 blocks (median 0.72 of eight
+readings), 0.73-1.16 at 4-16 blocks and 1.19-1.33 at 2 blocks, where
+starting the thread costs more than it saves. With one core's worth free it
+took 0.96-1.12 at 32-64 blocks and up to 1.46 below. So a smaller batch,
+such as each of the many small calls of a Monte Carlo replicate, starts no
+thread, and BLAS alone threads its products.
+
+A process runs at most one helper thread (``_one_helper``). While
+``experiment.run_replicate`` draws its next batch on one, its batches are
+scored on the calling thread alone, and a process-pool worker, whose
+sibling workers already fill the cores, starts none.
 
 Every score is within rtol 1e-12 of a per-row loop, but the last bits depend
 on how BLAS splits each block, so a different block size can move a score by
@@ -54,6 +72,10 @@ fit may differ from it by an ulp or two.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import threading
+
 import numpy as np
 
 from .core import ClassModel, DataError, DegenerateVarianceError, LabeledDataset
@@ -67,6 +89,36 @@ _CHUNK_ROWS = 2048
 # with 4 MiB of L2 per core; at n >= 1000 rows, 2 MiB and up were 25-55 %
 # slower and 64 KiB 25-90 % slower.
 _BLOCK_BYTES = 512 * 1024
+# Fewest blocks of a batch that score_classes splits with a helper thread.
+_SPLIT_BLOCKS = 32
+
+# Held while this process runs its one helper thread, for score_classes'
+# split or for experiment.run_replicate's draw-ahead, and for good in a
+# process-pool worker, whose sibling workers already fill the cores.
+_helper_busy = threading.Lock()
+
+
+def _no_helper() -> None:
+    """Process-pool initializer: this worker starts no helper thread. It
+    does not wait, since a lock held when the worker was forked stays held."""
+    _helper_busy.acquire(blocking=False)
+
+
+@contextlib.contextmanager
+def _one_helper():
+    """A pool of one thread, joined on leaving, or None when this process
+    already runs its helper thread or is a process-pool worker."""
+    if not _helper_busy.acquire(blocking=False):
+        yield None
+        return
+    try:
+        # Imported here: a process that starts no helper does not load it.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as helper:
+            yield helper
+    finally:
+        _helper_busy.release()
 
 
 def fit_model(data: LabeledDataset, variance_floor: float | None = None) -> ClassModel:
@@ -173,6 +225,8 @@ def score_classes(model: ClassModel, rows: np.ndarray) -> np.ndarray:
     memory once instead of K times. Each block goes through
     :func:`score_batch`, whose kernel then runs on exactly the block it
     would have cut from the whole batch, so every score is bit-identical.
+    From ``_SPLIT_BLOCKS`` blocks on, a helper thread scores the second
+    half of the blocks, if this process may start one (module docstring).
     """
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2:
@@ -180,9 +234,24 @@ def score_classes(model: ClassModel, rows: np.ndarray) -> np.ndarray:
     n, p = rows.shape
     out = np.empty((model.n_classes, n))
     step = _block_rows(p)
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        block = rows[start:stop]
-        for k in range(model.n_classes):
-            out[k, start:stop] = score_batch(model, block, k + 1)
+    blocks = -(-n // step)
+    with _one_helper() if blocks >= _SPLIT_BLOCKS else contextlib.nullcontext() as helper:
+        if helper is None:
+            _score_blocks(model, rows, out, 0, n, step)
+        else:
+            mid = (blocks + 1) // 2 * step
+            context = contextvars.copy_context()
+            second = helper.submit(context.run, _score_blocks, model, rows, out, mid, n, step)
+            _score_blocks(model, rows, out, 0, mid, step)
+            second.result()
     return out
+
+
+def _score_blocks(model: ClassModel, rows, out, start: int, stop: int, step: int) -> None:
+    """Fill ``out[:, start:stop]`` block by block from ``start``, a multiple
+    of ``step``, each block scored against every class by ``score_batch``."""
+    for lo in range(start, stop, step):
+        hi = min(lo + step, stop)
+        block = rows[lo:hi]
+        for k in range(model.n_classes):
+            out[k, lo:hi] = score_batch(model, block, k + 1)

@@ -10,13 +10,14 @@ from __future__ import annotations
 import csv
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from confset import LabeledDataset, PredictionSets, TestBatch, scoring
+from confset import DataError, LabeledDataset, PredictionSets, TestBatch, scoring
 
 # the container class is named like a test class; keep pytest from collecting it
 TestBatch.__test__ = False
@@ -233,6 +234,30 @@ def two_class_data():
     labels = np.repeat([1, 2], 50)
     return LabeledDataset(features=features, labels=labels)
 
+
+
+def forbid_helper(monkeypatch) -> None:
+    """This process starts no helper thread, as in a process-pool worker:
+    the lock that each helper takes first is already held."""
+    held = threading.Lock()
+    held.acquire()
+    monkeypatch.setattr(scoring, "_helper_busy", held)
+
+
+def spy_score_threads(monkeypatch, fail_off_main: bool = False) -> list[bool]:
+    """Rebind ``scoring.score_batch``, the call ``score_classes`` makes per
+    block and class, to record whether each call ran on the main thread.
+    With ``fail_off_main``, a call on any other thread raises instead."""
+    real, on_main = scoring.score_batch, []
+
+    def spy(model, rows, class_id):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        if fail_off_main and not on_main[-1]:
+            raise DataError("scored on a helper thread")
+        return real(model, rows, class_id)
+
+    monkeypatch.setattr(scoring, "score_batch", spy)
+    return on_main
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from confset import (
+    ClassModel,
     DataError,
     ExperimentConfig,
     ScenarioConfig,
@@ -28,11 +29,14 @@ from confset import (
     run_cell,
     run_experiment,
     run_replicate,
+    score_classes,
     split_train_test,
     with_run_seed,
 )
 from confset import experiment
 from confset.experiment import _map_jobs
+from confset.scoring import _SPLIT_BLOCKS
+from conftest import forbid_helper, spy_score_threads
 
 
 class TestReplicateSeed:
@@ -151,13 +155,15 @@ def _spy(monkeypatch, name, fail_at=0):
 class TestDrawAhead:
     """In the calling process a helper thread draws each batch while the
     one before it is predicted. A failure raises the in-order draw's error
-    at the same batch, and the helper is joined before the error leaves."""
+    at the same batch, and the helper is joined before the error leaves.
+    ``ahead=False`` runs the in-order draw of a process-pool worker."""
 
     CONFIG = multi_class_config(p=6, n_k=15, m=30, rho=0.2, run_seed=11)
 
     @pytest.mark.parametrize("ahead", [True, False])
     def test_failing_draw(self, monkeypatch, ahead):
-        monkeypatch.setattr(experiment, "_draw_ahead", ahead)
+        if not ahead:
+            forbid_helper(monkeypatch)
         draws = _spy(monkeypatch, "generate_test_batch", fail_at=3)
         predicts = _spy(monkeypatch, "predict")
         threads = threading.active_count()
@@ -170,7 +176,8 @@ class TestDrawAhead:
 
     @pytest.mark.parametrize("ahead", [True, False])
     def test_failing_predict(self, monkeypatch, ahead):
-        monkeypatch.setattr(experiment, "_draw_ahead", ahead)
+        if not ahead:
+            forbid_helper(monkeypatch)
         draws = _spy(monkeypatch, "generate_test_batch")
         _spy(monkeypatch, "predict", fail_at=2)
         threads = threading.active_count()
@@ -194,6 +201,34 @@ class TestDrawAhead:
             run_cell(TestRunCell.CONFIG, workers=2)
         with pytest.raises(DataError, match="drawn on the helper thread"):
             run_cell(TestRunCell.CONFIG, workers=1)
+        # nor does a worker split a batch past the gate across two threads
+        spy_score_threads(monkeypatch, fail_off_main=True)
+        assert _map_jobs(_score_past_gate, [0, 1], workers=2) == [0, 1]
+        with pytest.raises(DataError, match="scored on a helper thread"):
+            _map_jobs(_score_past_gate, [0, 1], workers=1)
+
+    def test_draw_helper_is_the_only_helper(self, monkeypatch):
+        # batches of 33 blocks (p = 5 gives 2048-row blocks): predict would
+        # split each of them, but not while the draw helper runs
+        config = multi_class_config(p=5, n_k=20, m=(_SPLIT_BLOCKS + 1) * 2048, run_seed=12)
+        draws = _spy(monkeypatch, "generate_test_batch")
+        scores = spy_score_threads(monkeypatch)
+        threads = threading.active_count()
+        run_replicate(config, 2, ("empirical",))
+        assert threading.active_count() == threads
+        assert draws == [False, False]
+        assert scores and all(scores)
+        # the same batch, predicted on its own, is split
+        scores.clear()
+        predict(*generate(config), config.alpha)
+        assert not all(scores)
+
+
+def _score_past_gate(job):
+    """``job``, after one ``score_classes`` call on a batch at the gate."""
+    model = ClassModel(means=np.zeros((2, 5)), variances=np.ones((2, 5)))
+    score_classes(model, np.ones((_SPLIT_BLOCKS * 2048, 5)))
+    return job
 
 
 class TestRunCell:

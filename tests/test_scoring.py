@@ -1,19 +1,28 @@
 """Nonconformity scores: hand-computed oracles, invariances, vectorization."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from confset import scoring
 from confset import (
     ClassModel,
     DataError,
     DegenerateVarianceError,
     LabeledDataset,
+    TestBatch,
     fit_class_summary,
     fit_model,
+    generate,
+    multi_class_config,
+    predict,
     score_batch,
     score_classes,
 )
-from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _block_rows
+from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _SPLIT_BLOCKS, _block_rows
+from conftest import forbid_helper, spy_score_threads
 
 
 def one_class(features):
@@ -250,8 +259,12 @@ class TestScoreClasses:
             means=offset + rng.normal(size=(k, p)),
             variances=rng.uniform(0.5, 2.0, size=(k, p)),
         )
-        step = _block_rows(p)
-        for n in (1, step - 1, step, step + 1, 2 * step + 3):
+        step, gate = _block_rows(p), _SPLIT_BLOCKS
+        # below the gate, then gate - 1, gate and gate + 1 blocks (the last
+        # one row long) and an odd count of 35, split across two threads
+        sizes = (1, step - 1, step, step + 1, 2 * step + 3)
+        sizes += ((gate - 1) * step, gate * step, gate * step + 1, (gate + 2) * step + 3)
+        for n in sizes:
             rows = offset + rng.normal(size=(n, p))
             got = score_classes(model, rows)
             assert got.shape == (k, n)
@@ -265,6 +278,83 @@ class TestScoreClasses:
             score_classes(model, np.zeros(2))
         with pytest.raises(DataError, match="features"):
             score_classes(model, np.zeros((4, 3)))
+
+
+class TestSplit:
+    """A batch of at least ``_SPLIT_BLOCKS`` blocks is scored on two
+    threads: the caller's half and one helper's, joined before the call
+    returns or raises, with the one-thread outputs bit for bit."""
+
+    # 35 blocks of 2048 rows at p = 5: the helper scores rows 36 864 on
+    CONFIG = multi_class_config(p=5, n_k=20, m=35 * 2048, rho=0.2, run_seed=5)
+
+    def test_predict_outputs_equal_one_thread(self, monkeypatch):
+        train, batch = generate(self.CONFIG)
+        scores = spy_score_threads(monkeypatch)
+        split_pvals, split_sets = predict(train, batch, 0.05)
+        assert not all(scores)  # the helper scored some blocks
+        forbid_helper(monkeypatch)
+        scores.clear()
+        pvals, sets = predict(train, batch, 0.05)
+        assert all(scores)
+        assert split_pvals.raw.tobytes() == pvals.raw.tobytes()
+        assert split_pvals.adjusted.tobytes() == pvals.adjusted.tobytes()
+        assert split_sets.member.tobytes() == sets.member.tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflow_in_helper_half_is_one_error(self):
+        train, batch = generate(self.CONFIG)
+        features = batch.features.copy()
+        features[60_000] = 1e200  # finite, but its square overflows
+        threads = threading.active_count()
+        with pytest.raises(DataError) as caught:
+            predict(train, TestBatch(features=features), 0.05)
+        assert str(caught.value) == (
+            "test row 60000 overflows its score against class 1; rescale the features"
+        )
+        assert threading.active_count() == threads
+
+    def test_failure_on_helper_block_reaches_caller(self, monkeypatch):
+        train, batch = generate(self.CONFIG)
+        spy_score_threads(monkeypatch, fail_off_main=True)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="^scored on a helper thread$"):
+            predict(train, batch, 0.05)
+        assert threading.active_count() == threads
+
+
+    def test_concurrent_callers_share_one_helper(self, monkeypatch):
+        # three threads split batches at once: each gets the one-thread
+        # scores, and no more than one helper thread runs at a time
+        rng = np.random.default_rng(7)
+        model = ClassModel(means=rng.normal(size=(2, 5)), variances=rng.uniform(0.5, 2.0, size=(2, 5)))
+        rows = rng.normal(size=((_SPLIT_BLOCKS + 1) * _block_rows(5), 5))
+        want = score_classes(model, rows)
+        real, alive = scoring.score_batch, []
+
+        def spy(model, block, class_id):
+            alive.append(threading.active_count())
+            return real(model, block, class_id)
+
+        monkeypatch.setattr(scoring, "score_batch", spy)
+        results = []
+        callers = [
+            threading.Thread(target=lambda: results.append(score_classes(model, rows)))
+            for _ in range(3)
+        ]
+        start = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert [r.tobytes() for r in results] == [want.tobytes()] * 3
+        assert max(alive) <= start + len(callers) + 1
 
 
 class TestBlockRows:
