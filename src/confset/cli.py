@@ -24,9 +24,8 @@ import numpy as np
 from .conformal import PREDICTORS, _bh_floor, _grid_count, predict
 from .core import DataError
 from .datagen import SCENARIOS, ScenarioConfig, generate, oracle_params
-from .experiment import run_experiment
+from .experiment import load_config, run_experiment
 from .io import (
-    load_config,
     load_csv,
     load_json,
     read_batch_csv,
@@ -310,7 +309,7 @@ def _add_validate(sub):
 def cmd_validate(args) -> int:
     names = None
     if args.check is not None:
-        names = [n for chunk in args.check for n in chunk.split(",") if n]
+        names = [n for chunk in args.check for n in map(str.strip, chunk.split(",")) if n]
         if not names:
             return _usage_error("--check names no check")
     # every other flag sets the check parameter named by its dest

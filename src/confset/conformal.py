@@ -175,10 +175,8 @@ def predict(
             f"{data.n_features}"
         )
     m, k = test.m, data.n_classes
-    # a finite row far from a class mean can overflow its score; the row is
-    # named below instead of warning once per block
-    with np.errstate(over="ignore"):
-        test_scores = score_classes(model, test.features)
+    # a finite row far from a class mean can overflow its score to inf
+    test_scores = score_classes(model, test.features)
     if not np.isfinite(test_scores.max()):  # a NaN carries through max too
         row, class_index = np.argwhere(~np.isfinite(test_scores.T))[0]
         raise DataError(

@@ -1,4 +1,4 @@
-"""File formats: CSV datasets, experiment configs, result tables, class-moment JSON.
+"""File formats: CSV datasets, result tables, prediction outputs, class-moment JSON.
 
 Numeric round-trips are exact: floats are written as their shortest
 repr (which reparses to the identical float64), so saving and loading a
@@ -31,8 +31,9 @@ floats, joined by commas, plus any integer cells: what ``csv.writer`` writes
 for the same cells, none of which needs quoting, without a Python call per
 cell. Lines are streamed to the file, so no text copy of the matrix is held.
 
-Every file is opened by ``_opened``: a file that cannot be opened, read,
-written, flushed or closed is one ``DataError`` line naming it.
+Every file is opened by ``_opened``, an experiment's YAML config too: a
+file that cannot be opened, read, written, flushed or closed is one
+``DataError`` line naming it, and a read drops a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-import re
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, fields
 from itertools import repeat
 from operator import itemgetter
 from pathlib import Path
@@ -57,8 +56,6 @@ from .core import (
     PValueMatrix,
     TestBatch,
 )
-from .conformal import PREDICTORS
-from .datagen import SCENARIOS, ScenarioConfig, check_number, check_seed
 from .metrics import MetricsReport
 
 __all__ = [
@@ -68,10 +65,6 @@ __all__ = [
     "read_truth_csv",
     "write_dataset_csv",
     "write_batch_csv",
-    "split_train_test",
-    "ExperimentConfig",
-    "load_config",
-    "save_config",
     "write_results",
     "read_results",
     "render_results",
@@ -101,9 +94,12 @@ def _os_errors(verb: str, path):
 @contextmanager
 def _opened(path, mode: str = "r", **kwargs):
     """``path`` as UTF-8 text whatever the locale (everything written is
-    ASCII), with the ``_os_errors`` guard over the whole ``with`` block."""
-    with _os_errors("read" if mode == "r" else "write", path):
-        with open(path, mode, encoding="utf-8", **kwargs) as fh:
+    ASCII), with the ``_os_errors`` guard over the whole ``with`` block. A
+    read drops a leading byte-order mark, as spreadsheet "CSV UTF-8"
+    exports start with one; a write puts none."""
+    reading = mode == "r"
+    with _os_errors("read" if reading else "write", path):
+        with open(path, mode, encoding="utf-8-sig" if reading else "utf-8", **kwargs) as fh:
             yield fh
 
 
@@ -348,198 +344,6 @@ def write_batch_csv(path, batch: TestBatch) -> None:
     """Columns x1..xp[,truth]; floats written exactly."""
     tag = None if batch.truth is None else "truth"
     _write_features(path, batch.features, tag, batch.truth)
-
-
-def split_train_test(
-    data: LabeledDataset,
-    fraction: float = 0.7,
-    seed: int = 0,
-) -> tuple[LabeledDataset, TestBatch]:
-    """Stratified split: round(fraction * n_k) rows of each class train.
-
-    The test batch keeps class labels as truth (it contains no outliers;
-    merge outlier rows separately). Errors out if any class would train on
-    fewer than 3 rows or the test side would be empty.
-    """
-    if not 0.0 < fraction < 1.0:
-        raise DataError(f"fraction must be in (0, 1), got {fraction}")
-    counts = [int(math.floor(fraction * n + 0.5)) for n in data.class_counts.tolist()]
-    for class_id, n_train in enumerate(counts, start=1):
-        if n_train < 3:
-            raise DataError(f"class {class_id} would train on {n_train} rows; needs >= 3")
-    if sum(counts) == data.n:
-        raise DataError("split leaves no test rows; lower the fraction")
-    rng = np.random.default_rng(seed)
-    train_idx = []
-    test_idx = []
-    for class_id, n_train in enumerate(counts, start=1):
-        perm = rng.permutation(np.flatnonzero(data.labels == class_id))
-        train_idx.append(perm[:n_train])
-        test_idx.append(perm[n_train:])
-    train_idx = np.concatenate(train_idx)
-    test_idx = np.concatenate(test_idx)
-    train = LabeledDataset(
-        features=data.features[train_idx],
-        labels=data.labels[train_idx],
-    )
-    test = TestBatch(
-        features=data.features[test_idx], truth=data.labels[test_idx]
-    )
-    return train, test
-
-
-# ---------------------------------------------------------------------------
-# experiment configuration
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat experiment description; the grid is the cross product p x n_k x rho.
-
-    For ``scenario: csv`` the grid is checked but not run, and replicates
-    are repeated stratified train/test re-splits of the file.
-    """
-
-    scenario: str
-    p: tuple[int, ...] = (ScenarioConfig.p,)
-    n_k: tuple[int, ...] = (ScenarioConfig.n_k,)
-    rho: tuple[float, ...] = (ScenarioConfig.rho,)
-    m: int = ScenarioConfig.m
-    alpha: float = ScenarioConfig.alpha
-    inlier_ratio: float = ScenarioConfig.inlier_ratio
-    replicates: int = 10
-    test_sets: int = 10
-    mode: tuple[str, ...] = ("empirical",)
-    master_seed: int = 0
-    atom_seed: int = ScenarioConfig.atom_seed
-    out_dir: str = "results"
-    csv_path: str | None = None
-    label_column: str | None = None
-    outlier_label: str | None = None
-    train_fraction: float = 0.7
-
-    def __post_init__(self):
-        if self.scenario not in ("csv", *SCENARIOS):
-            raise DataError(f"unknown scenario {self.scenario!r}")
-        mode = tuple(self.mode) if isinstance(self.mode, (list, tuple)) else (self.mode,)
-        object.__setattr__(self, "mode", mode)
-        named = {name for name in mode if isinstance(name, str) and name in PREDICTORS}
-        if not mode or len(named) < len(mode):  # empty, unknown or repeated
-            rows = list(PREDICTORS)
-            raise DataError(f"mode must name distinct predictors of {rows}, got {list(mode)}")
-        for name in ("p", "n_k", "rho"):
-            value = getattr(self, name)
-            value = tuple(value) if isinstance(value, (list, tuple)) else (value,)
-            if not value:
-                raise DataError(f"{name} grid must not be empty")
-            object.__setattr__(self, name, value)
-        for name in ("replicates", "test_sets", "train_fraction"):
-            check_number(name, getattr(self, name), integer=name != "train_fraction")
-        for name in ("out_dir", "csv_path", "label_column", "outlier_label"):
-            value = getattr(self, name)
-            if not isinstance(value, str) and (value is not None or name == "out_dir"):
-                raise DataError(f"{name} must be a string, got {value!r}")
-        if self.replicates < 1 or self.test_sets < 1:
-            raise DataError("replicates and test_sets must be >= 1")
-        check_seed("master_seed", self.master_seed)
-        # ScenarioConfig checks the type and range of each simulated field,
-        # a csv config's too, and two cells of one results name would write
-        # over each other
-        named = {}
-        for cell in self.cells():
-            self.cell_scenario(*cell)
-            name = _cell_name(self.scenario, *cell)
-            if name in named:
-                raise DataError(
-                    f"grid cells {named[name]} and {cell} share the results name {name!r}"
-                )
-            named[name] = cell
-        if self.scenario != "csv":
-            return
-        if not self.csv_path or not self.label_column:
-            raise DataError("csv scenario needs csv_path and label_column")
-        if "oracle" in self.mode:
-            raise DataError("csv data has no oracle parameters; leave oracle out of mode")
-        if not 0.0 < self.train_fraction < 1.0:
-            raise DataError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-
-    def cells(self) -> list[tuple[int, int, float]]:
-        return [(p, n, r) for p in self.p for n in self.n_k for r in self.rho]
-
-    def cell_scenario(self, p: int, n_k: int, rho: float) -> ScenarioConfig:
-        """The simulation design of the grid cell (p, n_k, rho): the cell's
-        grid values and every other field this config shares with
-        ``ScenarioConfig``, by name."""
-        shared = {f.name for f in fields(ScenarioConfig)} & {f.name for f in fields(self)}
-        design = {name: getattr(self, name) for name in shared} | dict(p=p, n_k=n_k, rho=rho)
-        return SCENARIOS.get(self.scenario, ScenarioConfig)(**design)
-
-
-def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:
-    """The results name of a grid cell, less its mode."""
-    return f"{scenario}_p{p}_nk{n_k}_rho{rho:g}"
-
-
-# YAML 1.2 floats that YAML 1.1, the version PyYAML reads, leaves as
-# strings: an exponent without a dot before it or a sign in it (5e-2, 1e5).
-_YAML12_FLOAT = re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$")
-
-
-# save_config and load_config import yaml when called, so the CLI commands
-# that never touch a config do not pay for loading it.
-def _yaml12():
-    """yaml, and a SafeLoader and a SafeDumper that also resolve
-    ``_YAML12_FLOAT``; the dumper quotes a string of that form."""
-    import yaml
-
-    class Loader(yaml.SafeLoader):
-        pass
-
-    class Dumper(yaml.SafeDumper):
-        pass
-
-    for cls in (Loader, Dumper):
-        cls.add_implicit_resolver(
-            "tag:yaml.org,2002:float", _YAML12_FLOAT, list("-+.0123456789")
-        )
-    return yaml, Loader, Dumper
-
-
-def save_config(config: ExperimentConfig, path) -> None:
-    doc = {}
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if value is None:
-            continue
-        doc[f.name] = list(value) if isinstance(value, tuple) else value
-    yaml, _, dumper = _yaml12()
-    with _opened(path, "w") as fh:
-        yaml.dump(doc, fh, Dumper=dumper, sort_keys=False)
-
-
-def load_config(path) -> ExperimentConfig:
-    yaml, loader, _ = _yaml12()
-    with _opened(path) as fh:
-        try:
-            doc = yaml.load(fh, Loader=loader)
-        except (yaml.YAMLError, UnicodeDecodeError) as e:
-            mark = getattr(e, "problem_mark", None)
-            where = f" line {mark.line + 1}:" if mark is not None else ""
-            problem = getattr(e, "problem", None) or str(e).splitlines()[0]
-            raise DataError(f"{path}:{where} not valid YAML: {problem}") from None
-    known = {f.name for f in fields(ExperimentConfig)}
-    try:
-        unknown = doc.keys() - known
-    except AttributeError:
-        raise DataError(f"{path}: config must be a flat key: value mapping") from None
-    if unknown:
-        raise DataError(f"{path}: unknown config keys {sorted(unknown, key=str)}")
-    if "scenario" not in doc:
-        raise DataError(f"{path}: config needs a scenario")
-    try:
-        return ExperimentConfig(**doc)
-    except DataError as e:
-        raise DataError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

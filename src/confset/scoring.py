@@ -26,14 +26,15 @@ cuts the batch into the same blocks and hands each block to ``score_batch``
 once per class, so the block is read from memory once and stays in cache
 for the other K - 1 classes. Its (K, n) scores are bit-identical to K
 ``score_batch`` calls, and every scored row still passes through
-``score_batch``, the one function through which scoring is counted.
+``score_batch``, the one function through which scoring is counted. Each
+thread scores its blocks under ``np.errstate(over="ignore")``, so a score
+that overflows is inf without a warning.
 
 A batch of at least ``_SPLIT_BLOCKS`` (32) blocks is scored on two threads:
 one helper thread scores the second contiguous half of the blocks while the
 caller scores the first, through the same ``score_batch`` calls on the same
-block edges, so the scores stay bit-identical. The helper runs in a copy of
-the caller's context, so numpy's (context-local) ``errstate`` holds there
-too, and it is joined before ``score_classes`` returns or raises.
+block edges, so the scores stay bit-identical. The helper is joined before
+``score_classes`` returns or raises.
 
 The gate was measured against one thread at p = 200 and 500 with K = 4, on
 a 2-vCPU host whose second core comes and goes. With both cores free the
@@ -46,8 +47,8 @@ thread, and BLAS alone threads its products.
 
 A process runs at most one helper thread (``_one_helper``). While
 ``experiment.run_replicate`` draws its next batch on one, its batches are
-scored on the calling thread alone, and a process-pool worker, whose
-sibling workers already fill the cores, starts none.
+scored on the calling thread alone, and a process that multiprocessing
+started, such as a pool worker whose siblings fill the cores, starts none.
 
 Every score is within rtol 1e-12 of a per-row loop, but the last bits depend
 on how BLAS splits each block, so a different block size can move a score by
@@ -73,7 +74,7 @@ fit may differ from it by an ulp or two.
 from __future__ import annotations
 
 import contextlib
-import contextvars
+import sys
 import threading
 
 import numpy as np
@@ -93,22 +94,19 @@ _BLOCK_BYTES = 512 * 1024
 _SPLIT_BLOCKS = 32
 
 # Held while this process runs its one helper thread, for score_classes'
-# split or for experiment.run_replicate's draw-ahead, and for good in a
-# process-pool worker, whose sibling workers already fill the cores.
+# split or for experiment.run_replicate's draw-ahead.
 _helper_busy = threading.Lock()
 
 
-def _no_helper() -> None:
-    """Process-pool initializer: this worker starts no helper thread. It
-    does not wait, since a lock held when the worker was forked stays held."""
-    _helper_busy.acquire(blocking=False)
-
-
 @contextlib.contextmanager
-def _one_helper():
-    """A pool of one thread, joined on leaving, or None when this process
-    already runs its helper thread or is a process-pool worker."""
-    if not _helper_busy.acquire(blocking=False):
+def _one_helper(wanted: bool):
+    """A pool of one thread, joined on leaving, or None when not ``wanted``,
+    when this process already runs its helper thread, or when multiprocessing
+    started this process (a pool worker's siblings already fill the cores).
+    Such a process has loaded multiprocessing, so this imports nothing."""
+    mp = sys.modules.get("multiprocessing")
+    spawned = mp is not None and mp.parent_process() is not None
+    if not wanted or spawned or not _helper_busy.acquire(blocking=False):
         yield None
         return
     try:
@@ -235,13 +233,12 @@ def score_classes(model: ClassModel, rows: np.ndarray) -> np.ndarray:
     out = np.empty((model.n_classes, n))
     step = _block_rows(p)
     blocks = -(-n // step)
-    with _one_helper() if blocks >= _SPLIT_BLOCKS else contextlib.nullcontext() as helper:
+    with _one_helper(blocks >= _SPLIT_BLOCKS) as helper:
         if helper is None:
             _score_blocks(model, rows, out, 0, n, step)
         else:
             mid = (blocks + 1) // 2 * step
-            context = contextvars.copy_context()
-            second = helper.submit(context.run, _score_blocks, model, rows, out, mid, n, step)
+            second = helper.submit(_score_blocks, model, rows, out, mid, n, step)
             _score_blocks(model, rows, out, 0, mid, step)
             second.result()
     return out
@@ -250,8 +247,9 @@ def score_classes(model: ClassModel, rows: np.ndarray) -> np.ndarray:
 def _score_blocks(model: ClassModel, rows, out, start: int, stop: int, step: int) -> None:
     """Fill ``out[:, start:stop]`` block by block from ``start``, a multiple
     of ``step``, each block scored against every class by ``score_batch``."""
-    for lo in range(start, stop, step):
-        hi = min(lo + step, stop)
-        block = rows[lo:hi]
-        for k in range(model.n_classes):
-            out[k, lo:hi] = score_batch(model, block, k + 1)
+    with np.errstate(over="ignore"):
+        for lo in range(start, stop, step):
+            hi = min(lo + step, stop)
+            block = rows[lo:hi]
+            for k in range(model.n_classes):
+                out[k, lo:hi] = score_batch(model, block, k + 1)

@@ -37,8 +37,8 @@ from .datagen import (
     multi_class_config,
     oracle_params,
 )
-from .experiment import run_cell
-from .io import ExperimentConfig, _aggregate
+from .experiment import ExperimentConfig, run_cell
+from .io import _aggregate
 from .metrics import evaluate_sets, rejection_global_fdp
 
 __all__ = [

@@ -237,11 +237,18 @@ def two_class_data():
 
 
 def forbid_helper(monkeypatch) -> None:
-    """This process starts no helper thread, as in a process-pool worker:
+    """This process starts no helper thread, as while another helper runs:
     the lock that each helper takes first is already held."""
     held = threading.Lock()
     held.acquire()
     monkeypatch.setattr(scoring, "_helper_busy", held)
+
+
+def helper_in_this_process() -> bool:
+    """Whether ``scoring._one_helper`` hands this process a helper thread;
+    top-level, so a spawned pool worker can import it."""
+    with scoring._one_helper(True) as helper:
+        return helper is not None
 
 
 def spy_score_threads(monkeypatch, fail_off_main: bool = False) -> list[bool]:

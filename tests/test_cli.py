@@ -41,7 +41,7 @@ from confset import (
     write_pvalues_csv,
 )
 from confset.cli import EXIT_CHECK, EXIT_DATA, EXIT_OK, EXIT_PIPE, EXIT_USAGE, main
-from confset.io import _YAML12_FLOAT
+from confset.experiment import _YAML12_FLOAT
 from confset.validation import CHECKS, CheckResult, check_oracle_coverage
 
 
@@ -1137,6 +1137,14 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "[PASS] scw" in out and "[PASS] construction" in out
         assert "all 2 checks passed" in out
+        # a space after the comma, as typed in a shell or a CI variable
+        code = run_cli(
+            "validate", "--check", "scw, construction", "--trials", 20000
+        )
+        assert code == EXIT_OK
+        # the same lines, less the seconds each check took
+        seconds = re.compile(r"\(\d+\.\ds\)")
+        assert seconds.sub("", capsys.readouterr().out) == seconds.sub("", out)
 
     def test_coverage_at_half_alpha(self, capsys):
         # alpha = 0.5 still yields >= 1 - alpha coverage
@@ -1209,7 +1217,7 @@ class TestValidate:
         assert f"error: argument {flag}: " in captured.err
         assert "Traceback" not in captured.err
 
-    @pytest.mark.parametrize("names", ["", ",", ",,"])
+    @pytest.mark.parametrize("names", ["", ",", ",,", " , "])
     def test_empty_check_list_is_usage_error(self, capsys, names):
         # an empty CI variable must not pass as "all 0 checks passed"
         assert run_cli("validate", "--check", names) == EXIT_USAGE

@@ -249,12 +249,11 @@ class TestRunCell:
 
     def test_pool_never_larger_than_job_count(self, monkeypatch):
         """A pool starts all its workers at once, so it is sized to the jobs;
-        the recorder maps serially and starts no process. It skips the
-        workers' ``initializer``, which would end this process's draw-ahead."""
+        the recorder maps serially and starts no process."""
         sizes = []
 
         class Recorder:
-            def __init__(self, max_workers, initializer):
+            def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def __enter__(self):

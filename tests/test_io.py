@@ -1,5 +1,6 @@
 """File formats: CSV round-trips, config YAML, result tables, class-moment JSON."""
 
+import codecs
 import csv
 import json
 import math
@@ -269,6 +270,60 @@ class TestUndecodableCsv:
         message = f"{path}: line 1: field larger than field limit"
         with pytest.raises(DataError, match=f"^{re.escape(message)}"):
             READERS[reader](path)
+
+
+def _with_bom(path):
+    """A copy of ``path`` that starts with a UTF-8 byte-order mark."""
+    marked = path.with_name(f"bom_{path.name}")
+    marked.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+    return marked
+
+
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark, as spreadsheet
+    "CSV UTF-8" exports do, reads as the same file without it."""
+
+    def test_training_csv_with_label_first(self, tmp_path):
+        path = tmp_path / "train.csv"
+        path.write_text(
+            "label,x1,x2\nred,1.0,2.0\nblue,3.0,4.0\nred,5.0,6.0\n"
+            "blue,7.0,8.0\nred,9.0,1.5\nblue,2.5,3.5\n"
+        )
+        want, _, want_map = load_csv(path, "label")
+        got, _, got_map = load_csv(_with_bom(path), "label")
+        assert got_map == want_map == {"red": 1, "blue": 2}
+        np.testing.assert_array_equal(got.features, want.features)
+        np.testing.assert_array_equal(got.labels, want.labels)
+        assert read_header(_with_bom(path)) == ["label", "x1", "x2"]
+
+    def test_test_csv(self, tmp_path):
+        gen = np.random.default_rng(4)
+        batch = TestBatch(features=gen.normal(size=(6, 3)), truth=gen.integers(1, 4, size=6))
+        path = tmp_path / "test.csv"
+        write_batch_csv(path, batch)
+        marked = _with_bom(path)
+        # predict matches these names against the training features
+        assert read_header(marked) == ["x1", "x2", "x3", "truth"]
+        np.testing.assert_array_equal(read_batch_csv(marked, "truth").features, batch.features)
+        np.testing.assert_array_equal(read_truth_csv(marked, "truth"), batch.truth)
+
+    def test_sets_csv(self, tmp_path):
+        member = np.array([[True, False, True], [False, False, False], [False, True, False]])
+        path = tmp_path / "sets.csv"
+        write_sets_csv(path, PredictionSets(member))
+        np.testing.assert_array_equal(read_sets_csv(_with_bom(path), 3).member, member)
+
+    def test_json(self, tmp_path):
+        model = ClassModel(means=np.array([[0.1, 1 / 3]]), variances=np.array([[2.0, math.pi]]))
+        path = tmp_path / "oracle.json"
+        save_json(model, path)
+        _assert_same(model, load_json(_with_bom(path)))
+
+    def test_config_yaml(self, tmp_path):
+        config = ExperimentConfig(scenario="multi_class", p=(3, 4), rho=0.25)
+        path = tmp_path / "config.yaml"
+        save_config(config, path)
+        assert load_config(_with_bom(path)) == config
 
 
 class TestFeatureCellParsing:

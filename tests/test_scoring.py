@@ -1,7 +1,9 @@
 """Nonconformity scores: hand-computed oracles, invariances, vectorization."""
 
+import multiprocessing
 import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -21,8 +23,8 @@ from confset import (
     score_batch,
     score_classes,
 )
-from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _SPLIT_BLOCKS, _block_rows
-from conftest import forbid_helper, spy_score_threads
+from confset.scoring import _BLOCK_BYTES, _CHUNK_ROWS, _SPLIT_BLOCKS, _block_rows, _one_helper
+from conftest import forbid_helper, helper_in_this_process, spy_score_threads
 
 
 def one_class(features):
@@ -314,6 +316,18 @@ class TestSplit:
         )
         assert threading.active_count() == threads
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_in_each_half_is_inf_without_warning(self, monkeypatch):
+        # each thread runs its half of the blocks under errstate(over="ignore")
+        rows = np.random.default_rng(8).normal(size=((_SPLIT_BLOCKS + 2) * _block_rows(5), 5))
+        overflowing = [100, len(rows) - 100]
+        rows[overflowing] = 1e200  # finite, but its square overflows
+        scores = spy_score_threads(monkeypatch)
+        got = score_classes(one_model(np.zeros(5), np.ones(5)), rows)
+        assert not all(scores) and any(scores)  # both threads scored
+        assert np.isposinf(got[0, overflowing]).all()
+        assert np.isfinite(np.delete(got[0], overflowing)).all()
+
     def test_failure_on_helper_block_reaches_caller(self, monkeypatch):
         train, batch = generate(self.CONFIG)
         spy_score_threads(monkeypatch, fail_off_main=True)
@@ -355,6 +369,22 @@ class TestSplit:
         assert not any(caller.is_alive() for caller in callers)
         assert [r.tobytes() for r in results] == [want.tobytes()] * 3
         assert max(alive) <= start + len(callers) + 1
+
+
+class TestOneHelper:
+    """When this process may start its one helper thread."""
+
+    def test_none_when_not_wanted(self):
+        with _one_helper(False) as helper:
+            assert helper is None
+
+    def test_none_in_a_spawned_pool_worker(self):
+        # spawn starts a fresh interpreter, so no lock state comes from this
+        # process: the worker is known by its multiprocessing parent
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=1, mp_context=spawn) as pool:
+            assert pool.submit(helper_in_this_process).result(timeout=120) is False
+        assert helper_in_this_process() is True
 
 
 class TestBlockRows:

@@ -10,8 +10,7 @@ import pytest
 from confset import DataError, experiment, read_results, validation
 from confset.cli import build_parser, main
 from confset.datagen import ScenarioConfig
-from confset.experiment import run_experiment
-from confset.io import ExperimentConfig
+from confset.experiment import ExperimentConfig, run_experiment
 from confset.validation import (
     CHECKS,
     _draw_pvalues,
