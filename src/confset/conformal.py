@@ -5,7 +5,7 @@ The test batch is scored against all K classes in one pass
 unless the caller passes these calibration scores, which no test point moves.
 Then, per class k:
 
-1. rank p-value of each test score among the class training scores,
+1. rank p-value of each test score among the class's n_k calibration scores,
 2. Benjamini-Hochberg step-up across the m test points (a single test point
    keeps its p-value),
 3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1),
@@ -152,12 +152,12 @@ def predict(
         Nominal per-class error level in (0, 1).
     oracle : ClassModel, optional
         Class moments to score with; by default those that
-        :func:`fit_model` fits on ``data``. The calibration ranks against
-        the training rows either way. The rows of ``PREDICTORS`` pass it,
-        the fitted one with its variance floor.
+        :func:`fit_model` fits on ``data``. Without ``train_scores``, the
+        calibration ranks against the training rows. The rows of
+        ``PREDICTORS`` pass it, the fitted one with its variance floor.
     train_scores : list of K arrays, optional
-        Each class's training rows scored against ``oracle``, which it
-        needs; a row of ``PREDICTORS`` scores them once per training set.
+        Each class's n_k calibration scores against ``oracle``, which it
+        needs; both rows of ``PREDICTORS`` score the class's training rows.
 
     Returns
     -------
@@ -190,13 +190,11 @@ def predict(
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)
-    for class_id, (scores, n_k) in enumerate(zip(train_scores, data.class_counts.tolist()), 1):
-        if np.shape(scores) != (n_k,):
-            raise DataError(f"class {class_id} has {n_k} rows, train_scores {np.shape(scores)}")
+    for class_id, scores in enumerate(train_scores, 1):
         col = conformal_pvalues(scores, test_scores[class_id - 1])
         raw[:, class_id - 1] = col
         adjusted[:, class_id - 1] = bh_adjust(col)
-        thresholds[class_id - 1] = acceptance_threshold(n_k, alpha)
+        thresholds[class_id - 1] = acceptance_threshold(len(scores), alpha)
     pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
     sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
     return pvals, sets

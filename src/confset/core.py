@@ -241,9 +241,9 @@ class ClassModel:
 class PValueMatrix:
     """Conformal p-values for m test points against K classes.
 
-    ``raw[i, k-1]`` is the rank p-value of test point i under class k; each
-    entry lies on the grid {1/(n_k+1), ..., 1}. ``adjusted`` holds the
-    column-wise BH adjustment (equal to ``raw`` when m == 1), and
+    ``raw[i, k-1]`` is the rank p-value of test point i under class k among
+    its n_k calibration scores, on the grid {1/(n_k+1), ..., 1}. ``adjusted``
+    holds the column-wise BH adjustment (equal to ``raw`` when m == 1), and
     ``thresholds[k-1]`` the per-class acceptance cutoff: class k enters a
     prediction set iff adjusted > threshold.
     """

@@ -388,6 +388,10 @@ def write_results(
     three-decimal mean(std) rendering, which is also returned.
     """
     path = Path(path)
+    if path.suffix.lower() == ".txt":  # on a case-insensitive disk r.TXT is r.txt
+        raise DataError(
+            f"{path}: a results table cannot be a .txt file; its text rendering goes there"
+        )
     lines = [f"{name},{mean!r},{std!r}" for name, mean, std in _aggregate(reports)]
     if time_s is not None:
         lines.append(f"time_s,{float(time_s)!r},0.0")

@@ -64,7 +64,10 @@ def naive_threshold(n_k: int, alpha: float) -> float:
 
 
 def naive_predict(data: LabeledDataset, test: TestBatch, alpha, oracle=None):
-    """Loop-based re-derivation of the full pipeline; returns list of sets."""
+    """Loop-based re-derivation of the full pipeline; returns list of sets.
+
+    Each class is ranked among, and cut at the count of, its rows in
+    ``data``; with ``oracle`` fitted elsewhere, ``data`` is a calibration set."""
     m = test.m
     member = np.zeros((m, data.n_classes), dtype=bool)
     for k in range(1, data.n_classes + 1):

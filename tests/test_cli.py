@@ -642,6 +642,29 @@ class TestEvaluate:
         assert err.startswith("error: cannot write /dev/full: ")
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("name", ["r.txt", "r.TXT"])
+    def test_text_named_out_is_data_error(self, simulated, tmp_path, capsys, name):
+        # the text table goes beside the CSV as .txt, which would overwrite it
+        run_cli(
+            "predict", "--train", f"{simulated}_train.csv",
+            "--test", f"{simulated}_test.csv", "--truth-column", "truth",
+            "--out", tmp_path / "pred",
+        )
+        capsys.readouterr()
+        out = tmp_path / name
+        code = run_cli(
+            "evaluate", "--sets", tmp_path / "pred_sets.csv",
+            "--test", f"{simulated}_test.csv", "--n-classes", 1, "--out", out,
+        )
+        assert code == EXIT_DATA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out}: a results table cannot be a .txt file; "
+            "its text rendering goes there\n"
+        )
+        assert not out.exists() and not (tmp_path / "r.txt").exists()
+
     def test_row_count_mismatch(self, simulated, tmp_path, capsys):
         run_cli(
             "predict", "--train", f"{simulated}_train.csv",
@@ -1229,6 +1252,27 @@ class TestValidate:
         with pytest.raises(SystemExit) as exc:
             run_cli()
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("predict", "--train", "t.csv", "--test", "t.csv", "--out", "x", "--alpha", "abc"),
+         "argument --alpha: invalid float value: 'abc'"),
+        (("experiment", "--config", "c.yaml", "--workers", "two"),
+         "argument --workers: invalid int value: 'two'"),
+    ],
+    ids=["float", "int"],
+)
+def test_unparsable_number_is_one_usage_error(capsys, argv, message):
+    # no file is read, so the named files need not exist
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+    assert "Traceback" not in captured.err
 
 
 @pytest.fixture(scope="module")

@@ -118,6 +118,11 @@ class TestBHAdjust:
             p = rng.choice([0.01, 0.05, 0.2, 0.5, 1.0], size=m)
             np.testing.assert_allclose(bh_adjust(p), naive_bh(list(p)), rtol=1e-12)
 
+    @pytest.mark.parametrize("pvalues", [[], [[0.5]]], ids=["empty", "2-D"])
+    def test_rejects_empty_or_not_1d(self, pvalues):
+        with pytest.raises(DataError, match="^pvalues must be a non-empty 1-D array$"):
+            bh_adjust(pvalues)
+
     def test_rejects_out_of_range(self):
         with pytest.raises(DataError):
             bh_adjust(np.array([0.0, 0.5]))
@@ -477,8 +482,7 @@ class TestPredictors:
                 "train_scores need the class moments that scored them, as oracle=",
             ),
             ("drop a class", "train_scores hold 3 classes, data has 4"),
-            ("drop a row", r"class 2 has 12 rows, train_scores \(11,\)"),
-            ("2-D", r"class 1 has 12 rows, train_scores \(1, 12\)"),
+            ("2-D", "train_scores must be a non-empty 1-D array"),
         ],
     )
     def test_bad_train_scores_are_one_line(self, change, message):
@@ -489,12 +493,34 @@ class TestPredictors:
             del row["oracle"]
         elif change == "drop a class":
             row["train_scores"] = scores[:3]
-        elif change == "drop a row":
-            row["train_scores"] = [scores[0], scores[1][1:], *scores[2:]]
         else:
             row["train_scores"] = [scores[0][None], *scores[1:]]
         with pytest.raises(DataError, match=f"^{message}$"):
             predict(train, batch, 0.1, **row)
+
+    def test_calibration_half_sets_rank_and_cutoff(self):
+        """Split calibration: fit each class on one half of its rows and pass
+        the other half's scores. Each class is ranked among, and cut at the
+        count of, those 20 scores: floor(21 * 0.1) / 21 = 2/21, not the 4/41
+        of all 40 training rows, which would change some sets here."""
+        train, batch = generate(multi_class_config(p=5, n_k=40, m=200, rho=0.5, run_seed=13))
+        fit_half, calibration = (
+            LabeledDataset(
+                features=np.concatenate([train.class_rows(k)[half] for k in range(1, 5)]),
+                labels=np.repeat(np.arange(1, 5), 20),
+            )
+            for half in (slice(None, 20), slice(20, None))
+        )
+        model = fit_model(fit_half)
+        scores = [scoring.score_batch(model, calibration.class_rows(k), k) for k in range(1, 5)]
+        pvals, sets = predict(train, batch, 0.1, oracle=model, train_scores=scores)
+        np.testing.assert_array_equal(pvals.thresholds, np.full(4, 2 / 21))
+        assert not np.array_equal(sets.member, pvals.adjusted > 4 / 41)
+        assert sets_equal(sets, naive_predict(calibration, batch, 0.1, oracle=model))
+        for k, calibration_scores in enumerate(scores, 1):
+            test_scores = scoring.score_batch(model, batch.features, k)
+            want = [naive_conformal_pvalue(calibration_scores, s) for s in test_scores]
+            np.testing.assert_array_equal(pvals.raw[:, k - 1], want)
 
     def test_oracle_row_needs_known_moments(self):
         """Without known moments the oracle row refuses, rather than letting

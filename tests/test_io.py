@@ -850,6 +850,13 @@ class TestResultsTable:
         text = write_results([_report(0.5)], path)
         assert (tmp_path / "r.txt").read_text() == text
 
+    @pytest.mark.parametrize("name", ["r.txt", "r.TXT"])
+    def test_text_named_table_writes_nothing(self, tmp_path, name):
+        # its text rendering would be written over it
+        with pytest.raises(DataError, match=r"r\.(txt|TXT): a results table cannot be a \.txt"):
+            write_results([_report(0.5)], tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
     def test_render_without_file(self):
         text = render_results([_report(0.5)])
         assert "ambiguity" in text and "0.500(0.000)" in text
