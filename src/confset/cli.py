@@ -300,7 +300,6 @@ def _add_validate(sub):
     p.add_argument("--p", type=int, default=None, help="feature dimension")
     p.add_argument("--rho", type=float, default=None)
     p.add_argument("--draws", type=_positive_int, default=None)
-    p.add_argument("--trials", type=_positive_int, default=None)
     p.add_argument("--replicates", type=_positive_int, default=None)
     p.add_argument("--test-sets", type=_positive_int, default=None)
     p.set_defaults(func=cmd_validate)

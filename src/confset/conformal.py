@@ -9,7 +9,8 @@ Then, per class k:
 2. Benjamini-Hochberg step-up across the m test points (a single test point
    keeps its p-value),
 3. accept class k iff the adjusted p-value exceeds floor((n_k+1)*alpha)/(n_k+1),
-   floored in exact integers on the shortest decimal that prints alpha.
+   floored in exact integers on the shortest decimal that prints alpha;
+   a tie with the cutoff is decided exactly, in integer ranks, as BH does.
 
 A point accepted by no class gets the empty set and is declared an outlier.
 
@@ -163,7 +164,7 @@ def predict(
     -------
     (PValueMatrix, PredictionSets)
         Raw and BH-adjusted p-values with per-class thresholds, and the
-        membership mask ``adjusted > threshold``.
+        membership mask ``adjusted > threshold``, decided exactly on the grid.
     """
     if train_scores is not None and oracle is None:
         raise DataError("train_scores need the class moments that scored them, as oracle=")
@@ -190,14 +191,29 @@ def predict(
     raw = np.empty((m, k))
     adjusted = np.empty((m, k))
     thresholds = np.empty(k)
-    for class_id, scores in enumerate(train_scores, 1):
-        col = conformal_pvalues(scores, test_scores[class_id - 1])
-        raw[:, class_id - 1] = col
-        adjusted[:, class_id - 1] = bh_adjust(col)
-        thresholds[class_id - 1] = acceptance_threshold(len(scores), alpha)
+    member = np.empty((m, k), dtype=bool)
+    for c, scores in enumerate(train_scores):
+        n_k = len(scores)
+        raw[:, c] = col = conformal_pvalues(scores, test_scores[c])
+        adjusted[:, c] = bh_adjust(col)
+        thresholds[c] = acceptance_threshold(n_k, alpha)
+        member[:, c] = _step_up_keeps(col, n_k, _grid_count(n_k, alpha))
     pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
-    sets = PredictionSets(member=pvals.adjusted > pvals.thresholds)
-    return pvals, sets
+    return pvals, PredictionSets(member=member)
+
+
+def _step_up_keeps(pvalues: np.ndarray, n_k: int, g: int) -> np.ndarray:
+    """Which points BH at cutoff g/(n_k+1) keeps, decided in integers.
+
+    Each p-value is v/(n_k+1), its rank v recovered exactly by rounding. BH
+    rejects every v <= v*, the largest v with m*v <= g*#{ranks <= v}; v = 0
+    always qualifies. The floats ``adjusted > threshold`` agree but at an
+    exact tie, where m*p/j can round a hair above g/(n_k+1).
+    """
+    ranks = np.rint(pvalues * (n_k + 1)).astype(np.int64)
+    at_most = np.cumsum(np.bincount(ranks, minlength=n_k + 2))
+    qualifies = pvalues.size * np.arange(n_k + 2) <= g * at_most
+    return ranks > np.flatnonzero(qualifies)[-1]
 
 
 def _check_moments(data: LabeledDataset, model: ClassModel) -> None:

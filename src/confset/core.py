@@ -245,7 +245,8 @@ class PValueMatrix:
     its n_k calibration scores, on the grid {1/(n_k+1), ..., 1}. ``adjusted``
     holds the column-wise BH adjustment (equal to ``raw`` when m == 1), and
     ``thresholds[k-1]`` the per-class acceptance cutoff: class k enters a
-    prediction set iff adjusted > threshold.
+    prediction set iff adjusted > threshold, decided exactly on the grid, so
+    a tie excludes it even where the float reads a hair above.
     """
 
     raw: np.ndarray

@@ -8,15 +8,17 @@ Two global false-discovery notions appear:
 
 * ``MetricsReport.fdr`` -- the share of outlier declarations (empty sets)
   that hit true inliers; this is the "FDR" row of the result tables.
-* ``rejection_global_fdp`` -- V / max(1, R) over all class-wise rejections
-  pooled; this is the quantity the summarized class-wise loss
+* the pooled exclusion FDP, V / max(1, R) over all class-wise rejections
+  pooled -- the quantity the summarized class-wise loss
   (``MetricsReport.scw_fdr``) is provably bounded by, pointwise on every
-  realization, because each class adds at least 1 to its denominator.
+  realization, because each class adds at least 1 to its denominator. No
+  table reports it; ``tests/test_acceptance.py`` (target 5) checks the
+  bound against the naive loop's count of it.
 
 The two disagree in general; keep them apart.
 
-``evaluate_sets`` computes all eight table metrics, and ``rejection_global_fdp``
-its V and R, from one tally of the sets by truth label, ``_tally``.
+``evaluate_sets`` computes all eight table metrics from one tally of the
+sets by truth label, ``_tally``.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .core import DataError, PredictionSets, _integer_labels
 
-__all__ = ["MetricsReport", "evaluate_sets", "rejection_global_fdp"]
+__all__ = ["MetricsReport", "evaluate_sets"]
 
 
 def _tally(sets: PredictionSets, truth: np.ndarray):
@@ -54,12 +56,6 @@ def _tally(sets: PredictionSets, truth: np.ndarray):
     accepted = pairs.sum(axis=1)
     false_rejections = points[:k].sum(axis=1) - np.diagonal(accepted[:k])
     return pairs, points, false_rejections, m - accepted.sum(axis=0)
-
-
-def rejection_global_fdp(sets: PredictionSets, truth: np.ndarray) -> float:
-    """Pooled false discovery proportion V / max(1, R) over all rejections."""
-    _, _, false_rejections, rejections = _tally(sets, truth)
-    return false_rejections.sum() / max(1, rejections.sum())
 
 
 @dataclass(frozen=True)

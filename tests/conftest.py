@@ -40,7 +40,8 @@ def naive_conformal_pvalue(train_scores, test_score) -> float:
     return (1 + n_at_least) / (len(train_scores) + 1)
 
 
-def naive_bh(pvalues) -> list[float]:
+def naive_bh(pvalues) -> list:
+    """BH adjusted values by the definition; exact on ``Fraction`` inputs."""
     m = len(pvalues)
     indexed = sorted(range(m), key=lambda i: pvalues[i])
     out = [0.0] * m
@@ -53,21 +54,43 @@ def naive_bh(pvalues) -> list[float]:
     return out
 
 
-def naive_threshold(n_k: int, alpha: float) -> float:
+def naive_step_up(pvalues: np.ndarray, alpha: float) -> np.ndarray:
+    """Textbook step-up rule, written independently of bh_adjust: reject the
+    R smallest p-values, R the largest i with p_(i) <= alpha * i / m."""
+    m = pvalues.size
+    order = np.argsort(pvalues, kind="stable")
+    ranked = pvalues[order]
+    ok = np.flatnonzero(ranked <= alpha * np.arange(1, m + 1) / m)
+    reject = np.zeros(m, dtype=bool)
+    if ok.size:
+        reject[order[: ok.max() + 1]] = True
+    return reject
+
+
+def naive_grid_count(n_k: int, alpha: float) -> int:
     """The grid points j / (n_k + 1) at or below alpha, counted one by one
     in exact rationals on the shortest decimal that prints alpha."""
     target = (n_k + 1) * Fraction(repr(float(alpha)))
     k = 0
     while k + 1 <= target:
         k += 1
-    return k / (n_k + 1)
+    return k
+
+
+def naive_keeps(raw: list[Fraction], n_k: int, alpha) -> list[bool]:
+    """Which points keep their class: the step-up of one class's exact
+    rational p-values, each adjusted value compared with the exact cutoff."""
+    adjusted = raw if len(raw) == 1 else naive_bh(raw)
+    cut = Fraction(naive_grid_count(n_k, alpha), n_k + 1)
+    return [a > cut for a in adjusted]
 
 
 def naive_predict(data: LabeledDataset, test: TestBatch, alpha, oracle=None):
     """Loop-based re-derivation of the full pipeline; returns list of sets.
 
     Each class is ranked among, and cut at the count of, its rows in
-    ``data``; with ``oracle`` fitted elsewhere, ``data`` is a calibration set."""
+    ``data``; with ``oracle`` fitted elsewhere, ``data`` is a calibration set.
+    P-values, their step-up and the cutoff are exact rationals."""
     m = test.m
     member = np.zeros((m, data.n_classes), dtype=bool)
     for k in range(1, data.n_classes + 1):
@@ -80,11 +103,10 @@ def naive_predict(data: LabeledDataset, test: TestBatch, alpha, oracle=None):
         def score(x):
             return sum((x[j] - mean[j]) ** 2 / var[j] for j in range(len(mean)))
         train_scores = [score(r) for r in rows]
-        raw = [naive_conformal_pvalue(train_scores, score(x)) for x in test.features]
-        adjusted = raw if m == 1 else naive_bh(raw)
-        cut = naive_threshold(rows.shape[0], alpha)
-        for i in range(m):
-            member[i, k - 1] = adjusted[i] > cut
+        n_k = len(train_scores)
+        test_scores = [score(x) for x in test.features]
+        raw = [Fraction(1 + sum(1 for s in train_scores if s >= t), n_k + 1) for t in test_scores]
+        member[:, k - 1] = naive_keeps(raw, n_k, alpha)
     return [set(np.flatnonzero(row) + 1) for row in member]
 
 

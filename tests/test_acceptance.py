@@ -29,34 +29,31 @@ Targets covered, in order:
     against the known-parameter procedure
  4. one-class benchmark table at the same scale: fixed FDR and coverage
     targets; power and FLR against the known-parameter procedure
- 5. summarized class-wise loss never exceeds the pooled FDP, pointwise
- 6. the two-point construction separating the two loss notions
+ 5. summarized class-wise loss never exceeds the pooled FDP, pointwise on
+    10000 random instances, against the naive loop's pooled FDP
+ 6. the two-point construction separating the two loss notions: exact
+    losses of both outcomes and their closed-form mix (beta/2, beta)
  7. empirical p-values approach known-parameter p-values as n_k grows
  8. prediction-set sizes converge likewise
- 9. step-up adjustment matches the classical procedure and controls FDR
+ 9. step-up adjustment matches the textbook procedure (``naive_step_up``)
+    on 1000 random vectors at 10 levels, and controls FDR under the
+    global null
 10. the experiment command is deterministic end to end
 """
 
 import numpy as np
 import pytest
 
-from confset import (
-    PredictionSets,
-    evaluate_sets,
-    read_results,
-    rejection_global_fdp,
-)
+from confset import PredictionSets, bh_adjust, evaluate_sets, read_results
 from confset.cli import EXIT_OK, main
 from confset.validation import (
-    check_bh_procedure,
     check_deviation_trend,
-    check_loss_construction,
     check_oracle_coverage,
-    check_scw_bound,
     check_set_size_trend,
     check_super_uniformity,
     check_table,
 )
+from conftest import naive_metrics, naive_step_up
 
 # ---------------------------------------------------------------------------
 # criteria 1-2: known-parameter validity at K=1, p=50, n_k=200, 2000 draws
@@ -163,12 +160,21 @@ def test_c04_oneclass_flr(oneclass):
 
 def test_c05_scw_bounded_by_pooled_fdp_pointwise():
     # 10000 random instances at seed 4 (K in 1..6, m in 1..29, random sets
-    # and truths), zero tolerance
-    result = check_scw_bound()
-    assert result.passed, result.details
-    assert result.details == (
-        "10000 random instances, 0 violations; max(scw - fdp) = 0.000e+00"
-    )
+    # and truths), zero tolerance; the pooled FDP V / max(1, R) is the
+    # naive loop's count, and the bound is met with equality somewhere
+    rng = np.random.default_rng(4)
+    worst = -np.inf
+    for _ in range(10000):
+        k = int(rng.integers(1, 7))
+        n_points = int(rng.integers(1, 30))
+        member = rng.random((n_points, k)) < rng.random()
+        truth = rng.integers(1, k + 2, size=n_points)
+        sets = PredictionSets(member=member)
+        scw = evaluate_sets(sets, truth).scw_fdr
+        fdp = naive_metrics(sets.sets, truth, k)["rejection_fdp"]
+        assert scw <= fdp, (member, truth)
+        worst = max(worst, scw - fdp)
+    assert worst == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -177,27 +183,24 @@ def test_c05_scw_bounded_by_pooled_fdp_pointwise():
 
 def test_c06_two_point_construction_means():
     # Two test points over two classes: the first is rejected from class 1
-    # and is a true class-1 point with probability beta = 0.15; the second
-    # is a correctly accepted class-2 point. Class 2 never rejects, so its
+    # and is either a true class-1 point or an outlier; the second is a
+    # correctly accepted class-2 point. Class 2 never rejects, so its
     # clamped count pads the summarized denominator: the summarized loss
     # halves while the pooled FDP does not.
     sets = PredictionSets(member=np.array([[False, True], [True, True]]))
     value = {
         t0: (
             evaluate_sets(sets, np.array([t0, 2])).scw_fdr,
-            rejection_global_fdp(sets, np.array([t0, 2])),
+            naive_metrics(sets.sets, [t0, 2], 2)["rejection_fdp"],
         )
         for t0 in (1, 3)
     }
     assert value[1] == (0.5, 1.0) and value[3] == (0.0, 0.0)
-
-    # 100000 trials at seed 5: means within 0.005 of 0.075 and 0.01 of 0.15
-    result = check_loss_construction()
-    assert result.passed, result.details
-    assert result.details == (
-        "mean scw 0.0746 (target 0.075+-0.005); "
-        "mean global fdp 0.1493 (target 0.15+-0.01)"
-    )
+    # point 0 truly class 1 with probability beta: the expected losses are
+    # the mix of the two outcomes, (beta/2, beta), at every beta
+    for beta in (0.15, 0.3, 0.5, 0.9):
+        mix = tuple(beta * hit + (1.0 - beta) * miss for hit, miss in zip(value[1], value[3]))
+        assert mix == (beta / 2, beta)
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +225,20 @@ def test_c08_set_size_gap_non_increasing():
 
 
 def test_c09_stepup_equivalence_and_null_fdr():
-    # 1000 random p-vectors at 10 alpha levels; then 5000 global-null
-    # trials at alpha = 0.1 keep empirical FDR <= 0.11
-    result = check_bh_procedure()
-    assert result.passed, result.details
+    # 1000 random p-vectors of m in 1..39 at 10 alpha levels, thresholded
+    # adjusted values against the textbook rule; then, from the same
+    # generator, 5000 global-null trials of 20 p-values at alpha = 0.1,
+    # where any rejection is a false one, keep the empirical FDR <= 0.11
+    rng = np.random.default_rng(6)
+    mismatches = 0
+    for _ in range(1000):
+        pvec = rng.random(int(rng.integers(1, 40)))
+        adjusted = bh_adjust(pvec)
+        for alpha in (0.01, 0.025, 0.05, 0.075, 0.1, 0.15, 0.2, 0.3, 0.4, 0.5):
+            mismatches += not np.array_equal(adjusted <= alpha, naive_step_up(pvec, alpha))
+    rejected = sum(bool(np.any(bh_adjust(rng.random(20)) <= 0.1)) for _ in range(5000))
+    assert mismatches == 0
+    assert rejected / 5000 == 0.1092 <= 0.11
 
 
 # ---------------------------------------------------------------------------

@@ -822,7 +822,10 @@ class TestBrokenPipe:
         os.close(read_end)
         try:
             done = subprocess.run(
-                [sys.executable, "-m", "confset.cli", "validate", "--check", "bh"],
+                [
+                    sys.executable, "-m", "confset.cli", "validate", "--check", "coverage",
+                    "--draws", "50", "--p", "5", "--nk", "20",
+                ],
                 env=_child_env(),
                 stdout=write_end,
                 stderr=subprocess.PIPE,
@@ -1144,26 +1147,26 @@ class TestExperiment:
         assert not (tmp_path / "out").exists()
 
 
+# a coverage or super-uniformity check small enough for a unit test
+SMALL_CHECK = ("--draws", 50, "--p", 5, "--nk", 20)
+
+
 class TestValidate:
     def test_single_cheap_check(self, capsys):
-        code = run_cli("validate", "--check", "scw", "--trials", 2000)
+        code = run_cli("validate", "--check", "coverage", *SMALL_CHECK)
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert out.startswith("[PASS] scw")
+        assert out.startswith("[PASS] coverage")
         assert "all 1 checks passed" in out
 
     def test_comma_separated_checks(self, capsys):
-        code = run_cli(
-            "validate", "--check", "scw,construction", "--trials", 20000
-        )
+        code = run_cli("validate", "--check", "super_uniformity,coverage", *SMALL_CHECK)
         assert code == EXIT_OK
         out = capsys.readouterr().out
-        assert "[PASS] scw" in out and "[PASS] construction" in out
+        assert "[PASS] super_uniformity" in out and "[PASS] coverage" in out
         assert "all 2 checks passed" in out
         # a space after the comma, as typed in a shell or a CI variable
-        code = run_cli(
-            "validate", "--check", "scw, construction", "--trials", 20000
-        )
+        code = run_cli("validate", "--check", "super_uniformity, coverage", *SMALL_CHECK)
         assert code == EXIT_OK
         # the same lines, less the seconds each check took
         seconds = re.compile(r"\(\d+\.\ds\)")
@@ -1188,15 +1191,22 @@ class TestValidate:
         assert untimed.sub("", line) == untimed.sub("", expected)
 
     def test_unknown_check_is_data_error(self, capsys):
-        assert run_cli("validate", "--check", "bogus") == EXIT_DATA
-        assert "bogus" in capsys.readouterr().err
+        # scw, construction and bh are identities that tier-1 tests assert
+        # (tests/test_acceptance.py, targets 5, 6 and 9), not checks
+        for name in ("bogus", "scw", "construction", "bh"):
+            assert run_cli("validate", "--check", name) == EXIT_DATA
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                f"error: unknown checks ['{name}']; available: {sorted(CHECKS)}\n"
+            )
 
     def test_flag_no_named_check_takes_is_data_error(self, capsys):
-        code = run_cli("validate", "--check", "scw", "--alpha", 0.3, "--draws", 5)
+        code = run_cli("validate", "--check", "cw_fdr", "--alpha", 0.3, "--draws", 5)
         assert code == EXIT_DATA
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: no check of ['scw'] takes ['alpha', 'draws']\n"
+        assert captured.err == "error: no check of ['cw_fdr'] takes ['draws']\n"
 
     def test_failing_check_is_exit_4(self, capsys):
         # inject a stub check; cli and validation share the registry object
@@ -1221,14 +1231,14 @@ class TestValidate:
             (("--check", "coverage", "--draws", 0), "--draws"),
             (("--check", "super_uniformity", "--draws", 0), "--draws"),
             (("--check", "deviation", "--draws", -3), "--draws"),
-            (("--check", "construction", "--trials", 0), "--trials"),
-            (("--check", "scw", "--trials", 0), "--trials"),
+            (("--check", "coverage", "--draws", "two"), "--draws"),
+            (("--check", "set_size", "--seed", 1.5), "--seed"),
             (("--check", "cw_fdr", "--replicates", 0), "--replicates"),
             (("--check", "cw_fdr", "--test-sets", 0), "--test-sets"),
             (("--check", "coverage", "--alpha", 1.5), "--alpha"),
             (("--check", "coverage", "--alpha", 0), "--alpha"),
             (("--check", "coverage", "--alpha", "nan"), "--alpha"),
-            (("--check", "scw", "--seed", -1), "--seed"),
+            (("--check", "coverage", "--seed", -1), "--seed"),
         ],
     )
     def test_bad_count_or_level_is_usage_error(self, capsys, argv, flag):

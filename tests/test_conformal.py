@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from confset import conformal, experiment, scoring
 from confset import (
@@ -27,8 +29,9 @@ from confset import (
 from conftest import (
     naive_bh,
     naive_conformal_pvalue,
+    naive_keeps,
     naive_predict,
-    naive_threshold,
+    naive_grid_count,
     random_instance,
     sets_equal,
 )
@@ -155,7 +158,8 @@ class TestAcceptanceThreshold:
             (int(rng.integers(1, 400)), float(rng.uniform(0.005, 0.995))) for _ in range(300)
         ]
         for n_k, alpha in cases:
-            assert acceptance_threshold(n_k, alpha) == naive_threshold(n_k, alpha), (n_k, alpha)
+            want = naive_grid_count(n_k, alpha) / (n_k + 1)
+            assert acceptance_threshold(n_k, alpha) == want, (n_k, alpha)
 
     def test_never_above_alpha(self, rng):
         """Alphas within 1e-12 relative below a grid point: a float floor
@@ -290,6 +294,57 @@ class TestPredict:
             (s1.member, s2.member),
         ):
             np.testing.assert_array_equal(a, b)
+
+
+def grid_predict(ranks, n_k: int, alpha: float):
+    """``predict`` on one class whose test p-values are ``ranks`` / (n_k + 1).
+
+    The class has mean 0 and variance 1 in one feature, so a point scores
+    x**2. Its n_k calibration scores are 1..n_k, and the test point of rank
+    v scores n_k - v + 1.5, below exactly v - 1 of them."""
+    ranks = np.asarray(ranks)
+    data = LabeledDataset(
+        features=np.sqrt(np.arange(1.0, n_k + 1))[:, None], labels=np.ones(n_k, dtype=int)
+    )
+    batch = TestBatch(features=np.sqrt(n_k - ranks + 1.5)[:, None])
+    model = ClassModel(means=np.zeros((1, 1)), variances=np.ones((1, 1)))
+    scores = [np.arange(1.0, n_k + 1)]
+    pvals, sets = predict(data, batch, alpha, oracle=model, train_scores=scores)
+    np.testing.assert_array_equal(pvals.raw[:, 0], ranks / (n_k + 1))
+    return pvals, sets
+
+
+class TestExactStepUp:
+    """Class membership is BH decided exactly on the p-value grid, where a
+    tie with the cutoff is an exact rational equality."""
+
+    def test_tie_at_the_cutoff_drops_the_class(self):
+        # n_k = 19, alpha = 0.05: cutoff 1/20. Three points at p = 1/20 all
+        # adjust to 3 * (1/20) / 3 = 1/20, which exact BH rejects; the float
+        # adjusted value reads 0.05000000000000001, above the cutoff
+        pvals, sets = grid_predict([1, 1, 1], 19, 0.05)
+        assert pvals.adjusted[0, 0] > pvals.thresholds[0] == 0.05
+        assert not sets.member.any()
+
+    def test_a_batch_at_the_floor_is_dropped_whole(self):
+        # 19 <= n_k <= 38 at alpha = 0.05 has one grid point at or below
+        # alpha, so a batch of m points all at p = 1/(n_k+1) is dropped
+        # whole; in floats 73 of these (n_k, m) pairs read above the cutoff
+        for n_k in range(19, 39):
+            for m in range(1, 61):
+                assert not grid_predict(np.ones(m, dtype=int), n_k, 0.05)[1].member.any()
+
+    @settings(max_examples=200)
+    @given(data=st.data())
+    def test_membership_is_the_exact_step_up(self, data):
+        # ranks capped at a random top, so many points share a grid value
+        n_k = data.draw(st.integers(3, 60), label="n_k")
+        top = data.draw(st.integers(1, n_k + 1), label="top")
+        ranks = data.draw(st.lists(st.integers(1, top), min_size=1, max_size=60), label="ranks")
+        alpha = data.draw(st.sampled_from([0.05, 0.1, 0.15, 0.2, 0.3, 0.5]), label="alpha")
+        _, sets = grid_predict(ranks, n_k, alpha)
+        exact = [Fraction(v, n_k + 1) for v in ranks]
+        assert sets.member[:, 0].tolist() == naive_keeps(exact, n_k, alpha)
 
 
 class TestPredictCalls:

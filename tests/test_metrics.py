@@ -6,14 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from confset import (
-    DataError,
-    MetricsReport,
-    PredictionSets,
-    evaluate_sets,
-    rejection_global_fdp,
-)
-from confset.validation import check_scw_bound
+from confset import DataError, MetricsReport, PredictionSets, evaluate_sets
 from conftest import naive_metrics
 
 
@@ -29,13 +22,14 @@ HAND = evaluate_sets(HAND_SETS, HAND_TRUTH)
 
 
 def assert_matches_naive(sets, truth):
-    """Each report field and the pooled FDP equal the naive loop's exactly:
-    both divide the same integer counts."""
+    """Each report field equals the naive loop's exactly, as both divide the
+    same integer counts, and the summarized loss is at most the naive
+    loop's pooled FDP, with zero tolerance."""
     report = evaluate_sets(sets, truth)
     want = naive_metrics(sets.sets, truth, n_classes=sets.n_classes)
     for f in fields(MetricsReport):
         assert getattr(report, f.name) == want[f.name], f.name
-    assert rejection_global_fdp(sets, truth) == want["rejection_fdp"]
+    assert report.scw_fdr <= want["rejection_fdp"]
 
 
 class TestHandInstance:
@@ -49,7 +43,9 @@ class TestHandInstance:
         assert HAND.scw_fdr == 1 / 3
 
     def test_rejection_global_fdp(self):
-        assert rejection_global_fdp(HAND_SETS, HAND_TRUTH) == 2 / 6
+        # the pooled FDP V / max(1, R) that bounds scw_fdr, as the naive loop
+        # that the bound's tests read counts it: 2 false of 6 rejections
+        assert naive_metrics(HAND_SETS.sets, HAND_TRUTH, 2)["rejection_fdp"] == 2 / 6
 
     def test_global_fdr(self):
         # empty sets at points 2,4; point 2 is a true inlier
@@ -115,7 +111,6 @@ class TestEdgeConventions:
         report = evaluate_sets(sets, np.array([1, 2]))
         assert report.cw_fdr == (0.0, 0.0)
         assert report.scw_fdr == 0.0
-        assert rejection_global_fdp(sets, np.array([1, 2])) == 0.0
 
     def test_perfect_prediction(self):
         sets = PredictionSets(np.array([[1, 0], [0, 1], [0, 0]], dtype=bool))
@@ -135,27 +130,26 @@ class TestEdgeConventions:
 
 class TestValidation:
     @staticmethod
-    def raises_in_both(truth, match=None):
-        for metric in (evaluate_sets, rejection_global_fdp):
-            with pytest.raises(DataError, match=match):
-                metric(HAND_SETS, truth)
+    def raises(truth, match=None):
+        with pytest.raises(DataError, match=match):
+            evaluate_sets(HAND_SETS, truth)
 
     def test_truth_length_mismatch(self):
-        self.raises_in_both(np.array([1, 2]), "one entry per test point")
+        self.raises(np.array([1, 2]), "one entry per test point")
 
     def test_truth_out_of_range(self):
-        self.raises_in_both(np.array([1, 1, 2, 3, 4]), "1..3")
-        self.raises_in_both(np.array([0, 1, 2, 3, 3]), "1..3")
+        self.raises(np.array([1, 1, 2, 3, 4]), "1..3")
+        self.raises(np.array([0, 1, 2, 3, 3]), "1..3")
 
     @pytest.mark.parametrize(
         "truth", [[1.9, 2.2, 2.0, 3.0, 3.0], [1.0, 1.0, np.nan, 3.0, 3.0]]
     )
     def test_truth_must_be_integers(self, truth):
         # 1.9 and 2.2 were once scored as 1 and 2
-        self.raises_in_both(np.array(truth), "^truth labels must be integers$")
+        self.raises(np.array(truth), "^truth labels must be integers$")
 
     def test_truth_must_be_one_dimensional(self):
-        self.raises_in_both(HAND_TRUTH.reshape(5, 1))
+        self.raises(HAND_TRUTH.reshape(5, 1))
 
 
 class TestAgainstNaive:
@@ -166,11 +160,6 @@ class TestAgainstNaive:
             member = rng.random((m, k)) < rng.uniform(0.2, 0.8)
             truth = rng.integers(1, k + 2, size=m)
             assert_matches_naive(PredictionSets(member=member), truth)
-
-    def test_scw_never_exceeds_rejection_fdp(self):
-        # the pointwise bound, on other instances than validate's seed 4
-        result = check_scw_bound(seed=1, trials=500)
-        assert result.passed, result.details
 
 
 class TestOneTally:

@@ -15,9 +15,7 @@ from confset.validation import (
     CHECKS,
     _draw_pvalues,
     check_deviation_trend,
-    check_loss_construction,
     check_oracle_coverage,
-    check_scw_bound,
     check_set_size_trend,
     check_super_uniformity,
     check_table,
@@ -124,9 +122,7 @@ def test_in_sample_pvalues_are_anti_conservative():
 
 # Recorded before the three p-value checks shared one draw loop; they pin
 # that the loop consumes the generator in the same order and ranks the same
-# scores. The scw and construction lines were recorded while both checks
-# still called one function per loss; they pin that evaluate_sets gives the
-# same losses and that one vector draw gives the same stream.
+# scores.
 # The set_size line was recorded while the gap still came from a public
 # set_size_discrepancy helper; it pins the inlined mean |size difference|.
 # The cw_fdr, multiclass and oneclass lines were recorded while the
@@ -158,17 +154,6 @@ def test_in_sample_pvalues_are_anti_conservative():
             "n=50: median gap 0.5000; n=200: median gap 0.0700",
         ),
         (
-            check_scw_bound,
-            dict(trials=2000),
-            "2000 random instances, 0 violations; max(scw - fdp) = 0.000e+00",
-        ),
-        (
-            check_loss_construction,
-            dict(trials=20000),
-            "mean scw 0.0756 (target 0.075+-0.005); "
-            "mean global fdp 0.1512 (target 0.15+-0.01)",
-        ),
-        (
             partial(check_table, "cw_fdr"),
             dict(replicates=2, test_sets=2),
             "max_cw_fdr=0.0181 (ok <= 0.07); scw_fdr=0.0134 (ok <= 0.05)",
@@ -193,8 +178,8 @@ def test_in_sample_pvalues_are_anti_conservative():
         ),
     ],
     ids=[
-        "super_uniformity", "coverage", "deviation", "set_size", "scw", "construction",
-        "cw_fdr", "multiclass", "oneclass",
+        "super_uniformity", "coverage", "deviation", "set_size", "cw_fdr", "multiclass",
+        "oneclass",
     ],
 )
 def test_check_lines_are_pinned(monkeypatch, check, kwargs, details):
@@ -208,21 +193,15 @@ def test_check_lines_are_pinned(monkeypatch, check, kwargs, details):
     assert result.details == details
 
 
-def test_construction_targets_follow_beta(monkeypatch):
-    monkeypatch.setattr(validation, "CONSTRUCTION_BETA", 0.3)
-    result = check_loss_construction(trials=20000)
-    assert result.passed
-    assert "(target 0.15+-0.005)" in result.details
-    assert "(target 0.3+-0.01)" in result.details
-
-
 def test_overrides_no_named_check_takes_are_a_data_error():
-    # scw takes seed and trials; coverage takes alpha but is not named
-    with pytest.raises(DataError, match=r"^no check of \['scw'\] takes \['alpha', 'draws'\]$"):
-        run_checks(["scw"], seed=1, alpha=0.3, draws=5)
-    # an override that one named check takes is fine for the others
-    results = run_checks(["scw", "construction"], trials=500)
-    assert [r.name for r in results] == ["scw", "construction"]
+    # deviation takes seed and draws but not alpha or n_k; coverage takes
+    # them but is not named
+    with pytest.raises(DataError, match=r"^no check of \['deviation'\] takes \['alpha', 'n_k'\]$"):
+        run_checks(["deviation"], seed=1, alpha=0.3, n_k=50)
+    # an override that one named check takes is fine for the others: draws
+    # is coverage's, alpha both checks'
+    results = run_checks(["set_size", "coverage"], draws=50, alpha=0.1, p=5)
+    assert [r.name for r in results] == ["set_size", "coverage"]
 
 
 def test_check_parameters_are_the_validate_flags():
