@@ -186,7 +186,7 @@ def cmd_predict(args) -> int:
     batch = read_batch_csv(args.test, args.truth_column)
     known = load_json(args.oracle_params) if args.oracle_params else None
     row = PREDICTORS[args.mode](data, known, args.variance_floor)
-    pvals, sets = predict(data, batch, args.alpha, **row)
+    pvals, sets = predict(data, batch, args.alpha, rank=row)
     write_pvalues_csv(f"{args.out}_pvalues.csv", pvals)
     write_sets_csv(f"{args.out}_sets.csv", sets)
     write_thresholds_csv(f"{args.out}_thresholds.csv", pvals)

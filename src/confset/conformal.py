@@ -1,8 +1,7 @@
 """Conformal p-values, BH adjustment, and set-valued prediction.
 
-The test batch is scored against all K classes in one pass
-(``score_classes``), and each class's training rows against that class,
-unless the caller passes these calibration scores, which no test point moves.
+A predictor scores each class's calibration rows once per training set and
+each test batch against all K classes in one pass (``score_classes``).
 Then, per class k:
 
 1. rank p-value of each test score among the class's n_k calibration scores,
@@ -22,10 +21,11 @@ in-sample, which makes the training scores too small: its p-values are
 anti-conservative at small n_k (ROADMAP, open item 1).
 
 ``PREDICTORS`` maps each predictor name to a row, called once per training
-set with (train, known moments or None, variance floor). It does the fit
-and scores the calibration rows, and returns the keyword arguments of
-``predict`` (``oracle=``, ``train_scores=``), so only a row decides what
-they carry, and an experiment times the call under the row's name.
+set with (train, known moments or None, variance floor). It does the fit,
+scores the calibration rows and returns ``predict``'s ``rank=``: a function
+of a batch, its (m, K) raw p-values and each class's calibration size. So
+only a row decides what scores and what calibrates, one rank serves every
+batch of its training set, and an experiment times the row under its name.
 Comparing two predictors on the same batch is done by the check that
 needs it, in ``validation``.
 """
@@ -138,27 +138,26 @@ def predict(
     test: TestBatch,
     alpha: float,
     oracle: ClassModel | None = None,
-    train_scores: list[np.ndarray] | None = None,
+    rank=None,
 ) -> tuple[PValueMatrix, PredictionSets]:
     """Set-valued prediction for a test batch.
 
     Parameters
     ----------
     data : LabeledDataset
-        Training data; per-class scores are calibrated within each class,
-        whose rows the fit and the scoring read as one view.
+        Training data, read only to build a row when ``rank`` is not given.
     test : TestBatch
         Points to classify; feature count must match ``data``.
     alpha : float
         Nominal per-class error level in (0, 1).
     oracle : ClassModel, optional
-        Class moments to score with; by default those that
-        :func:`fit_model` fits on ``data``. Without ``train_scores``, the
-        calibration ranks against the training rows. The rows of
-        ``PREDICTORS`` pass it, the fitted one with its variance floor.
-    train_scores : list of K arrays, optional
-        Each class's n_k calibration scores against ``oracle``, which it
-        needs; both rows of ``PREDICTORS`` score the class's training rows.
+        Known class moments: short for ``rank=PREDICTORS["oracle"](data,
+        oracle, None)``. Without either, the ``empirical`` row is built,
+        which fits :func:`fit_model` on ``data``.
+    rank : callable, optional
+        A row of ``PREDICTORS`` called on a training set: takes ``test`` and
+        returns its (m, K) raw p-values and each class's calibration size,
+        at which the class is cut. Not together with ``oracle``.
 
     Returns
     -------
@@ -166,38 +165,18 @@ def predict(
         Raw and BH-adjusted p-values with per-class thresholds, and the
         membership mask ``adjusted > threshold``, decided exactly on the grid.
     """
-    if train_scores is not None and oracle is None:
-        raise DataError("train_scores need the class moments that scored them, as oracle=")
-    model = oracle if oracle is not None else fit_model(data)
-    _check_moments(data, model)
-    if test.n_features != data.n_features:
-        raise DataError(
-            f"test batch has {test.n_features} features, training data has "
-            f"{data.n_features}"
-        )
-    m, k = test.m, data.n_classes
-    # a finite row far from a class mean can overflow its score to inf
-    test_scores = score_classes(model, test.features)
-    if not np.isfinite(test_scores.max()):  # a NaN carries through max too
-        row, class_index = np.argwhere(~np.isfinite(test_scores.T))[0]
-        raise DataError(
-            f"test row {row} overflows its score against class {class_index + 1}; "
-            "rescale the features"
-        )
-    if train_scores is None:
-        train_scores = _train_scores(data, model)
-    elif len(train_scores) != k:
-        raise DataError(f"train_scores hold {len(train_scores)} classes, data has {k}")
-    raw = np.empty((m, k))
-    adjusted = np.empty((m, k))
-    thresholds = np.empty(k)
-    member = np.empty((m, k), dtype=bool)
-    for c, scores in enumerate(train_scores):
-        n_k = len(scores)
-        raw[:, c] = col = conformal_pvalues(scores, test_scores[c])
-        adjusted[:, c] = bh_adjust(col)
+    if rank is None:
+        rank = PREDICTORS["empirical" if oracle is None else "oracle"](data, oracle, None)
+    elif oracle is not None:
+        raise DataError("predict takes oracle= or rank=, not both: a rank carries its moments")
+    raw, n_ks = rank(test)
+    adjusted = np.empty_like(raw)
+    thresholds = np.empty(len(n_ks))
+    member = np.empty(raw.shape, dtype=bool)
+    for c, n_k in enumerate(n_ks):
+        adjusted[:, c] = bh_adjust(raw[:, c])
         thresholds[c] = acceptance_threshold(n_k, alpha)
-        member[:, c] = _step_up_keeps(col, n_k, _grid_count(n_k, alpha))
+        member[:, c] = _step_up_keeps(raw[:, c], n_k, _grid_count(n_k, alpha))
     pvals = PValueMatrix(raw=raw, adjusted=adjusted, thresholds=thresholds, alpha=alpha)
     return pvals, PredictionSets(member=member)
 
@@ -216,19 +195,15 @@ def _step_up_keeps(pvalues: np.ndarray, n_k: int, g: int) -> np.ndarray:
     return ranks > np.flatnonzero(qualifies)[-1]
 
 
-def _check_moments(data: LabeledDataset, model: ClassModel) -> None:
-    """Moments of ``data``'s K classes and p features, or one DataError line."""
+def _train_scores(data: LabeledDataset, model: ClassModel) -> list[np.ndarray]:
+    """Each class's training rows scored against that class's moments,
+    which must be for ``data``'s K classes and p features."""
     if model.means.shape != (data.n_classes, data.n_features):
         raise DataError(
             f"class moments are for {model.n_classes} classes x "
             f"{model.n_features} features; data has {data.n_classes} x "
             f"{data.n_features}"
         )
-
-
-def _train_scores(data: LabeledDataset, model: ClassModel) -> list[np.ndarray]:
-    """Each class's training rows scored against that class's moments."""
-    _check_moments(data, model)
     out = []
     for class_id in range(1, data.n_classes + 1):
         with np.errstate(over="ignore"):
@@ -243,17 +218,41 @@ def _train_scores(data: LabeledDataset, model: ClassModel) -> list[np.ndarray]:
     return out
 
 
+def _ranker(model: ClassModel, calibration: list[np.ndarray]):
+    """``rank(test) -> (raw, n_k)``: the batch scored once against every class
+    of ``model`` and ranked among each class's ``calibration`` scores."""
+
+    def rank(test: TestBatch) -> tuple[np.ndarray, list[int]]:
+        if test.n_features != model.n_features:
+            raise DataError(
+                f"test batch has {test.n_features} features, training data has "
+                f"{model.n_features}"
+            )
+        # a finite row far from a class mean can overflow its score to inf
+        test_scores = score_classes(model, test.features)
+        if not np.isfinite(test_scores.max()):  # a NaN carries through max too
+            row, class_index = np.argwhere(~np.isfinite(test_scores.T))[0]
+            raise DataError(
+                f"test row {row} overflows its score against class {class_index + 1}; "
+                "rescale the features"
+            )
+        raw = [conformal_pvalues(scores, t) for scores, t in zip(calibration, test_scores)]
+        return np.column_stack(raw), [len(scores) for scores in calibration]
+
+    return rank
+
+
 def _known(known: ClassModel | None) -> ClassModel:
-    if known is None:  # predict would fit in-sample under the oracle's name
+    if known is None:  # else scoring None would end in a traceback, not one line
         raise DataError("predictor 'oracle' needs known class moments, got none")
     return known
 
 
 PREDICTORS = {
-    "empirical": lambda train, known, floor: dict(
-        oracle=(model := fit_model(train, floor)), train_scores=_train_scores(train, model)
+    "empirical": lambda train, known, floor: _ranker(
+        model := fit_model(train, floor), _train_scores(train, model)
     ),
-    "oracle": lambda train, known, floor: dict(
-        oracle=(model := _known(known)), train_scores=_train_scores(train, model)
+    "oracle": lambda train, known, floor: _ranker(
+        model := _known(known), _train_scores(train, model)
     ),
 }

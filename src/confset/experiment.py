@@ -246,7 +246,7 @@ def _score_batches(
     for batch in batches:
         for mode, row in rows.items():
             started = time.perf_counter()
-            _, sets = predict(train, batch, alpha, **row)
+            _, sets = predict(train, batch, alpha, rank=row)
             seconds[mode] += time.perf_counter() - started
             reports[mode].append(evaluate_sets(sets, batch.truth))
     return reports, seconds

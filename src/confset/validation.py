@@ -108,7 +108,7 @@ def _draw_pvalues(
         batch = generate_test_batch(config, rng, atoms)
         for j, mode in enumerate(modes):
             row = PREDICTORS[mode](train, known, None)
-            pvals[i, j] = predict(train, batch, config.alpha, **row)[0].raw[0, 0]
+            pvals[i, j] = predict(train, batch, config.alpha, rank=row)[0].raw[0, 0]
     return pvals
 
 
@@ -242,10 +242,8 @@ def check_set_size_trend(
         for s in range(SET_SIZE_SEEDS):
             rng = np.random.default_rng(np.random.SeedSequence([seed, idx, s]))
             train = generate_training(config, rng, atoms)
-            est, exact = (
-                predict(train, batch, alpha, **PREDICTORS[mode](train, known, None))[1].sizes
-                for mode in ("empirical", "oracle")
-            )
+            rows = (PREDICTORS[mode](train, known, None) for mode in ("empirical", "oracle"))
+            est, exact = (predict(train, batch, alpha, rank=row)[1].sizes for row in rows)
             gaps[s] = np.abs(est - exact).mean()
         medians.append(float(np.median(gaps)))
     monotone = all(medians[i + 1] <= medians[i] for i in range(len(medians) - 1))

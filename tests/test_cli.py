@@ -1580,12 +1580,13 @@ def test_malformed_config_exits_3_with_one_line(tmp_path_factory, data):
 
 @pytest.fixture
 def stub_row(monkeypatch):
-    """A predictor row added to the table: predict's own fit, its calls counted."""
+    """A predictor row added to the table: no rank, so predict builds the
+    empirical row itself, and the row's calls are counted."""
     calls = []
 
     def stub(train, known, floor):
         calls.append(floor)
-        return {}
+        return None
 
     monkeypatch.setitem(PREDICTORS, "stub", stub)
     return calls

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from confset import conformal, experiment, scoring
+from confset import cli, conformal, experiment, scoring, validation
+from confset.datagen import ScenarioConfig
 from confset import (
     ClassModel,
     DataError,
@@ -86,6 +88,10 @@ class TestConformalPValues:
     def test_rejects_nonfinite(self):
         with pytest.raises(DataError):
             conformal_pvalues(np.array([1.0, np.nan]), np.array([1.0]))
+
+    def test_rejects_2d_train(self):
+        with pytest.raises(DataError, match="^train_scores must be a non-empty 1-D array$"):
+            conformal_pvalues(np.ones((1, 3)), np.array([1.0]))
 
 
 class TestBHAdjust:
@@ -308,8 +314,8 @@ def grid_predict(ranks, n_k: int, alpha: float):
     )
     batch = TestBatch(features=np.sqrt(n_k - ranks + 1.5)[:, None])
     model = ClassModel(means=np.zeros((1, 1)), variances=np.ones((1, 1)))
-    scores = [np.arange(1.0, n_k + 1)]
-    pvals, sets = predict(data, batch, alpha, oracle=model, train_scores=scores)
+    rank = conformal._ranker(model, [np.arange(1.0, n_k + 1)])
+    pvals, sets = predict(data, batch, alpha, rank=rank)
     np.testing.assert_array_equal(pvals.raw[:, 0], ranks / (n_k + 1))
     return pvals, sets
 
@@ -365,8 +371,8 @@ class TestPredictCalls:
         for c in range(1, k + 1):
             calls = [r for cls, r in scoring_calls["score"] if cls == c]
             assert len(calls) == 2
-            # the test batch is scored first, before the calibration rows
-            test_rows, train_rows = calls
+            # the row scores the calibration rows first, then the test batch
+            train_rows, test_rows = calls
             np.testing.assert_array_equal(train_rows, data.class_rows(c))
             np.testing.assert_array_equal(test_rows, batch.features)
 
@@ -466,92 +472,173 @@ def test_predict_peak_memory_below_half_a_class(p, n_k, m):
 
 
 
+# Where ``src/confset`` passes ``rank=``: (module, function) of each call.
+RANK_SITES = {
+    ("cli", "cmd_predict"),
+    ("experiment", "_score_batches"),
+    ("validation", "_draw_pvalues"),
+    ("validation", "check_set_size_trend"),
+}
+
+
 class TestPredictors:
     def test_only_a_row_of_the_table_passes_oracle(self):
-        """``oracle=`` and ``train_scores=``, or such a key, appear in
-        ``src/confset`` only inside ``PREDICTORS``: every caller picks a row
-        by name, so no second place decides which moments ``predict`` scores
-        with, or which calibration scores it ranks among."""
+        """No module of ``src/confset`` passes ``oracle=`` or unpacks keywords
+        into ``predict``, and ``_ranker`` is called only inside
+        ``PREDICTORS``: every caller picks a row by name, so no second place
+        decides which moments ``predict`` scores with, or which calibration
+        scores it ranks among. ``rank=`` is passed at ``RANK_SITES`` alone,
+        each of which ``test_every_rank_is_a_row`` runs."""
         src = Path(conformal.__file__).parent
         table = next(
             node for node in ast.parse(Path(conformal.__file__).read_text()).body
             if isinstance(node, ast.Assign)
             and [t.id for t in node.targets] == ["PREDICTORS"]
         )
-        passed = {"oracle": [], "train_scores": []}
+        oracle, unpacked, ranker, rank = [], [], [], set()
         for path in sorted(src.glob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                keys = [node.arg] if isinstance(node, ast.keyword) else []
-                if isinstance(node, ast.Dict):
-                    keys = [k.value for k in node.keys if isinstance(k, ast.Constant)]
-                for key in passed.keys() & set(keys):
-                    passed[key].append((path.name, node.lineno))
+            tree = ast.parse(path.read_text())
+            parent = {c: n for n in ast.walk(tree) for c in ast.iter_child_nodes(n)}
+            for node in ast.walk(tree):
+                where = (path.stem, node.lineno) if hasattr(node, "lineno") else None
+                if isinstance(node, ast.keyword) and node.arg == "oracle":
+                    oracle.append(where)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    if node.func.id == "predict" and any(k.arg is None for k in node.keywords):
+                        unpacked.append(where)
+                    if node.func.id == "_ranker":
+                        ranker.append(where)
+                if isinstance(node, ast.keyword) and node.arg == "rank":
+                    outer = parent[node]
+                    while not isinstance(outer, ast.FunctionDef):
+                        outer = parent[outer]
+                    rank.add((path.stem, outer.name))
+        assert oracle == [] and unpacked == []
         rows = range(table.lineno, table.end_lineno + 1)
-        for where in passed.values():
-            assert where
-            assert all(name == "conformal.py" and line in rows for name, line in where), where
+        assert ranker and all(name == "conformal" and line in rows for name, line in ranker)
+        assert rank == RANK_SITES
+
+    def test_every_rank_is_a_row(self, monkeypatch, tmp_path):
+        """Each ``rank=`` passed at ``RANK_SITES`` is what a row of
+        ``PREDICTORS`` returned, the one path ``predict`` takes."""
+        made, seen = [], set()
+        for name, row in list(conformal.PREDICTORS.items()):
+
+            def recorded(train, known, floor, row=row):
+                made.append(row(train, known, floor))
+                return made[-1]
+
+            monkeypatch.setitem(conformal.PREDICTORS, name, recorded)
+
+        def spy(data, test, alpha, oracle=None, rank=None):
+            caller = sys._getframe(1)
+            while caller.f_code.co_name.startswith("<"):  # a generator expression
+                caller = caller.f_back
+            assert any(rank is r for r in made)
+            seen.add((Path(caller.f_code.co_filename).stem, caller.f_code.co_name))
+            return predict(data, test, alpha, oracle=oracle, rank=rank)
+
+        for module in (cli, experiment, validation):
+            monkeypatch.setattr(module, "predict", spy)
+        monkeypatch.setattr(validation, "TREND_N_GRID", (10, 20))
+        monkeypatch.setattr(validation, "SET_SIZE_SEEDS", 2)
+        prefix = tmp_path / "sim"
+        cli.main(["simulate", "--p", "5", "--nk", "12", "--m", "9", "--out", str(prefix)])
+        for mode in ("empirical", "oracle"):
+            known = ["--oracle-params", f"{prefix}_oracle.json"] if mode == "oracle" else []
+            cli.main([
+                "predict", "--train", f"{prefix}_train.csv", "--test", f"{prefix}_test.csv",
+                "--truth-column", "truth", "--mode", mode, *known, "--out", str(tmp_path / mode),
+            ])
+        config = multi_class_config(p=5, n_k=12, m=9, run_seed=1)
+        train, batch = generate(config)
+        experiment._score_batches(train, [batch], 0.1, ("empirical", "oracle"), oracle_params(config))
+        one = ScenarioConfig(p=5, n_k=12, m=1)
+        validation._draw_pvalues(one, 2, np.random.default_rng(0), ("empirical", "oracle"))
+        validation.check_set_size_trend(p=5)
+        assert seen == RANK_SITES
+        # two CLI runs, two rows in _score_batches, 2 x 2 draws, 2 x 2 x 2 trend rows
+        assert len(made) == 2 + 2 + 4 + 8
 
     def test_rows_give_predict_its_moments(self):
-        """Each row passes its moments and the training scores they give,
-        one ``score_batch`` of each class's rows."""
+        """Each row ranks a batch among its moments' scores of each class's
+        training rows: the fitted row's ``fit_model`` with its floor, the
+        oracle row's known moments."""
         config = multi_class_config(p=6, n_k=12, m=30, run_seed=2)
         train, batch = generate(config)
         known = oracle_params(config)
-        fitted = conformal.PREDICTORS["empirical"](train, known, 0.5)
-        expected = fit_model(train, 0.5)
-        assert np.array_equal(fitted["oracle"].means, expected.means)
-        assert np.array_equal(fitted["oracle"].variances, expected.variances)
-        row = conformal.PREDICTORS["oracle"](train, known, None)
-        assert list(row) == ["oracle", "train_scores"] and row["oracle"] is known
-        for row in (fitted, row):
-            assert len(row["train_scores"]) == train.n_classes
-            for k, scores in enumerate(row["train_scores"], start=1):
-                want = scoring.score_batch(row["oracle"], train.class_rows(k), k)
-                np.testing.assert_array_equal(scores, want)
+        for mode, floor, model in (
+            ("empirical", 0.5, fit_model(train, 0.5)),
+            ("oracle", None, known),
+        ):
+            raw, n_k = conformal.PREDICTORS[mode](train, known, floor)(batch)
+            assert n_k == train.class_counts.tolist()
+            for k in range(1, train.n_classes + 1):
+                calibration = scoring.score_batch(model, train.class_rows(k), k)
+                test_scores = scoring.score_batch(model, batch.features, k)
+                np.testing.assert_array_equal(
+                    raw[:, k - 1], conformal_pvalues(calibration, test_scores)
+                )
 
     @pytest.mark.parametrize("mode", ["empirical", "oracle"])
     @pytest.mark.parametrize("p", [1, 200])
-    def test_row_train_scores_change_no_output(self, rng, p, mode):
-        """``predict`` with a row's training scores gives, bit for bit, what
-        it gives when it scores the training rows itself."""
+    def test_row_train_scores_change_no_output(self, rng, scoring_calls, p, mode):
+        """One row's rank, with the training scores it made once, serves
+        three batches bit for bit as three ``predict`` calls that each build
+        the row themselves; each class is fitted and its calibration rows
+        scored once."""
         config = multi_class_config(p=p, n_k=40, m=60, rho=0.5, run_seed=3)
-        data, batch = generate(config)
+        data, _ = generate(config)
         perm = rng.permutation(data.n)
         train = LabeledDataset(features=data.features[perm], labels=data.labels[perm])
-        row = conformal.PREDICTORS[mode](train, oracle_params(config), None)
-        p1, s1 = predict(train, batch, 0.1, **row)
-        p2, s2 = predict(train, batch, 0.1, oracle=row["oracle"])
-        for a, b in (
-            (p1.raw, p2.raw),
-            (p1.adjusted, p2.adjusted),
-            (p1.thresholds, p2.thresholds),
-            (s1.member, s2.member),
-        ):
-            np.testing.assert_array_equal(a, b)
+        batches = [
+            generate(multi_class_config(p=p, n_k=40, m=60, rho=0.5, run_seed=seed))[1]
+            for seed in (4, 5, 6)
+        ]
+        known = oracle_params(config)
+        fallback = [
+            predict(train, b, 0.1, oracle=known if mode == "oracle" else None) for b in batches
+        ]
+        scoring_calls["fit"].clear()
+        scoring_calls["score"].clear()
+        rank = conformal.PREDICTORS[mode](train, known, None)
+        served = [predict(train, b, 0.1, rank=rank) for b in batches]
+        k = train.n_classes
+        assert scoring_calls["fit"] == (list(range(1, k + 1)) if mode == "empirical" else [])
+        calibration = [
+            c for c, rows in scoring_calls["score"] if np.shares_memory(rows, train.features)
+        ]
+        assert calibration == list(range(1, k + 1))
+        for (p1, s1), (p2, s2) in zip(served, fallback):
+            for a, b in (
+                (p1.raw, p2.raw),
+                (p1.adjusted, p2.adjusted),
+                (p1.thresholds, p2.thresholds),
+                (s1.member, s2.member),
+            ):
+                np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize(
-        "change, message",
-        [
-            (
-                "no oracle",
-                "train_scores need the class moments that scored them, as oracle=",
-            ),
-            ("drop a class", "train_scores hold 3 classes, data has 4"),
-            ("2-D", "train_scores must be a non-empty 1-D array"),
-        ],
+        "change, message", [("2-D", "train_scores must be a non-empty 1-D array")]
     )
     def test_bad_train_scores_are_one_line(self, change, message):
+        """Calibration scores that ``conformal_pvalues`` refuses end
+        ``predict`` with its one line."""
         train, batch = generate(multi_class_config(p=6, n_k=12, m=30, run_seed=2))
-        row = conformal.PREDICTORS["empirical"](train, None, None)
-        scores = row["train_scores"]
-        if change == "no oracle":
-            del row["oracle"]
-        elif change == "drop a class":
-            row["train_scores"] = scores[:3]
-        else:
-            row["train_scores"] = [scores[0][None], *scores[1:]]
+        model = fit_model(train)
+        scores = conformal._train_scores(train, model)
+        rank = conformal._ranker(model, [scores[0][None], *scores[1:]])
         with pytest.raises(DataError, match=f"^{message}$"):
-            predict(train, batch, 0.1, **row)
+            predict(train, batch, 0.1, rank=rank)
+
+    def test_oracle_with_rank_is_one_line(self):
+        """A rank carries its own moments, so ``oracle=`` beside it is
+        refused rather than silently ignored."""
+        train, batch = generate(multi_class_config(p=6, n_k=12, m=30, run_seed=2))
+        rank = conformal.PREDICTORS["empirical"](train, None, None)
+        message = "^predict takes oracle= or rank=, not both: a rank carries its moments$"
+        with pytest.raises(DataError, match=message):
+            predict(train, batch, 0.1, oracle=fit_model(train), rank=rank)
 
     def test_calibration_half_sets_rank_and_cutoff(self):
         """Split calibration: fit each class on one half of its rows and pass
@@ -568,7 +655,7 @@ class TestPredictors:
         )
         model = fit_model(fit_half)
         scores = [scoring.score_batch(model, calibration.class_rows(k), k) for k in range(1, 5)]
-        pvals, sets = predict(train, batch, 0.1, oracle=model, train_scores=scores)
+        pvals, sets = predict(train, batch, 0.1, rank=conformal._ranker(model, scores))
         np.testing.assert_array_equal(pvals.thresholds, np.full(4, 2 / 21))
         assert not np.array_equal(sets.member, pvals.adjusted > 4 / 41)
         assert sets_equal(sets, naive_predict(calibration, batch, 0.1, oracle=model))
