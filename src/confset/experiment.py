@@ -92,6 +92,10 @@ class ExperimentConfig:
     train_fraction: float = 0.7
 
     def __post_init__(self):
+        for f in fields(self):  # numpy scalars as the Python ones save_config writes
+            value = getattr(self, f.name)
+            value = type(value)(map(_item, value)) if isinstance(value, (list, tuple)) else value
+            object.__setattr__(self, f.name, _item(value))
         if self.scenario not in ("csv", *SCENARIOS):
             raise DataError(f"unknown scenario {self.scenario!r}")
         mode = tuple(self.mode) if isinstance(self.mode, (list, tuple)) else (self.mode,)
@@ -146,6 +150,11 @@ class ExperimentConfig:
         shared = {f.name for f in fields(ScenarioConfig)} & {f.name for f in fields(self)}
         design = {name: getattr(self, name) for name in shared} | dict(p=p, n_k=n_k, rho=rho)
         return SCENARIOS.get(self.scenario, ScenarioConfig)(**design)
+
+
+def _item(value):
+    """``value`` as its Python scalar if it is a numpy scalar, else as it is."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def _cell_name(scenario: str, p: int, n_k: int, rho: float) -> str:

@@ -69,6 +69,9 @@ sum does, so for p >= 2 the variance is bit-identical to
 ``rows.var(axis=0, ddof=1)`` while no temporary grows beyond one block.
 At p = 1 numpy sums the single contiguous column pairwise instead, and the
 fit may differ from it by an ulp or two.
+
+``fit_class_summary`` returns one class's raw moments, zero variances
+included; ``fit_model`` floors them or raises ``DegenerateVarianceError``.
 """
 
 from __future__ import annotations
@@ -122,36 +125,31 @@ def _one_helper(wanted: bool):
 def fit_model(data: LabeledDataset, variance_floor: float | None = None) -> ClassModel:
     """Fit every class of ``data``: row k-1 holds class k's mean and variance.
 
-    Each class is fitted by :func:`fit_class_summary`, with the same
-    ``variance_floor``.
-    """
-    means = np.empty((data.n_classes, data.n_features))
-    variances = np.empty_like(means)
-    for k in range(data.n_classes):
-        means[k], variances[k] = fit_class_summary(data, k + 1, variance_floor)
-    return ClassModel(means=means, variances=variances)
-
-
-def fit_class_summary(
-    data: LabeledDataset,
-    class_id: int,
-    variance_floor: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fit mean and diagonal variance for one class, as a ``(mean, variance)`` pair.
-
-    Parameters
-    ----------
-    data : LabeledDataset
-    class_id : int
-        Class in 1..K; the class is guaranteed >= 3 rows by construction.
-    variance_floor : float, optional
-        Replace variance entries below this floor, which must be finite and
-        positive, by the floor itself. Off by default: a zero-variance
-        column then raises ``DegenerateVarianceError`` naming the class and
-        column.
+    ``variance_floor`` is checked once, then lifts the raw variances of
+    :func:`fit_class_summary` below it; without it, the first zero
+    variance, in class then column order, raises ``DegenerateVarianceError``.
     """
     if variance_floor is not None and not 0.0 < variance_floor < np.inf:
         raise DataError(f"variance_floor must be finite and positive, got {variance_floor}")
+    means = np.empty((data.n_classes, data.n_features))
+    variances = np.empty_like(means)
+    for k in range(data.n_classes):
+        means[k], variances[k] = fit_class_summary(data, k + 1)
+    if variance_floor is not None:
+        np.maximum(variances, variance_floor, out=variances)
+    elif not variances.all():
+        k, col = np.argwhere(variances == 0.0)[0]
+        raise DegenerateVarianceError(
+            f"class {k + 1} has zero variance in feature column {col}; "
+            "drop the column or enable a variance floor"
+        )
+    return ClassModel(means=means, variances=variances)
+
+
+def fit_class_summary(data: LabeledDataset, class_id: int) -> tuple[np.ndarray, np.ndarray]:
+    """Raw ``(mean, variance)`` of class ``class_id`` in 1..K, which has >= 3
+    rows by construction; a constant column's variance is 0.0, which
+    :func:`fit_model` floors or rejects."""
     rows = data.class_rows(class_id)
     n, p = rows.shape
     # finite features can still overflow their sum or square; ClassModel
@@ -172,16 +170,7 @@ def fit_class_summary(
             np.subtract(rows[start:stop], mean, out=d)
             np.square(d, out=d)
             np.add.reduce(block, axis=0, out=sums)
-        var = sums / (n - 1)
-    if variance_floor is not None:
-        var = np.maximum(var, variance_floor)
-    elif np.any(var == 0.0):
-        col = int(np.flatnonzero(var == 0.0)[0])
-        raise DegenerateVarianceError(
-            f"class {class_id} has zero variance in feature column {col}; "
-            "drop the column or enable a variance floor"
-        )
-    return mean, var
+        return mean, sums / (n - 1)
 
 
 def _block_rows(p: int) -> int:

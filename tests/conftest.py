@@ -300,9 +300,9 @@ def scoring_calls(monkeypatch):
     calls = {"fit": [], "score": []}
     fit, score = scoring.fit_class_summary, scoring.score_batch
 
-    def fit_spy(data, class_id, variance_floor=None):
+    def fit_spy(data, class_id):
         calls["fit"].append(class_id)
-        return fit(data, class_id, variance_floor)
+        return fit(data, class_id)
 
     def score_spy(model, rows, class_id):
         calls["score"].append((class_id, rows))

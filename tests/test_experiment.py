@@ -19,6 +19,7 @@ from confset import (
     generate,
     generate_test_batch,
     generate_training,
+    load_config,
     load_csv,
     make_atoms,
     multi_class_config,
@@ -349,6 +350,26 @@ class TestRunExperiment:
         t2 = read_results(tmp_path / "b" / "multi_class_p5_nk10_rho0_empirical.csv")
         t1.pop("time_s"), t2.pop("time_s")
         assert t1 == t2
+
+    def test_numpy_scalars_write_like_python_ones(self, tmp_path):
+        # numpy numbers pass check_number and check_seed; the config stores
+        # them as Python scalars, which the YAML copy can hold
+        plain = self._config(tmp_path / "plain", rho=(0.5,))
+        typed = self._config(
+            tmp_path / "typed", p=tuple(np.array([5, 7])), rho=(np.float64(0.5),),
+            m=np.int64(16), alpha=np.float64(0.1), master_seed=np.uint32(3),
+        )
+        assert replace(typed, out_dir=plain.out_dir) == plain
+        assert [type(v) for v in (*typed.p, *typed.rho, typed.alpha)] == [int, int, float, float]
+        run_experiment(plain)
+        run_experiment(typed)
+        assert load_config(tmp_path / "typed" / "config.yaml") == typed
+        for p in (5, 7):
+            name = f"multi_class_p{p}_nk10_rho0.5_empirical.csv"
+            t1 = read_results(tmp_path / "plain" / name)
+            t2 = read_results(tmp_path / "typed" / name)
+            t1.pop("time_s"), t2.pop("time_s")
+            assert t1 == t2
 
     def test_echo_receives_tables(self, tmp_path):
         lines = []

@@ -60,34 +60,12 @@ class TestFitClassSummary:
         assert mean[0] == pytest.approx(1.0)
         assert var[0] == pytest.approx(1.0)
 
-    def test_zero_variance_column_raises_with_location(self):
+    def test_constant_column_variance_is_zero(self):
+        # the raw fit applies no floor and rejects nothing; fit_model does
         data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
-        with pytest.raises(DegenerateVarianceError) as err:
-            fit_class_summary(data, 1)
-        assert str(err.value) == (
-            "class 1 has zero variance in feature column 1; "
-            "drop the column or enable a variance floor"
-        )
-
-    def test_variance_floor_rescues_degenerate_column(self):
-        data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
-        _, var = fit_class_summary(data, 1, variance_floor=0.25)
-        assert var[1] == 0.25
-        assert var[0] == pytest.approx(1.0)  # floor only lifts, never lowers
-
-    def test_rejects_nonpositive_floor(self):
-        data = one_class([[0.0], [1.0], [2.0]])
-        with pytest.raises(DataError):
-            fit_class_summary(data, 1, variance_floor=0.0)
-
-    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
-    def test_rejects_non_finite_floor(self, floor):
-        data = one_class([[0.0], [1.0], [2.0]])
-        message = rf"^variance_floor must be finite and positive, got {floor}$"
-        with pytest.raises(DataError, match=message):
-            fit_class_summary(data, 1, variance_floor=floor)
-        with pytest.raises(DataError, match=message):
-            fit_model(data, variance_floor=floor)
+        _, var = fit_class_summary(data, 1)
+        assert var[1] == 0.0
+        assert var[0] == pytest.approx(1.0)
 
     def test_uses_requested_class_only(self):
         features = np.vstack([np.zeros((3, 1)), np.full((3, 1), 9.0)])
@@ -101,6 +79,54 @@ class TestFitClassSummary:
 
 
 class TestFitModel:
+    def test_zero_variance_column_raises_with_location(self):
+        data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
+        with pytest.raises(DegenerateVarianceError) as err:
+            fit_model(data)
+        assert str(err.value) == (
+            "class 1 has zero variance in feature column 1; "
+            "drop the column or enable a variance floor"
+        )
+
+    def test_zero_variance_names_the_degenerate_class(self):
+        # class 1 varies in both columns, class 2 is constant in column 0
+        features = np.array(
+            [[0.0, 1.0], [1.0, 3.0], [2.0, 2.0], [7.0, 0.0], [7.0, 1.0], [7.0, 5.0]]
+        )
+        data = LabeledDataset(features=features, labels=np.repeat([1, 2], 3))
+        with pytest.raises(DegenerateVarianceError) as err:
+            fit_model(data)
+        assert str(err.value) == (
+            "class 2 has zero variance in feature column 0; "
+            "drop the column or enable a variance floor"
+        )
+
+    def test_variance_floor_rescues_degenerate_column(self):
+        data = one_class([[0.0, 5.0], [1.0, 5.0], [2.0, 5.0]])
+        var = fit_model(data, variance_floor=0.25).variances[0]
+        assert var[1] == 0.25
+        assert var[0] == pytest.approx(1.0)  # floor only lifts, never lowers
+
+    def test_rejects_nonpositive_floor(self):
+        data = one_class([[0.0], [1.0], [2.0]])
+        with pytest.raises(DataError):
+            fit_model(data, variance_floor=0.0)
+
+    @pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1.0])
+    def test_rejects_non_finite_floor(self, floor):
+        data = one_class([[0.0], [1.0], [2.0]])
+        message = rf"^variance_floor must be finite and positive, got {floor}$"
+        with pytest.raises(DataError, match=message):
+            fit_model(data, variance_floor=floor)
+
+    def test_bad_floor_raises_before_any_fit(self, scoring_calls):
+        data = LabeledDataset(
+            features=np.arange(12.0).reshape(6, 2), labels=np.repeat([1, 2], 3)
+        )
+        with pytest.raises(DataError, match="^variance_floor must be finite"):
+            fit_model(data, variance_floor=-1.0)
+        assert scoring_calls["fit"] == []
+
     def test_stacks_the_class_fits(self, rng):
         data = LabeledDataset(
             features=rng.normal(size=(15, 4)) * [1.0, 10.0, 0.1, 3.0],
