@@ -278,17 +278,13 @@ class PValueMatrix:
         object.__setattr__(self, "alpha", float(self.alpha))
 
     @property
-    def m(self) -> int:
-        return self.raw.shape[0]
-
-    @property
     def n_classes(self) -> int:
         return self.raw.shape[1]
 
 
 @dataclass(frozen=True, eq=False)
 class PredictionSets:
-    """Accepted class labels per test point, stored as an (m, K) boolean mask.
+    """Accepted class labels per test point: an (m, K) mask of dtype bool, not 0/1 numbers.
 
     An all-False row is an empty prediction set: the point is declared an
     outlier. Rows with more than one True are ambiguous.
@@ -301,9 +297,7 @@ class PredictionSets:
         if member.ndim != 2:
             raise DataError(f"member must be 2-D (m, K), got shape {member.shape}")
         if member.dtype != np.bool_:
-            if not np.array_equal(member, member.astype(bool)):
-                raise DataError("member must be boolean")
-            member = member.astype(bool)
+            raise DataError("member must be boolean")
         object.__setattr__(self, "member", _readonly(member))
 
     @property

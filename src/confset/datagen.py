@@ -50,13 +50,11 @@ __all__ = [
     "SCENARIOS",
     "make_atoms",
     "sample_points",
-    "apportion_test_counts",
     "generate_training",
     "generate_test_batch",
     "generate",
     "oracle_params",
     "with_run_seed",
-    "DEFAULT_ATOM_SEED",
 ]
 
 # Atom pool seed shared by all built-in experiments.
@@ -298,11 +296,9 @@ def apportion_test_counts(m: int, inlier_ratio: float, n_classes: int) -> tuple[
 def generate_training(
     config: ScenarioConfig,
     rng: np.random.Generator,
-    atoms: np.ndarray | None = None,
+    atoms: np.ndarray,
 ) -> LabeledDataset:
-    """n_k rows per inlier class, classes in order."""
-    if atoms is None:
-        atoms = make_atoms(config.atom_seed, config.p)
+    """n_k rows per inlier class, classes in order, from ``rng`` and the caller's ``atoms``."""
     features = sample_points(
         [(spec, config.n_k) for spec in config.class_specs], config.rho, atoms, rng
     )
@@ -315,11 +311,9 @@ def generate_training(
 def generate_test_batch(
     config: ScenarioConfig,
     rng: np.random.Generator,
-    atoms: np.ndarray | None = None,
+    atoms: np.ndarray,
 ) -> TestBatch:
-    """One labeled test batch of m rows: balanced inliers then outliers."""
-    if atoms is None:
-        atoms = make_atoms(config.atom_seed, config.p)
+    """m labeled rows from ``rng`` and the caller's ``atoms``: balanced inliers, then outliers."""
     counts, n_out = apportion_test_counts(config.m, config.inlier_ratio, config.n_classes)
     counts.append(n_out)
     specs = config.class_specs + (config.outlier_spec,)

@@ -53,11 +53,9 @@ __all__ = [
     "load_config",
     "save_config",
     "split_train_test",
-    "replicate_seed",
     "run_replicate",
     "run_cell",
     "run_experiment",
-    "CellResult",
 ]
 
 
@@ -306,10 +304,10 @@ def run_replicate(
 
 def split_train_test(
     data: LabeledDataset,
-    fraction: float = 0.7,
-    seed: int = 0,
+    fraction: float,
+    seed: int,
 ) -> tuple[LabeledDataset, TestBatch]:
-    """Stratified split: round(fraction * n_k) rows of each class train.
+    """Stratified split: round(fraction * n_k) rows of each class train, picked by ``seed``.
 
     The test batch keeps class labels as truth (it contains no outliers;
     merge outlier rows separately). Errors out if any class would train on

@@ -197,7 +197,7 @@ def naive_generate(config):
     ``generate(config)``, drawn one component at a time, skipping test
     components with no rows; the next draw is the generator's
     ``random()`` after both blocks."""
-    from confset import apportion_test_counts, make_atoms
+    from confset.datagen import apportion_test_counts, make_atoms
 
     atoms = make_atoms(config.atom_seed, config.p)
     rng = np.random.default_rng(config.run_seed)

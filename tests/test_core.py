@@ -372,7 +372,7 @@ class TestPValueMatrix:
 
     def test_valid(self):
         pv = self.good()
-        assert pv.m == 3 and pv.n_classes == 2
+        assert pv.raw.shape[0] == 3 and pv.n_classes == 2
 
     def test_rejects_out_of_range_pvalues(self):
         with pytest.raises(DataError):
@@ -406,9 +406,10 @@ class TestPredictionSets:
         assert [set(s) for s in obj.sets] == sets
         np.testing.assert_array_equal(obj.sizes, [2, 0, 1])
 
-    def test_zero_one_numeric_coerces(self):
-        obj = PredictionSets(member=np.eye(2))
-        assert obj.member.dtype == np.bool_
+    @pytest.mark.parametrize("member", [np.eye(2), np.array([[1, 0], [0, 1]])], ids=["float", "int"])
+    def test_zero_one_numeric_is_rejected(self, member):
+        with pytest.raises(DataError, match="^member must be boolean$"):
+            PredictionSets(member=member)
 
     def test_rejects_non_boolean(self):
         with pytest.raises(DataError):

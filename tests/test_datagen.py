@@ -13,7 +13,6 @@ from confset import (
     SCENARIOS,
     DataError,
     ScenarioConfig,
-    apportion_test_counts,
     generate,
     generate_test_batch,
     generate_training,
@@ -23,6 +22,7 @@ from confset import (
     sample_points,
     with_run_seed,
 )
+from confset.datagen import apportion_test_counts
 
 from conftest import naive_generate
 
@@ -336,10 +336,11 @@ class TestOneDrawPerBlock:
         monkeypatch.setattr(datagen, "sample_points", spy)
         config = multi_class_config(p=5, n_k=10, m=37, run_seed=2)
         rng = np.random.default_rng(2)
-        data = generate_training(config, rng)
+        atoms = make_atoms(config.atom_seed, config.p)
+        data = generate_training(config, rng, atoms)
         assert len(calls) == 1
         np.testing.assert_array_equal(calls[0], data.features)
-        batch = generate_test_batch(config, rng)
+        batch = generate_test_batch(config, rng, atoms)
         assert len(calls) == 2
         np.testing.assert_array_equal(calls[1], batch.features)
 
@@ -368,7 +369,8 @@ class TestOneDrawPerBlock:
 class TestGenerateTraining:
     def test_structure(self):
         config = multi_class_config(p=7, n_k=12, run_seed=1)
-        data = generate_training(config, np.random.default_rng(1))
+        atoms = make_atoms(config.atom_seed, config.p)
+        data = generate_training(config, np.random.default_rng(1), atoms)
         assert data.n == 48 and data.n_features == 7 and data.n_classes == 4
         np.testing.assert_array_equal(
             data.labels, np.repeat([1, 2, 3, 4], 12)
@@ -376,7 +378,8 @@ class TestGenerateTraining:
 
     def test_monte_carlo_moments_match_oracle(self):
         config = multi_class_config(p=4, n_k=20000, rho=0.0, run_seed=2)
-        data = generate_training(config, np.random.default_rng(2))
+        atoms = make_atoms(config.atom_seed, config.p)
+        data = generate_training(config, np.random.default_rng(2), atoms)
         oracle = oracle_params(config)
         for k in range(1, 5):
             rows = data.class_rows(k)
@@ -404,7 +407,8 @@ class TestGenerateTraining:
 class TestGenerateTestBatch:
     def test_truth_layout(self):
         config = multi_class_config(p=5, n_k=10, m=1000, run_seed=3)
-        batch = generate_test_batch(config, np.random.default_rng(3))
+        atoms = make_atoms(config.atom_seed, config.p)
+        batch = generate_test_batch(config, np.random.default_rng(3), atoms)
         assert batch.m == 1000
         want = np.concatenate([
             np.repeat([1, 2, 3, 4], [188, 188, 187, 187]), np.full(250, 5)
@@ -413,19 +417,21 @@ class TestGenerateTestBatch:
 
     def test_outliers_overdispersed(self):
         config = ScenarioConfig(p=50, n_k=10, m=4000, run_seed=4)
-        batch = generate_test_batch(config, np.random.default_rng(4))
+        atoms = make_atoms(config.atom_seed, config.p)
+        batch = generate_test_batch(config, np.random.default_rng(4), atoms)
         inl = batch.features[batch.truth == 1]
         out = batch.features[batch.truth == 2]
         # atoms add the same variance to both classes, so the expected
         # per-coordinate ratio is (2.5 + w_var) / (1 + w_var)
-        w_var = make_atoms(config.atom_seed, config.p).var()
+        w_var = atoms.var()
         want = (2.5 + w_var) / (1.0 + w_var)
         ratio = out.var(axis=0).mean() / inl.var(axis=0).mean()
         assert ratio == pytest.approx(want, rel=0.1)
 
     def test_tiny_batch_all_inliers(self):
         config = ScenarioConfig(p=2, n_k=5, m=1, inlier_ratio=3.0, run_seed=5)
-        batch = generate_test_batch(config, np.random.default_rng(5))
+        atoms = make_atoms(config.atom_seed, config.p)
+        batch = generate_test_batch(config, np.random.default_rng(5), atoms)
         assert batch.m == 1
         np.testing.assert_array_equal(batch.truth, [1])
 

@@ -26,7 +26,6 @@ from confset import (
     oracle_params,
     predict,
     read_results,
-    replicate_seed,
     run_cell,
     run_experiment,
     run_replicate,
@@ -35,7 +34,7 @@ from confset import (
     with_run_seed,
 )
 from confset import experiment
-from confset.experiment import _map_jobs
+from confset.experiment import _map_jobs, replicate_seed
 from confset.scoring import _SPLIT_BLOCKS
 from conftest import forbid_helper, spy_score_threads
 

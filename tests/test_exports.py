@@ -2,7 +2,11 @@
 each name up, so a stale entry would crash them."""
 
 import importlib
+import inspect
 import pkgutil
+import re
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -44,3 +48,28 @@ def test_package_all_is_the_module_lists_in_import_order():
     for mod in modules:
         for name in mod.__all__:
             assert getattr(confset, name) is getattr(mod, name), name
+
+
+SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def test_every_function_perfbench_names_is_exported():
+    # perfbench wraps only the functions in a module's __all__, so a name it
+    # counts or times that leaves __all__ would silently read 0. Names that
+    # no longer exist at all are perfbench's to drop.
+    spans = runpy.run_path(str(SPANS))
+    names = set(re.findall(r'"(\w+)\.(\w+)"', SPANS.read_text()))
+    names |= {tuple(n.split(".")) for n in spans["READERS"] | spans["WRITERS"]}
+    checked, hidden = set(), []
+    for layer, name in sorted(names):
+        if layer not in spans["LAYERS"]:
+            continue
+        mod = importlib.import_module(f"confset.{layer}")
+        if not inspect.isfunction(getattr(mod, name, None)):
+            continue
+        checked.add(f"{layer}.{name}")
+        if name not in mod.__all__:
+            hidden.append(f"{layer}.{name}")
+    assert hidden == []
+    # the functions behind the work counts are found and checked
+    assert set(spans["COUNTERS"]) - spans["READERS"] - spans["WRITERS"] <= checked

@@ -610,11 +610,11 @@ class TestSplitTrainTest:
 
     def test_deterministic_and_seed_sensitive(self):
         data = self._coded_data()
-        t1, b1 = split_train_test(data, seed=5)
-        t2, b2 = split_train_test(data, seed=5)
+        t1, b1 = split_train_test(data, fraction=0.7, seed=5)
+        t2, b2 = split_train_test(data, fraction=0.7, seed=5)
         np.testing.assert_array_equal(t1.features, t2.features)
         np.testing.assert_array_equal(b1.features, b2.features)
-        t3, _ = split_train_test(data, seed=6)
+        t3, _ = split_train_test(data, fraction=0.7, seed=6)
         assert not np.array_equal(t1.features, t3.features)
 
     def test_no_row_lost_or_duplicated(self):
